@@ -92,7 +92,7 @@ const RegistryEntry kRegistry[] = {
      }},
     {"dac6",
      "Algorithm 2: 6-DAC from one 6-PAC (largest exhaustive instance; "
-     "minutes of wall clock)",
+     "seconds of wall clock)",
      [] {
        const auto inputs = iota_inputs(6);
        return dac_task(

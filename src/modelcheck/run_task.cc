@@ -257,17 +257,19 @@ TaskRunResult run_check_task(const NamedTask& task, const CheckTaskSpec& spec) {
   }
   const TaskReport& report = report_or.value();
   result.work_items = report.node_count;
-  // A partial check certifies only the explored region, so a clean partial
-  // report is not judged against the expectation (exit 3 below).
-  const bool expected = report.partial ||
+  // A partial or interrupted check certifies only the explored region, so
+  // a clean report of one is not judged against the expectation (exit 3 or
+  // 4 below).
+  const bool expected = report.partial || report.interrupted ||
                         (report.ok() != task.expect_violation);
 
   appendf(&result.human, "%s: checked %llu nodes, %llu transitions, "
-          "%zu violations%s\n",
+          "%zu violations%s%s\n",
           task.name.c_str(),
           static_cast<unsigned long long>(report.node_count),
           static_cast<unsigned long long>(report.transition_count),
-          report.violations.size(), report.partial ? " (partial)" : "");
+          report.violations.size(), report.partial ? " (partial)" : "",
+          report.interrupted ? " (interrupted)" : "");
   for (const PropertyViolation& v : report.violations) {
     appendf(&result.human, "  %s: %s\n", v.property.c_str(), v.detail.c_str());
   }
@@ -300,6 +302,8 @@ TaskRunResult run_check_task(const NamedTask& task, const CheckTaskSpec& spec) {
     w.value_uint(report.full_node_estimate);
     w.key("partial");
     w.value_bool(report.partial);
+    w.key("interrupted");
+    w.value_bool(report.interrupted);
     w.key("violations");
     w.value_uint(report.violations.size());
     w.key("ok");
@@ -324,7 +328,9 @@ TaskRunResult run_check_task(const NamedTask& task, const CheckTaskSpec& spec) {
   }
   result.report_valid = true;
 
-  if (report.partial) {
+  if (report.interrupted) {
+    result.exit_code = 4;
+  } else if (report.partial) {
     result.exit_code = 3;
     result.error = task.name +
                    ": truncated exploration: property verdicts that rely on "

@@ -88,7 +88,9 @@ struct CheckTaskSpec {
 
 // Machine-checks the task's properties over the full configuration graph
 // (check_k_agreement_task / check_dac_task, dispatched on the task shape)
-// and judges the verdict against the task's expect_violation bit.
+// and judges the verdict against the task's expect_violation bit. A check
+// of a truncated graph exits 3 and one of an interrupted graph exits 4,
+// unjudged: their verdicts cover only the explored region.
 TaskRunResult run_check_task(const NamedTask& task, const CheckTaskSpec& spec);
 
 }  // namespace lbsa::modelcheck

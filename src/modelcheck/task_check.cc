@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <set>
 #include <unordered_map>
+#include <utility>
 
 #include "base/check.h"
 #include "base/hashing.h"
+#include "obs/obs.h"
 
 namespace lbsa::modelcheck {
 namespace {
@@ -38,78 +40,165 @@ std::vector<Value> decided_values(const sim::Config& config) {
 }
 
 // ---------------------------------------------------------------------------
-// Solo-run termination: from `config`, process pid runs alone; over every
-// nondeterministic object outcome it must reach kDecided (or kAborted when
-// allow_abort) without revisiting a configuration. Memoized per pid across
-// all start configurations.
+// Solo-run termination: from a start state, process pid runs alone; over
+// every nondeterministic object outcome it must reach kDecided (or kAborted
+// when allow_abort) without revisiting a state. Memoized per pid across all
+// start states. One DFS serves two successor sources:
+//   * GraphSolo walks the explored graph: states are node ids and pid's
+//     successors are the node's pid-labelled edges. Sound only on a graph
+//     that holds every solo successor (see check_dac_task).
+//   * SimSolo re-simulates: states are configurations, successors come from
+//     enumerate_successors, and the memo is keyed on the encoding.
 // ---------------------------------------------------------------------------
 
+enum class Memo : std::uint8_t { kUnseen = 0, kInProgress, kGood };
+
+class GraphSolo {
+ public:
+  using State = std::uint32_t;
+
+  // Copies pid's status out of every node in one pass, so the walk reads a
+  // flat byte array instead of each node's process vector.
+  GraphSolo(const ConfigGraph& graph, int pid)
+      : edges_(graph.edges()),
+        pid_(pid),
+        status_(graph.nodes().size()),
+        memo_(graph.nodes().size(), Memo::kUnseen) {
+    for (std::size_t id = 0; id < status_.size(); ++id) {
+      status_[id] =
+          graph.nodes()[id].config.procs[static_cast<size_t>(pid)].status;
+    }
+  }
+
+  State start(std::uint32_t id) const { return id; }
+  sim::ProcStatus status(State id) const { return status_[id]; }
+  Memo& memo(State id) { return memo_[id]; }
+  void forget(State id) { memo_[id] = Memo::kUnseen; }
+
+  template <typename Visit>
+  bool all_successors(State id, Visit&& visit) {
+    for (const Edge& e : edges_[id]) {
+      if (e.pid == pid_ && !visit(e.to)) return false;
+    }
+    return true;
+  }
+
+ private:
+  const std::vector<std::vector<Edge>>& edges_;
+  int pid_;
+  std::vector<sim::ProcStatus> status_;
+  std::vector<Memo> memo_;
+};
+
+class SimSolo {
+ public:
+  using State = sim::Config;
+
+  SimSolo(const sim::Protocol& protocol, const ConfigGraph& graph, int pid)
+      : protocol_(protocol), graph_(graph), pid_(pid) {}
+
+  const State& start(std::uint32_t id) const {
+    return graph_.nodes()[id].config;
+  }
+  sim::ProcStatus status(const State& config) const {
+    return config.procs[static_cast<size_t>(pid_)].status;
+  }
+  // References into an unordered_map survive rehashing.
+  Memo& memo(const State& config) { return memo_[config.encode()]; }
+  void forget(const State& config) { memo_.erase(config.encode()); }
+
+  template <typename Visit>
+  bool all_successors(const State& config, Visit&& visit) {
+    std::vector<sim::Successor> succs;
+    sim::enumerate_successors(protocol_, config, pid_, &succs);
+    for (const sim::Successor& succ : succs) {
+      if (!visit(succ.config)) return false;
+    }
+    return true;
+  }
+
+ private:
+  const sim::Protocol& protocol_;
+  const ConfigGraph& graph_;
+  int pid_;
+  std::unordered_map<std::vector<std::int64_t>, Memo, KeyHash> memo_;
+};
+
+template <typename Source>
 class SoloChecker {
  public:
-  SoloChecker(const sim::Protocol& protocol, int pid, bool allow_abort,
+  using State = typename Source::State;
+
+  SoloChecker(Source source, int pid, bool allow_abort,
               std::uint64_t node_bound)
-      : protocol_(protocol),
+      : source_(std::move(source)),
         pid_(pid),
         allow_abort_(allow_abort),
         node_bound_(node_bound) {}
 
-  // Returns true iff every solo continuation of pid from `config`
-  // terminates acceptably. On failure fills *detail.
-  bool terminates(const sim::Config& config, std::string* detail) {
-    nodes_visited_ = 0;
-    return dfs(config, detail);
+  // Checks every solo continuation of pid from each of the first
+  // node_count nodes, in id order. Returns the first node from which some
+  // continuation fails to terminate acceptably (filling *detail), or
+  // node_count if none does.
+  std::uint32_t first_failure(std::uint32_t node_count, std::string* detail) {
+    for (std::uint32_t id = 0; id < node_count; ++id) {
+      nodes_visited_ = 0;
+      const bool ok = dfs(source_.start(id), detail);
+      visits_ += nodes_visited_;
+      if (!ok) return id;
+    }
+    return node_count;
   }
 
- private:
-  enum class Memo : char { kInProgress, kGood };
+  // DFS visits over all start nodes, counted as solo_node_bound counts them.
+  std::uint64_t visits() const { return visits_; }
 
-  bool dfs(const sim::Config& config, std::string* detail) {
-    const sim::ProcessState& ps = config.procs[static_cast<size_t>(pid_)];
-    if (ps.decided()) return true;
-    if (ps.aborted()) {
-      if (allow_abort_) return true;
-      *detail = "process p" + std::to_string(pid_) +
-                " aborted in a solo run where only decide is allowed";
-      return false;
-    }
-    if (ps.crashed()) {
-      *detail = "process p" + std::to_string(pid_) + " crashed mid-check";
-      return false;
+ private:
+  bool dfs(const State& state, std::string* detail) {
+    switch (source_.status(state)) {
+      case sim::ProcStatus::kDecided:
+        return true;
+      case sim::ProcStatus::kAborted:
+        if (allow_abort_) return true;
+        *detail = "process p" + std::to_string(pid_) +
+                  " aborted in a solo run where only decide is allowed";
+        return false;
+      case sim::ProcStatus::kCrashed:
+        *detail = "process p" + std::to_string(pid_) + " crashed mid-check";
+        return false;
+      case sim::ProcStatus::kRunning:
+        break;
     }
     if (++nodes_visited_ > node_bound_) {
       *detail = "solo-run node budget exceeded for p" + std::to_string(pid_);
       return false;
     }
 
-    const auto key = config.encode();
-    auto [it, inserted] = memo_.try_emplace(key, Memo::kInProgress);
-    if (!inserted) {
-      if (it->second == Memo::kGood) return true;
-      // Revisiting an in-progress configuration: pid can cycle solo forever.
+    Memo& memo = source_.memo(state);
+    if (memo == Memo::kGood) return true;
+    if (memo == Memo::kInProgress) {
+      // Revisiting an in-progress state: pid can cycle solo forever.
       *detail = "process p" + std::to_string(pid_) +
                 " can take infinitely many solo steps without terminating";
       return false;
     }
-
-    std::vector<sim::Successor> succs;
-    sim::enumerate_successors(protocol_, config, pid_, &succs);
-    for (const sim::Successor& succ : succs) {
-      if (!dfs(succ.config, detail)) {
-        // Leave the entry as kInProgress-erased so other paths re-examine.
-        memo_.erase(key);
-        return false;
-      }
+    memo = Memo::kInProgress;
+    if (!source_.all_successors(
+            state, [&](const State& next) { return dfs(next, detail); })) {
+      // Forget the entry so other paths re-examine it.
+      source_.forget(state);
+      return false;
     }
-    memo_[key] = Memo::kGood;
+    memo = Memo::kGood;
     return true;
   }
 
-  const sim::Protocol& protocol_;
+  Source source_;
   int pid_;
   bool allow_abort_;
   std::uint64_t node_bound_;
   std::uint64_t nodes_visited_ = 0;
-  std::unordered_map<std::vector<std::int64_t>, Memo, KeyHash> memo_;
+  std::uint64_t visits_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -139,10 +228,10 @@ class WaitFreedomChecker {
       if (!in_subgraph(u)) continue;
       for (const Edge& e : graph_.edges()[u]) {
         if (e.pid != pid_ || !in_subgraph(e.to)) continue;
+        // A self-loop is a cycle; otherwise the SCC needs a second node.
         if (scc_id_[u] == scc_id_[e.to] &&
-            (u != e.to || true /* self-loop is a cycle */)) {
-          // Single-node SCC without self-loop: scc equal but no cycle.
-          if (u == e.to || scc_size_[scc_id_[u]] > 1) return u;
+            (u == e.to || scc_size_[scc_id_[u]] > 1)) {
+          return u;
         }
       }
     }
@@ -245,6 +334,7 @@ std::string TaskReport::to_string() const {
   std::string out = "nodes=" + std::to_string(node_count) +
                     " transitions=" + std::to_string(transition_count);
   if (partial) out += " (PARTIAL exploration)";
+  if (interrupted) out += " (INTERRUPTED exploration)";
   if (ok()) return out + " — all properties hold";
   for (const PropertyViolation& v : violations) {
     out += "\nVIOLATION [" + v.property + "]: " + v.detail;
@@ -269,6 +359,7 @@ StatusOr<TaskReport> check_k_agreement_task(
   report.transition_count = graph.transition_count();
   report.full_node_estimate = graph.full_node_estimate();
   report.partial = graph.truncated();
+  report.interrupted = graph.interrupted();
 
   const std::set<Value> input_set(inputs.begin(), inputs.end());
 
@@ -357,6 +448,7 @@ StatusOr<TaskReport> check_dac_task(
   report.transition_count = graph.transition_count();
   report.full_node_estimate = graph.full_node_estimate();
   report.partial = graph.truncated();
+  report.interrupted = graph.interrupted();
 
   for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
     const Node& node = graph.nodes()[id];
@@ -413,21 +505,41 @@ StatusOr<TaskReport> check_dac_task(
 
   // Termination (a): from every reachable configuration, p running solo
   // decides or aborts. Termination (b): every q != p running solo decides.
+  // Every engine emits each enabled pid's enumerate_successors outcomes, in
+  // order, as that node's pid-labelled edges. So a complete graph without
+  // POR and without a symmetry quotient already holds every solo successor,
+  // and the solo DFS walks it. Elsewhere solo edges are missing (POR prunes
+  // them, quotient edges drop the pid renaming, and a truncated or
+  // interrupted frontier is unexpanded), and the solo runs are re-simulated.
+  const bool walk = !graph.truncated() && !graph.interrupted() &&
+                    graph.canonicalizer() == nullptr &&
+                    graph.reduction() != Reduction::kPor &&
+                    graph.reduction() != Reduction::kBoth;
+  const auto node_count = static_cast<std::uint32_t>(graph.nodes().size());
+  std::uint64_t walked = 0;
+  std::uint64_t simulated = 0;
   for (int pid = 0; pid < n; ++pid) {
     const bool is_p = (pid == distinguished_pid);
-    SoloChecker solo(*protocol, pid, /*allow_abort=*/is_p,
-                     options.solo_node_bound);
-    for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
-      std::string detail;
-      if (!solo.terminates(graph.nodes()[id].config, &detail)) {
-        add_violation(&report, options,
-                      is_p ? "termination(a)" : "termination(b)", detail,
-                      format_path(*protocol, graph, id));
-        break;  // one witness per process suffices
-      }
+    std::string detail;
+    auto solo_failure = [&](auto source, std::uint64_t* visits) {
+      SoloChecker solo(std::move(source), pid, /*allow_abort=*/is_p,
+                       options.solo_node_bound);
+      const std::uint32_t bad = solo.first_failure(node_count, &detail);
+      *visits += solo.visits();
+      return bad;
+    };
+    const std::uint32_t bad =
+        walk ? solo_failure(GraphSolo(graph, pid), &walked)
+             : solo_failure(SimSolo(*protocol, graph, pid), &simulated);
+    if (bad < node_count) {  // one witness per process suffices
+      add_violation(&report, options,
+                    is_p ? "termination(a)" : "termination(b)", detail,
+                    format_path(*protocol, graph, bad));
     }
-    if (report_full(report, options)) return report;
+    if (report_full(report, options)) break;
   }
+  LBSA_OBS_COUNTER_ADD_V("task_check.solo.walked", walked);
+  LBSA_OBS_COUNTER_ADD_V("task_check.solo.simulated", simulated);
   return report;
 }
 

@@ -63,6 +63,11 @@ struct TaskReport {
   // ExploreOptions::allow_truncation): violations are real, but a clean
   // report certifies only the explored region.
   bool partial = false;
+  // True iff the underlying exploration stopped early at a level boundary
+  // (cancel, deadline or max_levels; see ConfigGraph::interrupted()). As
+  // with `partial`, violations are real but a clean report certifies only
+  // the explored prefix.
+  bool interrupted = false;
 
   bool ok() const { return violations.empty(); }
   // True iff some violation is for `property`.

@@ -8,6 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "modelcheck/corpus.h"
+#include "modelcheck/run_task.h"
+#include "obs/metrics.h"
 #include "protocols/dac_from_pac.h"
 #include "protocols/flp_race.h"
 #include "protocols/group_ksa.h"
@@ -176,17 +183,69 @@ TEST(TaskCheck, StrawDacFallbackViolatesAgreement) {
       << report_or.value().to_string();
 }
 
+// The (property, detail) pairs of a report, in report order.
+std::vector<std::pair<std::string, std::string>> findings(
+    const TaskReport& report) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const PropertyViolation& v : report.violations) {
+    out.emplace_back(v.property, v.detail);
+  }
+  return out;
+}
+
 TEST(TaskCheck, StrawDacAnnounceViolatesTermination) {
+  // The ⊥-receiver spinning on the announce register violates solo
+  // termination — for p it is Termination(a), for q Termination(b). The
+  // unreduced graph is walked and the reduced ones are re-simulated; both
+  // must find the same cycle for every process.
   const auto inputs = iota_inputs(3);
   auto protocol = std::make_shared<StrawDacAnnounceProtocol>(inputs);
-  auto report_or = check_dac_task(protocol, 0, inputs);
-  ASSERT_TRUE(report_or.is_ok());
-  EXPECT_FALSE(report_or.value().ok());
-  // The ⊥-receiver spinning on the announce register violates solo
-  // termination — for p it is Termination(a), for q Termination(b).
-  EXPECT_TRUE(report_or.value().violates("termination(a)") ||
-              report_or.value().violates("termination(b)"))
-      << report_or.value().to_string();
+  const std::string cycle =
+      " can take infinitely many solo steps without terminating";
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"termination(a)", "process p0" + cycle},
+      {"termination(b)", "process p1" + cycle},
+      {"termination(b)", "process p2" + cycle},
+  };
+  for (const Reduction reduction : {Reduction::kNone, Reduction::kSymmetry,
+                                    Reduction::kPor, Reduction::kBoth}) {
+    SCOPED_TRACE(reduction_name(reduction));
+    TaskCheckOptions options;
+    options.explore.reduction = reduction;
+    auto report_or = check_dac_task(protocol, 0, inputs, options);
+    ASSERT_TRUE(report_or.is_ok()) << report_or.status().to_string();
+    EXPECT_EQ(findings(report_or.value()), want)
+        << report_or.value().to_string();
+  }
+}
+
+TEST(TaskCheck, SoloNodeBoundIsEnforcedWhenWalkingAndSimulating) {
+  // dac3-sym under reduction none is walked; under symmetry and POR its
+  // solo runs are re-simulated. A one-node budget trips in every mode,
+  // for every process, at the root.
+  auto task = make_named_task("dac3-sym");
+  ASSERT_TRUE(task.is_ok());
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"termination(a)", "solo-run node budget exceeded for p0"},
+      {"termination(b)", "solo-run node budget exceeded for p1"},
+      {"termination(b)", "solo-run node budget exceeded for p2"},
+  };
+  for (const Reduction reduction :
+       {Reduction::kNone, Reduction::kSymmetry, Reduction::kPor}) {
+    SCOPED_TRACE(reduction_name(reduction));
+    TaskCheckOptions options;
+    options.explore.reduction = reduction;
+    options.solo_node_bound = 1;
+    auto report_or =
+        check_dac_task(task.value().protocol, task.value().distinguished_pid,
+                       task.value().inputs, options);
+    ASSERT_TRUE(report_or.is_ok()) << report_or.status().to_string();
+    EXPECT_EQ(findings(report_or.value()), want)
+        << report_or.value().to_string();
+    for (const PropertyViolation& v : report_or.value().violations) {
+      EXPECT_TRUE(v.trace.empty()) << "the root is the first start node";
+    }
+  }
 }
 
 TEST(TaskCheck, StrawDacViaOPrimeViolatesAgreement) {
@@ -244,6 +303,150 @@ TEST(TaskCheck, BudgetExhaustionSurfacesAsStatus) {
   auto report_or = check_dac_task(protocol, 0, iota_inputs(3), options);
   EXPECT_FALSE(report_or.is_ok());
   EXPECT_EQ(report_or.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(TaskCheck, InterruptedCheckIsNotAVerdict) {
+  // A check cut off at a level boundary certifies only the explored prefix:
+  // the clean dac6 prefix must not pass, and the broken strawdac5, whose
+  // violation lies deeper, must not fail. Both are exit 4, like an
+  // interrupted exploration.
+  for (const char* name : {"dac6", "strawdac5"}) {
+    SCOPED_TRACE(name);
+    auto task = make_named_task(name);
+    ASSERT_TRUE(task.is_ok());
+    CheckTaskSpec spec;
+    spec.options.explore.max_levels = 3;
+
+    auto report_or =
+        check_dac_task(task.value().protocol, task.value().distinguished_pid,
+                       task.value().inputs, spec.options);
+    ASSERT_TRUE(report_or.is_ok()) << report_or.status().to_string();
+    EXPECT_TRUE(report_or.value().interrupted);
+    EXPECT_FALSE(report_or.value().partial);
+    EXPECT_TRUE(report_or.value().ok()) << report_or.value().to_string();
+
+    const TaskRunResult result = run_check_task(task.value(), spec);
+    EXPECT_EQ(result.exit_code, 4) << result.human << result.error;
+    EXPECT_NE(result.human.find("(interrupted)"), std::string::npos)
+        << result.human;
+    ASSERT_TRUE(result.report_valid);
+    bool section_found = false;
+    for (const auto& [section, json] : result.report.sections) {
+      if (section != "check") continue;
+      section_found = true;
+      EXPECT_NE(json.find("\"interrupted\":true"), std::string::npos) << json;
+    }
+    EXPECT_TRUE(section_found);
+  }
+}
+
+TEST(TaskCheck, UnreducedGraphEdgesAreExactlyTheSoloSuccessors) {
+  // The solo-termination walk treats a node's pid-labelled edges as pid's
+  // solo successors. Check that against the step function alone: on the
+  // unreduced graph every running pid's edges list exactly
+  // enumerate_successors(config, pid), in order. Four threads under the
+  // auto engine send dac6 through the parallel engine's edge emission.
+  for (const std::string& name : named_task_names()) {
+    if (name == "groupksa" || name == "benor") continue;
+    SCOPED_TRACE(name);
+    auto task_or = make_named_task(name);
+    ASSERT_TRUE(task_or.is_ok());
+    const NamedTask& task = task_or.value();
+    ExploreOptions options;
+    options.threads = 4;
+    // DAC tasks are explored as check_dac_task explores them: with the
+    // "has a process other than p stepped" flag.
+    const int p = task.distinguished_pid;
+    Explorer::FlagFn flag_fn;
+    if (p >= 0) {
+      flag_fn = [p](std::int64_t flag, const sim::Step& step) {
+        return step.pid != p ? std::int64_t{1} : flag;
+      };
+    }
+    auto graph_or = Explorer(task.protocol).explore(options, flag_fn);
+    ASSERT_TRUE(graph_or.is_ok()) << graph_or.status().to_string();
+    const ConfigGraph& graph = graph_or.value();
+    ASSERT_FALSE(graph.truncated() || graph.interrupted());
+    if (name == "dac6") {
+      EXPECT_TRUE(graph.auto_switched());
+    }
+
+    std::vector<sim::Successor> succs;
+    std::vector<Edge> pid_edges;
+    for (std::uint32_t u = 0; u < graph.nodes().size(); ++u) {
+      const Node& node = graph.nodes()[u];
+      for (int pid = 0; pid < task.protocol->process_count(); ++pid) {
+        pid_edges.clear();
+        for (const Edge& e : graph.edges()[u]) {
+          if (e.pid == pid) pid_edges.push_back(e);
+        }
+        succs.clear();
+        if (node.config.enabled(pid)) {
+          sim::enumerate_successors(*task.protocol, node.config, pid, &succs);
+        }
+        ASSERT_EQ(pid_edges.size(), succs.size())
+            << "node " << u << " pid " << pid;
+        for (std::size_t i = 0; i < succs.size(); ++i) {
+          const Node& target = graph.nodes()[pid_edges[i].to];
+          ASSERT_TRUE(target.config == succs[i].config)
+              << "node " << u << " pid " << pid << " edge " << i;
+          ASSERT_EQ(pid_edges[i].kind, succs[i].step.action.kind)
+              << "node " << u << " pid " << pid << " edge " << i;
+          if (flag_fn) {
+            ASSERT_EQ(target.flag, flag_fn(node.flag, succs[i].step))
+                << "node " << u << " pid " << pid << " edge " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Value of a counter in the global registry's snapshot (0 if unregistered).
+std::uint64_t counter_value(const std::string& name) {
+  for (const auto& row : obs::Registry::global().snapshot().counters) {
+    if (row.name == name) return row.value;
+  }
+  return 0;
+}
+
+TEST(TaskCheck, SoloCountersShowWhichPathRan) {
+#if defined(LBSA_OBS_DISABLED)
+  GTEST_SKIP() << "counters are compiled out under LBSA_OBS_DISABLED";
+#endif
+  // If the dispatch fell back to simulating everywhere, verdicts would not
+  // change; these counts would.
+  struct Case {
+    const char* task;
+    Reduction reduction;
+    bool walks;
+  };
+  for (const Case& c : {Case{"dac5", Reduction::kNone, true},
+                        Case{"dac5-sym", Reduction::kSymmetry, false}}) {
+    SCOPED_TRACE(c.task);
+    auto task = make_named_task(c.task);
+    ASSERT_TRUE(task.is_ok());
+    TaskCheckOptions options;
+    options.explore.reduction = c.reduction;
+    obs::Registry::global().reset_values();
+    obs::set_metrics_enabled(true);
+    auto report_or =
+        check_dac_task(task.value().protocol, task.value().distinguished_pid,
+                       task.value().inputs, options);
+    obs::set_metrics_enabled(false);
+    ASSERT_TRUE(report_or.is_ok()) << report_or.status().to_string();
+    EXPECT_TRUE(report_or.value().ok()) << report_or.value().to_string();
+    const std::uint64_t walked = counter_value("task_check.solo.walked");
+    const std::uint64_t simulated =
+        counter_value("task_check.solo.simulated");
+    if (c.walks) {
+      EXPECT_GT(walked, 0u);
+      EXPECT_EQ(simulated, 0u);
+    } else {
+      EXPECT_EQ(walked, 0u);
+      EXPECT_GT(simulated, 0u);
+    }
+  }
 }
 
 }  // namespace

@@ -364,6 +364,44 @@ TEST(Service, DeadlineBoundsARequest) {
   EXPECT_EQ(after->exit_code, 0);
 }
 
+TEST(Service, InterruptedCheckAnswersExit4AndIsNotCached) {
+  // The cache key omits the deadline, so a deadline-tripped check must not
+  // be stored: its verdict covers only the explored prefix.
+  ServiceOptions options;
+  options.workers = 1;
+  CheckService service(options);
+  Collector collector;
+
+  ServeRequest first = check_request("first", "dac5");
+  first.engine = "serial";
+  first.deadline_ms = 1;  // expires almost immediately after dequeue
+  ServeRequest second = first;
+  second.id = "second";
+  service.submit(std::move(first), collector.sink());
+  collector.wait_finals(1);
+  service.submit(std::move(second), collector.sink());
+  const auto finals = collector.wait_finals(2);
+  for (const char* id : {"first", "second"}) {
+    SCOPED_TRACE(id);
+    const ServeResponse* r = collector.final_for(finals, id);
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->type, "report");
+    EXPECT_EQ(r->exit_code, 4) << "an interrupted check is not a verdict\n"
+                               << r->human;
+    EXPECT_FALSE(r->cached) << "an interrupted check must never be replayed";
+    const Status valid = obs::validate_run_report_json(r->data);
+    EXPECT_TRUE(valid.is_ok()) << valid.to_string();
+  }
+
+  auto stats = parse_json(service.stats_json());
+  ASSERT_TRUE(stats.is_ok()) << service.stats_json();
+  const auto* cache = stats.value().find("cache");
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->find("hits")->int_value, 0);
+  EXPECT_EQ(cache->find("misses")->int_value, 2);
+  EXPECT_EQ(cache->find("entries")->int_value, 0);
+}
+
 TEST(Service, RejectsBadWorkloadsWithTypedErrors) {
   ServiceOptions options;
   options.workers = 1;
