@@ -34,7 +34,8 @@ std::vector<lbsa::Value> iota_inputs(int n) {
 // reference engine (the baseline every speedup claim is against); threads>1
 // runs the parallel engine, whose canonical output is bit-identical, so the
 // rows measure the same work. The threads sweep at the headline size is the
-// speedup curve tracked across PRs (see tools/bench_modelcheck_json.sh).
+// speedup curve tracked across commits (see
+// `tools/run_report.sh build BENCH_modelcheck.json --with-bench`).
 void ModelCheck_ExploreDac(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int threads = static_cast<int>(state.range(1));

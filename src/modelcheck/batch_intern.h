@@ -1,15 +1,15 @@
 // Batched concurrent interning over an open-addressing flat table with a
-// CAS reservation-flag slot protocol — the lock-free successor of
-// ShardedInternTable (interning.h), built for the explorer hot path where
+// CAS reservation-flag slot protocol — the lock-free successor of an
+// earlier mutex-per-shard table, built for the explorer hot path where
 // per-node mutex acquisition dominated parallel runs.
 //
 // Design (after the BCL ChecksumHashMap free/reserved/ready protocol and
 // the parabix arena-allocated trie):
 //   * 64 shards, each an open-addressing table of 16-byte slots. A 2-word
-//     hash routes exactly as in ShardedInternTable: the low word picks the
-//     shard and the probe start, the high word is the stored fingerprint —
-//     so both tables assign the same id *set* for the same key set, which
-//     the equivalence hammer test exploits.
+//     hash routes: the low word picks the shard and the probe start, the
+//     high word is the stored fingerprint. Locals are dense per shard, so
+//     the id *set* for a key set is fixed by routing alone, whatever the
+//     insertion order — which the concurrent hammer test checks.
 //   * A slot is two atomics: `fp` (0 = free, else the never-zero
 //     fingerprint) and `id` (kEmpty = reserved-but-unpublished, else the
 //     assigned id). Insertion CASes fp 0 -> fingerprint to *reserve* the
@@ -34,8 +34,8 @@
 //     carry their hash, so no key is rehashed). Probing itself never takes
 //     the lock per key.
 //
-// Ids are (local << 6) | shard, as before, so the explorer's canonical
-// renumbering pass is unchanged.
+// Ids are (local << 6) | shard; the explorer's canonical renumbering pass
+// turns them into the serial BFS numbering.
 //
 // Thread-safety contract: intern_batch()/intern() may run concurrently
 // from any number of threads (each with its OWN arena and tally).
@@ -87,8 +87,7 @@ class BatchInternTable {
   };
 
   // Per-worker probe statistics, accumulated locally by the calling thread
-  // and merged at join — exact totals with zero contention (the fix for the
-  // racy ShardedInternTable::Stats::probes read).
+  // and merged at join — exact totals with zero contention.
   struct Tally {
     std::uint64_t probes = 0;
     std::uint64_t cas_retries = 0;

@@ -204,10 +204,10 @@ class WordReader {
 // one — an interrupted write leaves at worst a stray temp file.
 //
 // The temp name carries a pid + per-process-counter suffix: two writers
-// staging the same `path` concurrently (two server requests sharing a
-// checkpoint path, or two CLI runs) each stage a private file, so neither
-// can truncate or rename the other's half-written bytes — the last rename
-// wins with a complete file either way.
+// staging the same `path` concurrently (two CLI runs sharing a checkpoint
+// path, or two threads of one process) each stage a private file, so
+// neither can truncate or rename the other's half-written bytes — the last
+// rename wins with a complete file either way.
 Status write_words_atomic(std::uint64_t magic,
                           const std::vector<std::int64_t>& payload,
                           const std::string& path) {

@@ -1,6 +1,6 @@
 #include "modelcheck/corpus.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <functional>
 #include <utility>
 
@@ -356,7 +356,12 @@ StatusOr<CorpusCase> parse_corpus_case(const std::string& text) {
     if (auto v = header_value("property"); !v.empty()) c.property = v;
     if (auto v = header_value("detail"); !v.empty()) c.detail = v;
     if (auto v = header_value("seed"); !v.empty()) {
-      c.seed = std::strtoull(v.c_str(), nullptr, 10);
+      const char* end = v.data() + v.size();
+      const auto [ptr, ec] = std::from_chars(v.data(), end, c.seed);
+      if (ec != std::errc() || ptr != end) {
+        return invalid_argument("corpus file: malformed '# seed:' header '" +
+                                v + "'");
+      }
     }
     if (auto v = header_value("engine"); !v.empty()) c.engine = v;
   }

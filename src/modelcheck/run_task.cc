@@ -150,13 +150,11 @@ TaskRunResult run_explore_task(const NamedTask& task,
 FuzzTaskRunResult run_fuzz_task(const NamedTask& task,
                                 const FuzzTaskSpec& spec) {
   FuzzTaskRunResult result;
-  if (spec.validate) {
-    if (const Status valid = validate_fuzz_options(spec.options);
-        !valid.is_ok()) {
-      result.exit_code = 2;
-      result.error = valid.to_string();
-      return result;
-    }
+  if (const Status valid = validate_fuzz_options(spec.options);
+      !valid.is_ok()) {
+    result.exit_code = 2;
+    result.error = valid.to_string();
+    return result;
   }
 
   result.fuzz = fuzz_named_task(task, spec.options);
@@ -236,106 +234,6 @@ FuzzTaskRunResult run_fuzz_task(const NamedTask& task,
                    report.checkpoint_error;
   } else if (report.interrupted) {
     result.exit_code = 4;
-  } else if (!expected) {
-    result.exit_code = 1;
-  }
-  return result;
-}
-
-TaskRunResult run_check_task(const NamedTask& task, const CheckTaskSpec& spec) {
-  TaskRunResult result;
-  auto report_or =
-      task.distinguished_pid >= 0
-          ? check_dac_task(task.protocol, task.distinguished_pid, task.inputs,
-                           spec.options)
-          : check_k_agreement_task(task.protocol, task.k, task.inputs,
-                                   spec.options);
-  if (!report_or.is_ok()) {
-    result.exit_code = 1;
-    result.error = task.name + ": " + report_or.status().to_string();
-    return result;
-  }
-  const TaskReport& report = report_or.value();
-  result.work_items = report.node_count;
-  // A partial or interrupted check certifies only the explored region, so
-  // a clean report of one is not judged against the expectation (exit 3 or
-  // 4 below).
-  const bool expected = report.partial || report.interrupted ||
-                        (report.ok() != task.expect_violation);
-
-  appendf(&result.human, "%s: checked %llu nodes, %llu transitions, "
-          "%zu violations%s%s\n",
-          task.name.c_str(),
-          static_cast<unsigned long long>(report.node_count),
-          static_cast<unsigned long long>(report.transition_count),
-          report.violations.size(), report.partial ? " (partial)" : "",
-          report.interrupted ? " (interrupted)" : "");
-  for (const PropertyViolation& v : report.violations) {
-    appendf(&result.human, "  %s: %s\n", v.property.c_str(), v.detail.c_str());
-  }
-  if (!expected) {
-    result.error = task.name + ": unexpected verdict (" +
-                   (task.expect_violation ? "broken" : "correct") + " task, " +
-                   std::to_string(report.violations.size()) + " violations)";
-  }
-
-  result.report.task = task.name;
-  result.report.params = {
-      {"threads", std::to_string(spec.options.explore.threads)},
-      {"engine",
-       "\"" + std::string(engine_name(spec.options.explore.engine)) + "\""},
-      {"max_nodes", std::to_string(spec.options.explore.max_nodes)},
-      {"reduction",
-       "\"" + std::string(reduction_name(spec.options.explore.reduction)) +
-           "\""},
-      {"solo_node_bound", std::to_string(spec.options.solo_node_bound)},
-      {"max_violations", std::to_string(spec.options.max_violations)},
-  };
-  {
-    obs::JsonWriter w;
-    w.begin_object();
-    w.key("nodes");
-    w.value_uint(report.node_count);
-    w.key("transitions");
-    w.value_uint(report.transition_count);
-    w.key("full_node_estimate");
-    w.value_uint(report.full_node_estimate);
-    w.key("partial");
-    w.value_bool(report.partial);
-    w.key("interrupted");
-    w.value_bool(report.interrupted);
-    w.key("violations");
-    w.value_uint(report.violations.size());
-    w.key("ok");
-    w.value_bool(report.ok());
-    w.key("expected_outcome");
-    w.value_bool(expected);
-    // Property/detail pairs are deterministic (canonical-graph scan order);
-    // traces are omitted — replay them with the corpus tools if needed.
-    w.key("findings");
-    w.begin_array();
-    for (const PropertyViolation& v : report.violations) {
-      w.begin_object();
-      w.key("property");
-      w.value_string(v.property);
-      w.key("detail");
-      w.value_string(v.detail);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    result.report.sections.emplace_back("check", std::move(w).str());
-  }
-  result.report_valid = true;
-
-  if (report.interrupted) {
-    result.exit_code = 4;
-  } else if (report.partial) {
-    result.exit_code = 3;
-    result.error = task.name +
-                   ": truncated exploration: property verdicts that rely on "
-                   "absence (no violation found) are unsound on a partial "
-                   "graph";
   } else if (!expected) {
     result.exit_code = 1;
   }

@@ -1,21 +1,18 @@
-// Reentrant entry points for the named-task workloads behind explorer_cli,
-// fuzz_shrink_cli, and lbsa_serverd. Each takes an options struct (no
-// globals, no flag parsing, no process-wide state beyond the obs sinks the
-// caller arms) and returns everything a transport needs to answer: the CLI
-// exit code, the human summary exactly as the CLIs print it, and the filled
+// The named-task workloads shared by explorer_cli and fuzz_shrink_cli. Each
+// takes an options struct (no globals, no flag parsing, no process-wide
+// state beyond the obs sinks the caller arms) and returns the CLI exit
+// code, the human summary exactly as the CLIs print it, and the filled
 // RunReport skeleton (task/params/sections).
 //
 // The split of responsibilities:
 //   - run_*_task: run the workload, format the deterministic outputs.
-//   - the caller: wall-clock timing, SIGINT wiring, heartbeat lifecycle,
-//     checkpoint file reading (error wording is transport-specific), obs
-//     finalization (ObsCli::finish for the CLIs, deterministic
-//     serialization for the serve result cache), corpus file emission.
+//   - the CLI: flag parsing, wall-clock timing, SIGINT wiring, heartbeat
+//     lifecycle, checkpoint file reading, obs finalization
+//     (ObsCli::finish), corpus file emission.
 //
-// Everything in TaskRunResult except `error` strings is deterministic for a
-// fixed request (explore graphs are engine/thread independent; coverage
-// fuzz is seed-deterministic), which is what lets the serve layer cache
-// result bytes and replay them byte-identically.
+// Everything in TaskRunResult except `error` strings is deterministic for
+// fixed options (explore graphs are engine/thread independent; coverage
+// fuzz is seed-deterministic).
 #ifndef LBSA_MODELCHECK_RUN_TASK_H_
 #define LBSA_MODELCHECK_RUN_TASK_H_
 
@@ -24,7 +21,6 @@
 #include "modelcheck/corpus.h"
 #include "modelcheck/explorer.h"
 #include "modelcheck/fuzz.h"
-#include "modelcheck/task_check.h"
 #include "obs/report.h"
 
 namespace lbsa::modelcheck {
@@ -38,8 +34,8 @@ namespace lbsa::modelcheck {
 struct TaskRunResult {
   int exit_code = 0;
   // Human-readable summary lines (newline-terminated), byte-identical to
-  // what the CLI prints to stdout — minus transport-owned lines such as
-  // the wall-clock "elapsed" line.
+  // what the CLI prints to stdout — minus CLI-owned lines such as the
+  // wall-clock "elapsed" line.
   std::string human;
   // Non-empty when exit_code != 0 explains why (stderr wording).
   std::string error;
@@ -47,8 +43,8 @@ struct TaskRunResult {
   // and the metrics snapshot are left for the caller to fill.
   obs::RunReport report;
   bool report_valid = false;
-  // Headline work volume (explore/check: graph nodes; fuzz: runs executed)
-  // for transport-side rate lines — wall-clock never enters the result.
+  // Headline work volume (explore: graph nodes; fuzz: runs executed) for
+  // the CLI's rate line — wall-clock never enters the result.
   std::uint64_t work_items = 0;
 };
 
@@ -64,13 +60,12 @@ struct ExploreTaskSpec {
 TaskRunResult run_explore_task(const NamedTask& task,
                                const ExploreTaskSpec& spec);
 
+// Blind-engine checkpoint/resume/stop_after_runs combinations are rejected
+// (validate_fuzz_options) as exit 2 instead of crashing; fuzz_shrink_cli
+// pre-validates with its own flag wording.
 struct FuzzTaskSpec {
   FuzzOptions options;
   std::string resumed_from;
-  // Reject blind-engine checkpoint/resume/stop_after_runs combinations
-  // (validate_fuzz_options) as exit 2 instead of crashing; the CLIs
-  // pre-validate with their own flag wording, the server relies on this.
-  bool validate = true;
 };
 
 // The FuzzReport rides along so the CLI can emit corpus files from the
@@ -81,17 +76,6 @@ struct FuzzTaskRunResult : TaskRunResult {
 
 FuzzTaskRunResult run_fuzz_task(const NamedTask& task,
                                 const FuzzTaskSpec& spec);
-
-struct CheckTaskSpec {
-  TaskCheckOptions options;
-};
-
-// Machine-checks the task's properties over the full configuration graph
-// (check_k_agreement_task / check_dac_task, dispatched on the task shape)
-// and judges the verdict against the task's expect_violation bit. A check
-// of a truncated graph exits 3 and one of an interrupted graph exits 4,
-// unjudged: their verdicts cover only the explored region.
-TaskRunResult run_check_task(const NamedTask& task, const CheckTaskSpec& spec);
 
 }  // namespace lbsa::modelcheck
 

@@ -1,5 +1,8 @@
 #include "obs/cli.h"
 
+#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,6 +42,38 @@ bool obs_disabled_by_env() {
 
 }  // namespace
 
+std::uint64_t parse_count_flag(const char* flag, std::string_view text,
+                               std::uint64_t min, std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc() && ptr == end && value >= min && value <= max) {
+    return value;
+  }
+  std::fprintf(stderr,
+               "error: %s requires a whole number in [%llu, %llu], got "
+               "'%.*s'\n",
+               flag, static_cast<unsigned long long>(min),
+               static_cast<unsigned long long>(max),
+               static_cast<int>(text.size()), text.data());
+  std::exit(2);
+}
+
+double parse_seconds_flag(const char* flag, const char* text) {
+  char* end = nullptr;
+  const double seconds = std::strtod(text, &end);
+  if (end == text || *end != '\0' ||
+      std::isspace(static_cast<unsigned char>(text[0])) ||
+      !std::isfinite(seconds) || !(seconds > 0.0) || seconds > 1e9) {
+    std::fprintf(stderr,
+                 "error: %s requires a positive number of seconds, got "
+                 "'%s'\n",
+                 flag, text);
+    std::exit(2);
+  }
+  return seconds;
+}
+
 ObsCli::ObsCli(std::string tool)
     : tool_(std::move(tool)),
       disabled_(obs_disabled_by_env()),
@@ -59,15 +94,8 @@ bool ObsCli::consume(int argc, char** argv, int* i) {
     heartbeat_path_ = value;
     matched = true;
   } else if (match_flag("--heartbeat-every", argc, argv, i, &value)) {
-    char* end = nullptr;
-    const double seconds = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0' || !(seconds > 0.0)) {
-      std::fprintf(stderr,
-                   "error: --heartbeat-every requires a positive number of "
-                   "seconds, got '%s'\n",
-                   value.c_str());
-      std::exit(2);
-    }
+    const double seconds =
+        parse_seconds_flag("--heartbeat-every", value.c_str());
     heartbeat_interval_ms_ = static_cast<std::uint64_t>(seconds * 1000.0);
     if (heartbeat_interval_ms_ == 0) heartbeat_interval_ms_ = 1;
     return true;

@@ -34,14 +34,28 @@
 #define LBSA_OBS_CLI_H_
 
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "base/status.h"
 #include "obs/heartbeat.h"
 #include "obs/report.h"
 
 namespace lbsa::obs {
+
+// Strict numeric flag values, shared by the CLIs. The whole token must be a
+// decimal integer in [min, max], with no sign, space or suffix; anything
+// else prints an error naming `flag` and exits 2, so `--runs 10k` or
+// `--threads four` never runs on a silently truncated value.
+std::uint64_t parse_count_flag(const char* flag, std::string_view text,
+                               std::uint64_t min, std::uint64_t max);
+
+// A positive number of seconds (--deadline-s, --heartbeat-every), at most
+// 1e9 so a deadline stays inside the steady clock's nanosecond range;
+// anything else prints an error naming `flag` and exits 2.
+double parse_seconds_flag(const char* flag, const char* text);
 
 class ObsCli {
  public:

@@ -116,23 +116,6 @@ std::string_view last_line(std::string_view text) {
   return text.substr(begin, end - begin);
 }
 
-// heartbeat_enabled is process-global, but a server process runs many
-// samplers concurrently (one per request). Refcount the holders so one
-// request finishing does not turn off engine publishing for its neighbors:
-// the flag flips off only when the last sampler stops.
-std::atomic<int> g_enabled_holders{0};
-
-void acquire_heartbeat_enabled() {
-  g_enabled_holders.fetch_add(1, std::memory_order_relaxed);
-  set_heartbeat_enabled(true);
-}
-
-void release_heartbeat_enabled() {
-  if (g_enabled_holders.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    set_heartbeat_enabled(false);
-  }
-}
-
 }  // namespace
 
 HeartbeatSampler::HeartbeatSampler(HeartbeatOptions options)
@@ -144,16 +127,6 @@ HeartbeatSampler::HeartbeatSampler(HeartbeatOptions options)
 HeartbeatSampler::~HeartbeatSampler() { (void)stop(); }
 
 Status HeartbeatSampler::open() {
-  if (options_.sink) {
-    // Sink mode: lines go to the callback, no file, no continuation check
-    // (the caller owns the transport and its history).
-    if (sink_open_) return Status::ok();
-    sink_open_ = true;
-    start_ms_ = options_.clock_ms();
-    acquire_heartbeat_enabled();
-    enabled_held_ = true;
-    return Status::ok();
-  }
   if (options_.path.empty()) {
     return invalid_argument("heartbeat: empty output path");
   }
@@ -198,14 +171,13 @@ Status HeartbeatSampler::open() {
                           "' for append");
   }
   start_ms_ = options_.clock_ms();
-  acquire_heartbeat_enabled();
-  enabled_held_ = true;
+  set_heartbeat_enabled(true);
   return Status::ok();
 }
 
 void HeartbeatSampler::write_tick(bool final) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (file_ == nullptr && !sink_open_) return;
+  if (file_ == nullptr) return;
   const std::uint64_t now = options_.clock_ms();
   const std::uint64_t uptime = now >= start_ms_ ? now - start_ms_ : 0;
 
@@ -341,13 +313,9 @@ void HeartbeatSampler::write_tick(bool final) {
   w.end_object();
 
   const std::string line = std::move(w).str();
-  if (sink_open_) {
-    options_.sink(line);
-  } else {
-    std::fwrite(line.data(), 1, line.size(), file_);
-    std::fputc('\n', file_);
-    std::fflush(file_);
-  }
+  std::fwrite(line.data(), 1, line.size(), file_);
+  std::fputc('\n', file_);
+  std::fflush(file_);
 
   if (!final) {
     ticks_.push_back(Tick{uptime, nodes, frontier, nodes_per_sec});
@@ -388,21 +356,17 @@ Status HeartbeatSampler::stop() {
   }
   cv_.notify_all();
   if (thread_.joinable()) thread_.join();
-  if (file_ != nullptr || sink_open_) {
+  if (file_ != nullptr) {
     write_tick(true);
     std::lock_guard<std::mutex> lock(mu_);
-    if (file_ != nullptr) std::fclose(file_);
+    std::fclose(file_);
     file_ = nullptr;
-    sink_open_ = false;
+    set_heartbeat_enabled(false);
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
     stopped_ = true;
     running_ = false;
-  }
-  if (enabled_held_) {
-    enabled_held_ = false;
-    release_heartbeat_enabled();
   }
   return Status::ok();
 }

@@ -114,12 +114,13 @@ class Progress {
 // inputs (enforced by the checkpoint fingerprint for the explorer), so the
 // id survives checkpoint/resume.
 //
-// `nonce` disambiguates otherwise-identical runs sharing one stream
-// namespace: two concurrent server requests for the same (task, budget)
-// would collide without it and validate_heartbeat_stream would conflate
-// their streams. The caller keeps the nonce stable across checkpoint/
-// resume of the same logical request so continuation still works. An
-// empty nonce is not hashed, so ids from pre-nonce callers are unchanged.
+// `nonce` (the CLIs' --run-nonce) disambiguates otherwise-identical runs
+// sharing one stream namespace: two concurrent runs of the same (task,
+// budget) would collide without it and validate_heartbeat_stream would
+// conflate their streams. The caller keeps the nonce stable across
+// checkpoint/resume of the same logical run so continuation still works.
+// An empty nonce is not hashed, so ids from pre-nonce callers are
+// unchanged.
 std::string derive_run_id(std::string_view tool, std::string_view task,
                           std::string_view mode, std::uint64_t budget,
                           std::string_view nonce = {});
@@ -133,18 +134,15 @@ struct HeartbeatOptions {
   // Injectable monotonic clock (milliseconds); tests pin this to a fake so
   // tick contents are deterministic. Defaults to steady_clock.
   std::function<std::uint64_t()> clock_ms;
-  // When set, each heartbeat line (strict JSON, no trailing newline) goes
-  // to this callback instead of a file and `path` is ignored — the server
-  // frames lines onto client sockets this way. The sink is invoked under
-  // the sampler's tick lock, so it must not re-enter the sampler; there is
-  // no continuation check (the caller owns the transport's history).
-  std::function<void(std::string_view)> sink;
 };
 
 // Appends one strict-JSON heartbeat line per tick. Two driving modes:
 // manual tick() for deterministic tests, or start()/stop() for a real
 // background sampling thread. stop() always appends a final line with
 // "final":true — the signal lbsa_watch exits on.
+//
+// open() turns heartbeat_enabled on and stop() turns it off, so at most one
+// sampler may be open at a time in a process (ObsCli holds exactly one).
 class HeartbeatSampler {
  public:
   explicit HeartbeatSampler(HeartbeatOptions options);
@@ -158,8 +156,8 @@ class HeartbeatSampler {
   void tick() { write_tick(false); }
   // open() + a background thread ticking every interval_ms.
   Status start();
-  // Joins the thread (if any), appends the final line, closes the stream.
-  // Idempotent. Flips heartbeat_enabled off when the last sampler stops.
+  // Joins the thread (if any), appends the final line, closes the stream,
+  // and turns heartbeat_enabled off. Idempotent.
   Status stop();
 
   // Captured timeseries, for the RunReport v2 "timeseries" section.
@@ -172,7 +170,7 @@ class HeartbeatSampler {
   const std::vector<Tick>& ticks() const { return ticks_; }
   const std::string& run_id() const { return options_.run_id; }
   std::uint64_t interval_ms() const { return options_.interval_ms; }
-  bool opened() const { return file_ != nullptr || sink_open_; }
+  bool opened() const { return file_ != nullptr; }
 
  private:
   void write_tick(bool final);
@@ -180,8 +178,6 @@ class HeartbeatSampler {
 
   HeartbeatOptions options_;
   std::FILE* file_ = nullptr;
-  bool sink_open_ = false;     // sink-mode stream is live
-  bool enabled_held_ = false;  // this sampler holds a heartbeat_enabled ref
   std::uint64_t next_seq_ = 0;
   std::uint64_t start_ms_ = 0;
   std::vector<Tick> ticks_;  // manual + timed ticks, excludes the final line

@@ -309,21 +309,8 @@ Status validate_bench_artifact_json(std::string_view json) {
             "bench schema: benchmark sym_cost not one of none/symmetry");
       }
     }
-    // Serve-throughput rows: "serve" (when present) names the op an
-    // lbsa_client load run drove against lbsa_serverd (docs/serving.md).
-    if (const JsonValue* serve = row.find("serve"); serve != nullptr) {
-      if (!serve->is_string() || (serve->string_value != "check" &&
-                                  serve->string_value != "explore" &&
-                                  serve->string_value != "fuzz")) {
-        return invalid_argument(
-            "bench schema: benchmark serve not one of check/explore/fuzz");
-      }
-    }
     for (const char* field : {"nodes", "nodes_per_sec", "reduction_ratio",
-                              "threads", "threads_available", "requests",
-                              "concurrency", "throughput_rps",
-                              "latency_us_p50", "latency_us_p90",
-                              "latency_us_p99"}) {
+                              "threads", "threads_available"}) {
       if (const JsonValue* v = row.find(field); v != nullptr) {
         if (!v->is_number()) {
           return invalid_argument(std::string("bench schema: benchmark ") +

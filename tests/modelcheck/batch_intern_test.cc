@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -11,7 +12,7 @@
 #include <vector>
 
 #include "base/arena.h"
-#include "modelcheck/interning.h"
+#include "base/hashing.h"
 
 namespace lbsa::modelcheck {
 namespace {
@@ -124,11 +125,11 @@ TEST(BatchInternTable, SeqNumbersInsertionsFromOne) {
 
 // The high-contention hammer, and the growth-correctness gate: a tiny
 // initial shard size forces several growth cycles mid-flight, and the final
-// id SET must equal the mutex table's for the same key universe (both
-// tables use the identical shard/probe-start/fingerprint routing, and ids
-// are (local << 6) | shard with per-shard dense locals — schedule-dependent
-// per key, equal as a set). Run under TSan (-DLBSA_SANITIZE=thread) this is
-// the data-race gate for the batched table.
+// id SET must equal the one a mutex-per-shard table would assign for the
+// same key universe. That set follows from routing alone: ids are
+// (local << 6) | shard with per-shard dense locals — schedule-dependent per
+// key, fixed as a set. Run under TSan (-DLBSA_SANITIZE=thread) this is the
+// data-race gate for the batched table.
 class BatchInternHammer : public ::testing::TestWithParam<int> {};
 
 TEST_P(BatchInternHammer, ConcurrentBatchesMatchMutexTable) {
@@ -217,15 +218,20 @@ TEST_P(BatchInternHammer, ConcurrentBatchesMatchMutexTable) {
     batched_ids.insert(id);
   }
 
-  // Reference: the mutex table over the same universe assigns the same id
-  // set (identical routing, per-shard dense locals).
-  ShardedInternTable<std::int64_t> reference;
-  std::set<std::uint32_t> reference_ids;
+  // Expected id set from the routing rule alone, whatever the insertion
+  // order: a key's shard is the low 6 bits of its hash, locals are dense
+  // per shard from 0, and id = (local << 6) | shard.
+  std::array<std::uint32_t, 64> shard_sizes{};
   for (std::int64_t i = 0; i < kUniverse; ++i) {
-    reference_ids.insert(
-        reference.intern(key_for(i), [&] { return i; }).id);
+    ++shard_sizes[hash_words_128(key_for(i)).lo & 63];
   }
-  EXPECT_EQ(batched_ids, reference_ids);
+  std::set<std::uint32_t> expected_ids;
+  for (std::uint32_t shard = 0; shard < 64; ++shard) {
+    for (std::uint32_t local = 0; local < shard_sizes[shard]; ++local) {
+      expected_ids.insert((local << 6) | shard);
+    }
+  }
+  EXPECT_EQ(batched_ids, expected_ids);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, BatchInternHammer,

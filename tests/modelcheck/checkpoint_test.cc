@@ -438,7 +438,7 @@ TEST(FuzzCheckpoint, StaleFuzzCheckpointRejected) {
             StatusCode::kFailedPrecondition);
 }
 
-// Regression (serving PR): the BFS engines must poll cancellation and
+// Regression: the BFS engines must poll cancellation and
 // deadlines INSIDE per-worker expansion chunks, not just at level
 // boundaries. Before the fix, a cancel landing mid-level ran to the end of
 // the level — on a wide level, thousands of expansions after the request.
@@ -532,7 +532,7 @@ TEST(Lifecycle, MidLevelCancelBoundsWorkAndRollsBackCleanly) {
   }
 }
 
-// Regression (serving PR): checkpoint staging used a PREDICTABLE temp name
+// Regression: checkpoint staging used a PREDICTABLE temp name
 // (path + ".tmp"), so two writers targeting the same path could truncate
 // each other's staging file or lose the rename race — a torn or missing
 // checkpoint. Staging now carries a per-process + per-write unique suffix:

@@ -86,6 +86,15 @@ TEST(Corpus, ParserRejectsHeaderlessAndEmptyCases) {
   EXPECT_FALSE(
       parse_corpus_case("# task: strawdac3\n# property: agreement\n")
           .is_ok());  // no schedule
+  // A seed header must be wholly a number.
+  for (const char* seed : {"banana", "12abc"}) {
+    SCOPED_TRACE(seed);
+    const auto parsed = parse_corpus_case(
+        std::string("# task: strawdac3\n# property: agreement\n# seed: ") +
+        seed + "\n0\n");
+    ASSERT_FALSE(parsed.is_ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(Corpus, ReplayRejectsWrongProperty) {

@@ -201,12 +201,12 @@ TEST(Fuzz, ViolationsCarryRawAndShrunkSchedules) {
   }
 }
 
-// Regression (serving PR): the blind engine used to silently IGNORE the
-// run-boundary lifecycle knobs (its claim order is thread-scheduling
-// dependent, so it has no resumable boundary) — a blind campaign launched
-// with a checkpoint_path ran to completion with no checkpoint and no
-// error. External callers (the CLIs, the serve facade) now validate first
-// and must get INVALID_ARGUMENT naming the offending knob.
+// Regression: the blind engine used to silently IGNORE the run-boundary
+// lifecycle knobs (its claim order is thread-scheduling dependent, so it
+// has no resumable boundary) — a blind campaign launched with a
+// checkpoint_path ran to completion with no checkpoint and no error.
+// External callers (the CLIs, via run_fuzz_task) now validate first and
+// must get INVALID_ARGUMENT naming the offending knob.
 TEST(Fuzz, ValidateOptionsRejectsBlindLifecycleKnobs) {
   FuzzOptions blind;
   blind.coverage_guided = false;

@@ -85,82 +85,29 @@ TEST(DeriveRunId, StableAndInputSensitive) {
   EXPECT_NE(a, derive_run_id("fuzz_shrink_cli", "dac3", "both", 1000));
 }
 
-// Regression (serving PR): two concurrent server requests for the same
-// (tool, task, mode, budget) used to derive the SAME run_id, so their
-// heartbeat lines interleaved into one stream namespace and
-// validate_heartbeat_stream conflated them (constant-run_id check, seq
-// collisions). The caller-supplied nonce — the server uses the request id —
-// must separate them, while staying stable across checkpoint/resume of the
-// same logical request.
+// Regression: two concurrent runs of the same (tool, task, mode, budget)
+// used to derive the SAME run_id, so their heartbeat lines interleaved into
+// one stream namespace and validate_heartbeat_stream conflated them
+// (constant-run_id check, seq collisions). The caller-supplied nonce —
+// `explorer_cli --run-nonce` — must separate them, while staying stable
+// across checkpoint/resume of the same logical run.
 TEST(DeriveRunId, NonceSeparatesConcurrentIdenticalRuns) {
-  const std::string bare = derive_run_id("lbsa_serverd", "dac3", "both", 1000);
+  const std::string bare = derive_run_id("explorer_cli", "dac3", "both", 1000);
   const std::string r1 =
-      derive_run_id("lbsa_serverd", "dac3", "both", 1000, "req-1");
+      derive_run_id("explorer_cli", "dac3", "both", 1000, "run-1");
   const std::string r2 =
-      derive_run_id("lbsa_serverd", "dac3", "both", 1000, "req-2");
+      derive_run_id("explorer_cli", "dac3", "both", 1000, "run-2");
 
-  EXPECT_NE(r1, r2) << "concurrent identical requests must not share an id";
+  EXPECT_NE(r1, r2) << "concurrent identical runs must not share an id";
   EXPECT_NE(r1, bare);
-  // Resume continuity: the same logical request re-derives the same id.
-  EXPECT_EQ(r1, derive_run_id("lbsa_serverd", "dac3", "both", 1000, "req-1"));
+  // Resume continuity: the same logical run re-derives the same id.
+  EXPECT_EQ(r1, derive_run_id("explorer_cli", "dac3", "both", 1000, "run-1"));
   // Shape invariants hold with a nonce too.
   EXPECT_EQ(r1.size(), 16u);
   EXPECT_EQ(r1.find_first_not_of("0123456789abcdef"), std::string::npos);
   // An empty nonce is not hashed: pre-nonce callers' ids are unchanged, so
   // historical streams still validate against freshly derived ids.
-  EXPECT_EQ(bare, derive_run_id("lbsa_serverd", "dac3", "both", 1000, ""));
-}
-
-// Sink mode (serving PR): with HeartbeatOptions::sink set, every line goes
-// to the callback — nothing touches the filesystem, `path` is ignored, and
-// the concatenated lines form a stream validate_heartbeat_stream accepts
-// byte-for-byte (the server frames these onto client sockets).
-TEST(HeartbeatSampler, SinkModeStreamsLinesWithoutTouchingDisk) {
-  const std::string path = temp_path("hb_sink_should_not_exist.jsonl");
-  std::remove(path.c_str());
-  FakeClock clock;
-  Progress& progress = Progress::global();
-  progress.reset();
-
-  std::vector<std::string> lines;
-  HeartbeatOptions options = test_options(path, &clock);
-  options.sink = [&lines](std::string_view line) {
-    lines.emplace_back(line);
-  };
-  HeartbeatSampler sampler(options);
-  ASSERT_TRUE(sampler.open().is_ok());
-  EXPECT_TRUE(sampler.opened());
-  EXPECT_TRUE(heartbeat_enabled()) << "sink mode still arms the engines";
-
-  progress.nodes_total.store(100);
-  clock.now_ms = 1000;
-  sampler.tick();
-  progress.nodes_total.store(250);
-  clock.now_ms = 2000;
-  sampler.tick();
-  clock.now_ms = 2500;
-  ASSERT_TRUE(sampler.stop().is_ok());
-  EXPECT_FALSE(heartbeat_enabled());
-
-  ASSERT_EQ(lines.size(), 3u) << "two ticks plus the final line";
-  std::ifstream probe(path);
-  EXPECT_FALSE(probe.good()) << "sink mode must not create the path";
-
-  std::string stream;
-  for (const std::string& line : lines) {
-    EXPECT_EQ(line.find('\n'), std::string::npos)
-        << "sink lines carry no trailing newline; the transport frames them";
-    stream += line;
-    stream += '\n';
-  }
-  const Status s = validate_heartbeat_stream(stream);
-  EXPECT_TRUE(s.is_ok()) << s.to_string();
-  auto last = parse_json(lines.back());
-  ASSERT_TRUE(last.is_ok());
-  EXPECT_TRUE(last.value().find("final")->bool_value);
-  auto first = parse_json(lines.front());
-  ASSERT_TRUE(first.is_ok());
-  EXPECT_EQ(first.value().find("nodes_total")->int_value, 100);
+  EXPECT_EQ(bare, derive_run_id("explorer_cli", "dac3", "both", 1000, ""));
 }
 
 TEST(Progress, RaiseNeverLowers) {

@@ -28,6 +28,9 @@
 // --resume continues it to a bit-identical final graph. A second SIGINT
 // kills the process immediately.
 //
+// Numeric flags parse strictly: a value that is not wholly a number in
+// range is a usage error naming the flag.
+//
 // Exit codes:
 //   0  exploration complete
 //   1  error (bad checkpoint, I/O failure, exploration error)
@@ -35,7 +38,9 @@
 //   3  complete but truncated at --max-nodes (absence verdicts unsound)
 //   4  interrupted at a level boundary; resumable if --checkpoint was given
 #include <chrono>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -118,10 +123,11 @@ int main(int argc, char** argv) {
     if (obs_cli.consume(argc, argv, &i)) {
       continue;
     } else if (!std::strcmp(argv[i], "--threads")) {
-      options.threads =
-          static_cast<int>(std::strtol(next_arg("--threads"), nullptr, 10));
+      options.threads = static_cast<int>(obs::parse_count_flag(
+          "--threads", next_arg("--threads"), 0, INT_MAX));
     } else if (!std::strcmp(argv[i], "--max-nodes")) {
-      options.max_nodes = std::strtoull(next_arg("--max-nodes"), nullptr, 10);
+      options.max_nodes = obs::parse_count_flag(
+          "--max-nodes", next_arg("--max-nodes"), 0, UINT64_MAX);
     } else if (!std::strcmp(argv[i], "--allow-truncation")) {
       options.allow_truncation = true;
     } else if (!std::strcmp(argv[i], "--reduction")) {
@@ -140,26 +146,26 @@ int main(int argc, char** argv) {
       }
       options.engine = engine.value();
     } else if (!std::strcmp(argv[i], "--deadline-s")) {
-      const double seconds = std::strtod(next_arg("--deadline-s"), nullptr);
-      if (!(seconds > 0.0)) {
-        std::fprintf(stderr, "--deadline-s needs a positive number\n");
-        return usage();
-      }
+      const double seconds =
+          obs::parse_seconds_flag("--deadline-s", next_arg("--deadline-s"));
       options.deadline =
           std::chrono::steady_clock::now() +
           std::chrono::duration_cast<std::chrono::steady_clock::duration>(
               std::chrono::duration<double>(seconds));
     } else if (!std::strcmp(argv[i], "--max-levels")) {
-      options.max_levels = static_cast<std::uint32_t>(
-          std::strtoul(next_arg("--max-levels"), nullptr, 10));
+      options.max_levels = static_cast<std::uint32_t>(obs::parse_count_flag(
+          "--max-levels", next_arg("--max-levels"), 0, UINT32_MAX));
     } else if (!std::strcmp(argv[i], "--canon-cache-bytes")) {
-      options.canon_cache_bytes =
-          std::strtoull(next_arg("--canon-cache-bytes"), nullptr, 10);
+      options.canon_cache_bytes = obs::parse_count_flag(
+          "--canon-cache-bytes", next_arg("--canon-cache-bytes"), 0,
+          SIZE_MAX);
     } else if (!std::strcmp(argv[i], "--checkpoint")) {
       options.checkpoint_path = next_arg("--checkpoint");
     } else if (!std::strcmp(argv[i], "--checkpoint-every")) {
-      options.checkpoint_every_levels = static_cast<std::uint32_t>(
-          std::strtoul(next_arg("--checkpoint-every"), nullptr, 10));
+      options.checkpoint_every_levels =
+          static_cast<std::uint32_t>(obs::parse_count_flag(
+              "--checkpoint-every", next_arg("--checkpoint-every"), 0,
+              UINT32_MAX));
     } else if (!std::strcmp(argv[i], "--resume")) {
       resume_path = next_arg("--resume");
     } else if (!std::strcmp(argv[i], "--run-nonce")) {
@@ -217,7 +223,7 @@ int main(int argc, char** argv) {
   }
 
   // run_explore_task owns the exploration and the deterministic outputs
-  // (summary text, RunReport skeleton); the CLI keeps the transport bits:
+  // (summary text, RunReport skeleton); the CLI keeps the rest:
   // wall-clock timing, obs finalization, stderr, exit code.
   modelcheck::ExploreTaskSpec spec;
   spec.options = std::move(options);

@@ -24,6 +24,10 @@
 // continues to a byte-identical final report. A second SIGINT kills the
 // process immediately.
 //
+// Numeric flags parse strictly: a value that is not wholly a number in
+// range (--runs and --max-violations start at 1) is a usage error naming
+// the flag.
+//
 // Exit codes:
 //   0  campaign complete, outcome matches the task's expectation
 //      (violations for broken tasks, a clean report for correct ones)
@@ -32,7 +36,9 @@
 //   4  interrupted at a run boundary (outcome not judged — the campaign is
 //      incomplete); resumable if --checkpoint was given
 #include <chrono>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -113,37 +119,38 @@ int main(int argc, char** argv) {
     if (obs_cli.consume(argc, argv, &i)) {
       continue;
     } else if (!std::strcmp(argv[i], "--runs")) {
-      options.runs = std::strtoull(next_arg("--runs"), nullptr, 10);
+      // A zero-run campaign would report "no violations" on no evidence.
+      options.runs =
+          obs::parse_count_flag("--runs", next_arg("--runs"), 1, UINT64_MAX);
     } else if (!std::strcmp(argv[i], "--seed")) {
-      options.seed = std::strtoull(next_arg("--seed"), nullptr, 10);
+      options.seed =
+          obs::parse_count_flag("--seed", next_arg("--seed"), 0, UINT64_MAX);
     } else if (!std::strcmp(argv[i], "--threads")) {
-      options.threads =
-          static_cast<int>(std::strtol(next_arg("--threads"), nullptr, 10));
+      options.threads = static_cast<int>(obs::parse_count_flag(
+          "--threads", next_arg("--threads"), 0, INT_MAX));
     } else if (!std::strcmp(argv[i], "--max-violations")) {
-      options.max_violations = static_cast<int>(
-          std::strtol(next_arg("--max-violations"), nullptr, 10));
+      options.max_violations = static_cast<int>(obs::parse_count_flag(
+          "--max-violations", next_arg("--max-violations"), 1, INT_MAX));
     } else if (!std::strcmp(argv[i], "--coverage")) {
       options.coverage_guided = true;
     } else if (!std::strcmp(argv[i], "--out")) {
       out_dir = next_arg("--out");
     } else if (!std::strcmp(argv[i], "--deadline-s")) {
-      const double seconds = std::strtod(next_arg("--deadline-s"), nullptr);
-      if (!(seconds > 0.0)) {
-        std::fprintf(stderr, "--deadline-s needs a positive number\n");
-        return usage();
-      }
+      const double seconds =
+          obs::parse_seconds_flag("--deadline-s", next_arg("--deadline-s"));
       options.deadline =
           std::chrono::steady_clock::now() +
           std::chrono::duration_cast<std::chrono::steady_clock::duration>(
               std::chrono::duration<double>(seconds));
     } else if (!std::strcmp(argv[i], "--stop-after-runs")) {
-      options.stop_after_runs =
-          std::strtoull(next_arg("--stop-after-runs"), nullptr, 10);
+      options.stop_after_runs = obs::parse_count_flag(
+          "--stop-after-runs", next_arg("--stop-after-runs"), 0, UINT64_MAX);
     } else if (!std::strcmp(argv[i], "--checkpoint")) {
       options.checkpoint_path = next_arg("--checkpoint");
     } else if (!std::strcmp(argv[i], "--checkpoint-every")) {
-      options.checkpoint_every_runs =
-          std::strtoull(next_arg("--checkpoint-every"), nullptr, 10);
+      options.checkpoint_every_runs = obs::parse_count_flag(
+          "--checkpoint-every", next_arg("--checkpoint-every"), 0,
+          UINT64_MAX);
     } else if (!std::strcmp(argv[i], "--resume")) {
       resume_path = next_arg("--resume");
     } else if (!std::strcmp(argv[i], "--run-nonce")) {
@@ -203,7 +210,7 @@ int main(int argc, char** argv) {
   }
 
   // run_fuzz_task owns the campaign and the deterministic outputs (summary
-  // text, RunReport skeleton); the CLI keeps the transport bits: obs
+  // text, RunReport skeleton); the CLI keeps the rest: obs
   // finalization, stderr, corpus emission, exit code.
   modelcheck::FuzzTaskSpec spec;
   spec.options = std::move(options);

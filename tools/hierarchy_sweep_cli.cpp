@@ -22,15 +22,21 @@
 // telemetry across the whole sweep — the cumulative node/transition totals
 // accumulate over cells, so `lbsa_watch` shows sweep-wide progress.
 //
+// Numeric flags (including both halves of --only) parse strictly: a value
+// that is not wholly a number in range is a usage error naming the flag.
+//
 // Exit codes:
 //   0  every requested row verified and matches the catalog
 //   1  error (exploration failure, cross-check verdict disagreement, I/O)
 //   2  usage error
 //   3  sweep completed but some row failed verification
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "core/hierarchy_sweep.h"
@@ -96,17 +102,23 @@ int main(int argc, char** argv) {
     if (obs_cli.consume(argc, argv, &i)) {
       continue;
     } else if (!std::strcmp(argv[i], "--n-min")) {
-      options.n_min =
-          static_cast<int>(std::strtol(next_arg("--n-min"), nullptr, 10));
+      options.n_min = static_cast<int>(
+          obs::parse_count_flag("--n-min", next_arg("--n-min"), 0, INT_MAX));
     } else if (!std::strcmp(argv[i], "--n-max")) {
-      options.n_max =
-          static_cast<int>(std::strtol(next_arg("--n-max"), nullptr, 10));
+      options.n_max = static_cast<int>(
+          obs::parse_count_flag("--n-max", next_arg("--n-max"), 0, INT_MAX));
     } else if (!std::strcmp(argv[i], "--only")) {
       only = true;
-      if (std::sscanf(next_arg("--only"), "%d,%d", &only_n, &only_m) != 2) {
+      const std::string_view cell = next_arg("--only");
+      const std::size_t comma = cell.find(',');
+      if (comma == std::string_view::npos) {
         std::fprintf(stderr, "--only needs N,M\n");
         return usage();
       }
+      only_n = static_cast<int>(
+          obs::parse_count_flag("--only", cell.substr(0, comma), 0, INT_MAX));
+      only_m = static_cast<int>(obs::parse_count_flag(
+          "--only", cell.substr(comma + 1), 0, INT_MAX));
     } else if (!std::strcmp(argv[i], "--engine")) {
       auto engine = modelcheck::parse_engine(next_arg("--engine"));
       if (!engine.is_ok()) {
@@ -115,10 +127,11 @@ int main(int argc, char** argv) {
       }
       options.engine = engine.value();
     } else if (!std::strcmp(argv[i], "--threads")) {
-      options.threads =
-          static_cast<int>(std::strtol(next_arg("--threads"), nullptr, 10));
+      options.threads = static_cast<int>(obs::parse_count_flag(
+          "--threads", next_arg("--threads"), 0, INT_MAX));
     } else if (!std::strcmp(argv[i], "--max-nodes")) {
-      options.max_nodes = std::strtoull(next_arg("--max-nodes"), nullptr, 10);
+      options.max_nodes = obs::parse_count_flag(
+          "--max-nodes", next_arg("--max-nodes"), 0, UINT64_MAX);
     } else if (!std::strcmp(argv[i], "--check-reduction")) {
       auto reduction = modelcheck::parse_reduction(
           next_arg("--check-reduction"));

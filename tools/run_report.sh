@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # run_report.sh — produce the per-commit observability artifact
-# BENCH_modelcheck.json (grown from the old bench_modelcheck_json.sh): a
-# sweep of explorer_cli run reports over small exhaustively-explorable
-# tasks at several thread counts, merged under the versioned bench schema
+# BENCH_modelcheck.json: a sweep of explorer_cli run reports over small
+# exhaustively-explorable tasks at several thread counts, merged under the
+# versioned bench schema
 #
 #   {"lbsa_bench_schema": 1,
 #    "benchmarks":  [{"task": "dac3", "threads": 1, "nodes": N,
@@ -43,8 +43,9 @@
 # Usage: tools/run_report.sh [build-dir] [output.json] [--with-bench]
 #
 # --with-bench additionally runs the Google-Benchmark exploration suite
-# (bench/bench_modelcheck, the old behaviour of bench_modelcheck_json.sh)
-# and embeds its raw JSON under a "gbench" key.
+# (bench/bench_modelcheck) and embeds its raw JSON under a "gbench" key:
+#
+#   tools/run_report.sh build BENCH_modelcheck.json --with-bench
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -83,9 +84,7 @@ TMP="$(mktemp -d)"
 # The trap cleans both on every exit path (including ^C), so $OUT is never
 # left truncated or stale.
 STAGED="$OUT.tmp.$$"
-SERVER_PID=""
-trap 'kill "${SERVER_PID:-}" 2>/dev/null || true; rm -rf "$TMP" "$STAGED"' \
-    EXIT INT TERM
+trap 'rm -rf "$TMP" "$STAGED"' EXIT INT TERM
 
 # Per-row wall-clock budget. Every task in the sweep finishes in well under
 # a second; a row that hits this is a stall, not a slow run.
@@ -222,60 +221,6 @@ run_explorer() {
         "$OBS_TASK" "$mode" "$THREADS_AVAILABLE"
     printf ',"nodes":%s,"nodes_per_sec":%s}' "$NODES" "$best"
   done
-  # Serve rows (docs/serving.md): lbsa_client load runs against a live
-  # lbsa_serverd, one row per op, recording client-measured throughput and
-  # end-to-end latency quantiles. The client exits nonzero on any failed or
-  # byte-divergent response, so a row here also certifies the determinism
-  # contract under concurrency. The second check leg repeats the first's
-  # request shape and measures the cache-hit path.
-  SERVERD="$BUILD_DIR/tools/lbsa_serverd"
-  CLIENT="$BUILD_DIR/tools/lbsa_client"
-  SERVE_REQUESTS="${SERVE_REQUESTS:-200}"
-  SERVE_SOCK="$TMP/serve.sock"
-  "$SERVERD" --socket "$SERVE_SOCK" > "$TMP/serverd.out" 2>&1 &
-  SERVER_PID=$!
-  for _ in $(seq 1 200); do
-    grep -q "listening on" "$TMP/serverd.out" 2>/dev/null && break
-    sleep 0.05
-  done
-  # serve_client_row LABEL ROW_JSON_PREFIX -- CLIENT_ARGS...
-  serve_client_row() {
-    local label="$1"; shift
-    local prefix="$1"; shift; shift  # drop the "--" separator
-    if ! "$CLIENT" --socket "$SERVE_SOCK" "$@" \
-         --summary-json "$TMP/serve-$label.json" >&2; then
-      echo "error: serve row $label failed (see lbsa_client output)" >&2
-      kill -INT "$SERVER_PID" 2>/dev/null || true
-      exit 1
-    fi
-    local summary p50 p90 p99 rps
-    summary="$(cat "$TMP/serve-$label.json")"
-    rps="$(sed -nE 's/.*"throughput_rps":([0-9.]+).*/\1/p' <<<"$summary")"
-    p50="$(sed -nE 's/.*"p50":([0-9]+).*/\1/p' <<<"$summary")"
-    p90="$(sed -nE 's/.*"p90":([0-9]+).*/\1/p' <<<"$summary")"
-    p99="$(sed -nE 's/.*"p99":([0-9]+).*/\1/p' <<<"$summary")"
-    printf ',%s' "$prefix"
-    printf '"requests":%s,"concurrency":8,"throughput_rps":%s' \
-        "$(sed -nE 's/.*"requests":([0-9]+).*/\1/p' <<<"$summary")" "$rps"
-    printf ',"latency_us_p50":%s,"latency_us_p90":%s,"latency_us_p99":%s}' \
-        "$p50" "$p90" "$p99"
-  }
-  serve_client_row check-cold \
-      '{"task":"dac4-sym","serve":"check","serve_cache":"cold",' -- \
-      --task dac4-sym --op check --requests "$SERVE_REQUESTS" --concurrency 8
-  serve_client_row check-warm \
-      '{"task":"dac4-sym","serve":"check","serve_cache":"warm",' -- \
-      --task dac4-sym --op check --requests "$SERVE_REQUESTS" --concurrency 8
-  serve_client_row fuzz \
-      '{"task":"dac3","serve":"fuzz",' -- \
-      --task dac3 --op fuzz --coverage --runs 200 \
-      --requests "$SERVE_REQUESTS" --concurrency 8
-  kill -INT "$SERVER_PID"
-  wait "$SERVER_PID" || {
-    echo "error: lbsa_serverd did not drain cleanly" >&2
-    exit 1
-  }
-  SERVER_PID=""
   printf '],"run_reports":{'
   first=1
   for task in "${TASKS[@]}"; do
