@@ -6,7 +6,6 @@
 #include <barrier>
 #include <deque>
 #include <limits>
-#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
@@ -87,7 +86,7 @@ void record_graph_metrics(const ConfigGraph& graph) {
 // — hierarchy sweeps accumulate across cells, and on resume the CLI seeds
 // the checkpoint's totals before calling explore — so each engine captures
 // the entry values and publishes base + its session's delta through
-// Progress::raise (monotone even when work-stealing workers race stale
+// Progress::raise (monotone even when parallel workers race stale
 // absolutes). Gated on heartbeat_enabled(): an un-observed run pays one
 // relaxed load at each quiescence point.
 struct LiveProgress {
@@ -121,10 +120,10 @@ struct LiveProgress {
   }
 };
 
-// Frontier items claimed per grab/steal in the parallel engines. Sized so
-// a chunk's successors (a handful per item) form per-shard intern batches
+// Frontier items claimed per grab in the parallel engine. Sized so a
+// chunk's successors (a handful per item) form per-shard intern batches
 // big enough to amortize the shared-lock round per shard across several
-// keys. Doubles as the mid-level lifecycle polling cadence in all three
+// keys. Doubles as the mid-level lifecycle polling cadence in both
 // engines: every kChunk expansions each engine re-checks cancel/deadline,
 // so one huge level (the dac5/dac6 tails) cannot blow past a request
 // deadline by more than a bounded amount of work.
@@ -252,7 +251,7 @@ void add_canon_metrics(const sim::CanonScratch& s, CanonSeen* seen) {
 // Serial reference engine. This is the semantic definition of the canonical
 // graph: node ids in BFS discovery order (frontier in id order; within a
 // node, pids ascending, then outcome order), parents_ from the discovering
-// edge, depths from level-synchronous discovery. The parallel engines below
+// edge, depths from level-synchronous discovery. The parallel engine below
 // must reproduce its output bit for bit on complete explorations.
 // ---------------------------------------------------------------------------
 }  // namespace
@@ -456,14 +455,14 @@ StatusOr<ConfigGraph> Explorer::explore_serial(
     // Mid-level cadence so heartbeats move inside long levels; every 512
     // pops keeps the relaxed-load guard the only cost when unobserved and
     // bounds the publication lag behind actual interning to well under the
-    // parallel engines' per-worker chunk cadence times their pool width.
+    // parallel engine's per-worker chunk cadence times its pool width.
     if (live.on && (pops & 0x1FFu) == 0) {
       live.publish(graph.nodes_.size() - prefix_nodes,
                    graph.transition_count_ - prefix_transitions, span_depth,
                    frontier.size());
     }
     // Mid-level lifecycle poll, every kChunk pops (matching the parallel
-    // engines' work-chunk cadence). max_levels stays level-granular; only
+    // engine's work-chunk cadence). max_levels stays level-granular; only
     // cancel/deadline — the request-lifecycle knobs — trip mid-level.
     if (lifecycle_armed && (pops & (kChunk - 1)) == 0 &&
         ((options.cancel != nullptr && options.cancel->cancelled()) ||
@@ -549,7 +548,7 @@ StatusOr<ConfigGraph> Explorer::explore_serial(
 }
 
 // ---------------------------------------------------------------------------
-// Parallel engines: shared expansion + canonical renumbering machinery.
+// Parallel engine: expansion + canonical renumbering machinery.
 //
 // Determinism recipe (complete graphs are bit-identical to explore_serial):
 //   1. Each frontier node is expanded by exactly one worker, which emits its
@@ -560,13 +559,12 @@ StatusOr<ConfigGraph> Explorer::explore_serial(
 //      over the provisional graph: walking nodes in canonical id order and
 //      each edge list in order, first-touch assigns canonical ids — which
 //      reproduces the serial discovery order, parents and all.
-//   3. The level-synchronous engine additionally barriers between levels, so
-//      stored depths are exact BFS distances and interruption lands on a
-//      level boundary for free. The work-stealing engine has no barriers;
-//      its walk derives depths from the canonical parents, and interruption
-//      is handled by trimming the walked graph back to the deepest fully
-//      expanded level (the ids the walk assigns are depth-monotone, so the
-//      serial-identical prefix is literally an array prefix).
+//   3. Workers barrier between levels, so stored depths are exact BFS
+//      distances (the walk checks each against its canonical parent) and a
+//      level-boundary stop needs no repair. A mid-level stop is handled by
+//      trimming the walked graph back to the deepest fully expanded level
+//      (the ids the walk assigns are depth-monotone, so the serial-identical
+//      prefix is literally an array prefix).
 //
 // The hot path is allocation-free after warm-up: successor keys are encoded
 // straight into a per-worker bump arena (Config::encode_to), interned in
@@ -583,7 +581,7 @@ namespace {
 struct NodeMeta {
   std::int64_t flag = 0;
   std::uint32_t depth = 0;
-  // Expansion eligibility, read back by the work-stealing trim pass.
+  // Expansion eligibility, read back by the mid-level-stop trim pass.
   enum State : std::uint8_t {
     kFresh = 0,     // discovered within budget; expandable
     kSeedDone,      // checkpoint-prefix node that is not in the resumed
@@ -594,7 +592,7 @@ struct NodeMeta {
   std::uint8_t state = kFresh;
   // The node's (representative) configuration, moved in by the winning
   // inserter before the id is published. Expanding workers read it through
-  // a WorkItem they received over a queue or barrier, so the insertion
+  // a WorkItem they received over the level barrier, so the insertion
   // happens-before every read despite the table not yet being quiescent.
   sim::Config config;
 };
@@ -642,14 +640,11 @@ struct WorkItem {
 };
 
 constexpr std::uint32_t kUnassigned = 0xffffffffu;
-// kAuto: hand off to a parallel engine once the serial probe holds this many
-// nodes (below it, parallel setup + renumbering overhead beats the win)...
+// kAuto: hand off to the parallel engine once the serial probe holds this
+// many nodes (below it, parallel setup + renumbering overhead beats the win).
 constexpr std::uint64_t kAutoSwitchNodes = 32768;
-// ...choosing level-synchronous when the handoff frontier is at least this
-// wide per worker (barriers amortize), work-stealing otherwise.
-constexpr std::size_t kAutoWideFrontier = 64;
 
-// Per-worker expansion machinery shared by both parallel engines: expands
+// The parallel engine's per-worker expansion machinery: expands
 // frontier items in chunks, encodes successor keys straight into a scratch
 // arena, batch-interns them shard by shard, and appends raw edges to the
 // worker's EdgeSink. Single-threaded; one instance per worker.
@@ -669,17 +664,17 @@ class Expander {
         truncated_(truncated) {}
 
   // Expands every item of `chunk`, appending one EdgeRange per item to
-  // `sink` and passing each newly-discovered within-budget successor to
-  // `emit` as a WorkItem. Returns false iff the node budget was exceeded
-  // with truncation disallowed (the caller must stop and report
+  // `sink` and each newly-discovered within-budget successor to `next` as
+  // a WorkItem. Returns false iff the node budget was exceeded with
+  // truncation disallowed (the caller must stop and report
   // RESOURCE_EXHAUSTED).
-  template <typename Emit>
-  bool expand_chunk(std::span<WorkItem> chunk, EdgeSink* sink, Emit&& emit) {
+  bool expand_chunk(std::span<const WorkItem> chunk, EdgeSink* sink,
+                    std::vector<WorkItem>* next) {
     scratch_.reset();
     pending_.clear();
     items_.clear();
     for (const WorkItem& item : chunk) {
-      // The item arrived over a queue or barrier after its inserter
+      // The item arrived over the level barrier after its inserter
       // published the node, so this pre-quiescence payload read is ordered
       // after the config move-in (and entries never relocate).
       const sim::Config& config = table_->payload(item.id).config;
@@ -780,7 +775,7 @@ class Expander {
           truncated_->store(true, std::memory_order_relaxed);
           continue;
         }
-        emit(WorkItem{p.cand.id, p.depth, p.flag});
+        next->push_back(WorkItem{p.cand.id, p.depth, p.flag});
       }
       range.end = static_cast<std::uint32_t>(sink->pool.size());
       sink->ranges.push_back(range);
@@ -838,15 +833,12 @@ class Expander {
       buckets_;
 };
 
-// One worker's whole state, for both engines.
+// One worker's whole state.
 struct ParallelWorker {
   explicit ParallelWorker(Expander expander) : ex(std::move(expander)) {}
   Expander ex;
   EdgeSink sink;
-  std::vector<WorkItem> next;  // level-sync: next-level discoveries
-  std::uint64_t expanded = 0;
-  std::uint64_t steals = 0;        // work-stealing only
-  std::uint64_t steal_misses = 0;  // full sweeps that found nothing
+  std::vector<WorkItem> next;  // next-level discoveries
 };
 
 // The table contents after seeding (root or checkpoint prefix), before any
@@ -916,7 +908,7 @@ StatusOr<SeedState> seed_table(const sim::Protocol& protocol,
   return seed;
 }
 
-// The canonical graph plus canonical-indexed side data the engines need
+// The canonical graph plus canonical-indexed side data the engine needs
 // afterwards (trim pass, stable-counter flush). Valid only at quiescence.
 struct CanonicalBuild {
   ConfigGraph graph;
@@ -938,17 +930,11 @@ struct GraphBuilder {
   // take_configs is set (final builds — the table is dead afterwards),
   // copied when not (mid-run checkpoint snapshots, whose payloads workers
   // will still expand from).
-  // trust_depths: the level-synchronous engine's stored depths are exact
-  // BFS distances and are checked against the canonical parent; the
-  // work-stealing engine's stored depths are only upper bounds (a steal can
-  // discover a node along a non-shortest path first), so its walk derives
-  // depths from the canonical parents instead.
   static CanonicalBuild build(BatchTable& table,
                               const std::vector<ParallelWorker>& workers,
                               const SeedState& seed,
                               const ExploreCheckpoint* resume, bool sym_active,
-                              bool trust_depths, bool truncated_flag,
-                              bool take_configs) {
+                              bool truncated_flag, bool take_configs) {
     struct RawRef {
       const EdgeSink* sink = nullptr;
       const EdgeRange* range = nullptr;
@@ -1018,16 +1004,11 @@ struct GraphBuilder {
         if (out.canon[edge.to] == kUnassigned) {
           out.canon[edge.to] = static_cast<std::uint32_t>(graph.nodes_.size());
           const NodeMeta& meta = table.payload(edge.to);
-          std::uint32_t d;
-          if (trust_depths) {
-            // Level-synchronous discovery makes stored depths exact; the
-            // canonical parent is one level up by construction.
-            d = meta.depth;
-            LBSA_CHECK(d == graph.nodes_[cu].depth + 1);
-          } else {
-            d = graph.nodes_[cu].depth + 1;
-          }
-          graph.nodes_.push_back(Node{node_config(edge.to), meta.flag, d});
+          // Level-synchronous discovery makes stored depths exact; the
+          // canonical parent is one level up by construction.
+          LBSA_CHECK(meta.depth == graph.nodes_[cu].depth + 1);
+          graph.nodes_.push_back(
+              Node{node_config(edge.to), meta.flag, meta.depth});
           graph.edges_.emplace_back();
           graph.parents_.emplace_back(cu, edge.step);
           // The canonical discovery perm is the first-touch edge's perm
@@ -1066,13 +1047,13 @@ struct GraphBuilder {
     return out;
   }
 
-  // Work-stealing interruption: trims the walked graph back to the deepest
-  // level L such that every node of depth < L is expanded — exactly the
-  // state a serial run interrupted at boundary L would return (for
-  // non-truncated runs; a truncated prefix is schedule-dependent for every
-  // engine). Returns false (untouched) when the graph is complete. Walk
-  // depths are non-decreasing in canonical id order (FIFO walk), so the
-  // prefix is literally an array prefix.
+  // Mid-level stop (cancel/deadline tripped inside a level): trims the
+  // walked graph back to the deepest level L such that every node of
+  // depth < L is expanded — exactly the state a serial run interrupted at
+  // boundary L would return (for non-truncated runs; a truncated prefix is
+  // schedule-dependent for every engine). Returns false (untouched) when
+  // the graph is complete. Walk depths are non-decreasing in canonical id
+  // order (FIFO walk), so the prefix is literally an array prefix.
   static bool trim_to_complete_prefix(CanonicalBuild* b,
                                       bool prefix_truncated) {
     ConfigGraph& graph = b->graph;
@@ -1128,8 +1109,9 @@ namespace {
 // including registration: a counter the serial engine would have ADDed
 // (even with 0) is ADDed here, and one it never touches is not.
 // level_limit bounds which nodes' per-expansion tallies count: UINT32_MAX
-// for complete / level-boundary graphs, the trimmed level for a trimmed
-// work-stealing graph (whose deeper expansions were discarded).
+// for complete / level-boundary graphs, the trimmed level for a graph
+// trimmed after a mid-level stop (whose partial level's expansions were
+// discarded).
 void add_stable_counters(const CanonicalBuild& b, const ConfigGraph& graph,
                          const SeedState& seed, bool fresh_run,
                          std::uint32_t level_limit) {
@@ -1263,59 +1245,61 @@ StatusOr<ConfigGraph> Explorer::explore_parallel(
     while (true) {
       level_start.arrive_and_wait();
       if (done.load(std::memory_order_acquire)) return;
-      // Per-worker-thread lane; "worker" events scale with the pool size and
-      // are excluded from trace-count determinism comparisons.
-      obs::Span worker_span("explore.worker", obs::kCatWorker, widx + 1);
-      if (slot != nullptr) slot->busy.store(1, std::memory_order_relaxed);
-      std::uint64_t expanded = 0;
-      while (!exhausted.load(std::memory_order_relaxed) &&
-             !lifecycle_stop.load(std::memory_order_relaxed)) {
-        const std::size_t begin =
-            cursor.fetch_add(kChunk, std::memory_order_relaxed);
-        if (begin >= frontier.size()) break;
-        // Work-chunk boundary lifecycle poll (every kChunk items).
-        if (lifecycle_armed &&
-            ((options.cancel != nullptr && options.cancel->cancelled()) ||
-             deadline_passed(options.deadline))) {
-          lifecycle_stop.store(true, std::memory_order_relaxed);
-          break;
+      {
+        // Per-worker-thread lane; "worker" events scale with the pool size
+        // and are excluded from trace-count determinism comparisons. The
+        // span closes before the level-end barrier, so the wait for the
+        // level's slowest worker shows as time outside it.
+        obs::Span worker_span("explore.worker", obs::kCatWorker, widx + 1);
+        if (slot != nullptr) slot->busy.store(1, std::memory_order_relaxed);
+        std::uint64_t expanded = 0;
+        while (!exhausted.load(std::memory_order_relaxed) &&
+               !lifecycle_stop.load(std::memory_order_relaxed)) {
+          const std::size_t begin =
+              cursor.fetch_add(kChunk, std::memory_order_relaxed);
+          if (begin >= frontier.size()) break;
+          // Work-chunk boundary lifecycle poll (every kChunk items).
+          if (lifecycle_armed &&
+              ((options.cancel != nullptr && options.cancel->cancelled()) ||
+               deadline_passed(options.deadline))) {
+            lifecycle_stop.store(true, std::memory_order_relaxed);
+            break;
+          }
+          const std::size_t end = std::min(frontier.size(), begin + kChunk);
+          const bool ok = w.ex.expand_chunk(
+              std::span<const WorkItem>(frontier.data() + begin, end - begin),
+              &w.sink, &w.next);
+          expanded += end - begin;
+          if (slot != nullptr) {
+            // Work-chunk boundary: live-publish mid-level so heartbeats keep
+            // moving through a huge level. Concurrent absolute
+            // republications of table.size() race; a stale smaller one must
+            // not un-publish, hence raise().
+            slot->expanded.fetch_add(end - begin, std::memory_order_relaxed);
+            obs::Progress& p = obs::Progress::global();
+            const std::uint64_t edges = w.sink.pool.size();
+            p.transitions_total.fetch_add(edges - seen_edges,
+                                          std::memory_order_relaxed);
+            seen_edges = edges;
+            obs::Progress::raise(p.nodes_total,
+                                 live.nodes_base + table.size() - prefix_nodes);
+          }
+          if (!ok) exhausted.store(true, std::memory_order_relaxed);
         }
-        const std::size_t end = std::min(frontier.size(), begin + kChunk);
-        const bool ok = w.ex.expand_chunk(
-            std::span<WorkItem>(frontier.data() + begin, end - begin),
-            &w.sink,
-            [&w](WorkItem&& item) { w.next.push_back(std::move(item)); });
-        expanded += end - begin;
         if (slot != nullptr) {
-          // Work-chunk boundary: live-publish mid-level so heartbeats keep
-          // moving through a huge level (mirrors the work-stealing engine).
-          // Concurrent absolute republications of table.size() race; a
-          // stale smaller one must not un-publish, hence raise().
-          slot->expanded.fetch_add(end - begin, std::memory_order_relaxed);
-          obs::Progress& p = obs::Progress::global();
-          const std::uint64_t edges = w.sink.pool.size();
-          p.transitions_total.fetch_add(edges - seen_edges,
-                                        std::memory_order_relaxed);
-          seen_edges = edges;
-          obs::Progress::raise(p.nodes_total,
-                               live.nodes_base + table.size() - prefix_nodes);
+          slot->busy.store(0, std::memory_order_relaxed);
+          const std::uint64_t cas_retries = w.ex.tally().cas_retries;
+          slot->cas_retries.fetch_add(cas_retries - seen_cas_retries,
+                                      std::memory_order_relaxed);
+          seen_cas_retries = cas_retries;
         }
-        if (!ok) exhausted.store(true, std::memory_order_relaxed);
+        // Level boundary: drain canonicalization tallies so heartbeat
+        // snapshots see them move while the run is live.
+        if (sym != nullptr) {
+          add_canon_metrics(*w.ex.canon_scratch(), &canon_seen);
+        }
+        worker_span.arg("expanded", static_cast<std::int64_t>(expanded));
       }
-      w.expanded += expanded;
-      if (slot != nullptr) {
-        slot->busy.store(0, std::memory_order_relaxed);
-        const std::uint64_t cas_retries = w.ex.tally().cas_retries;
-        slot->cas_retries.fetch_add(cas_retries - seen_cas_retries,
-                                    std::memory_order_relaxed);
-        seen_cas_retries = cas_retries;
-      }
-      // Level boundary: drain canonicalization tallies so heartbeat
-      // snapshots see them move while the run is live.
-      if (sym != nullptr) {
-        add_canon_metrics(*w.ex.canon_scratch(), &canon_seen);
-      }
-      worker_span.arg("expanded", static_cast<std::int64_t>(expanded));
       level_end.arrive_and_wait();
     }
   };
@@ -1346,8 +1330,7 @@ StatusOr<ConfigGraph> Explorer::explore_parallel(
         session_levels % options.checkpoint_every_levels == 0) {
       const CanonicalBuild snapshot = internal::GraphBuilder::build(
           table, workers, seed, options.resume, sym != nullptr,
-          /*trust_depths=*/true, truncated.load(std::memory_order_relaxed),
-          /*take_configs=*/false);
+          truncated.load(std::memory_order_relaxed), /*take_configs=*/false);
       checkpoint_status = write_checkpoint(
           snapshot.graph, canonical_frontier(frontier, snapshot.canon), depth,
           fingerprint, options, flag_fn != nullptr, initial_flag);
@@ -1396,12 +1379,10 @@ StatusOr<ConfigGraph> Explorer::explore_parallel(
   // --- Canonical renumbering (single-threaded, at quiescence). ---
   CanonicalBuild built = internal::GraphBuilder::build(
       table, workers, seed, options.resume, sym != nullptr,
-      /*trust_depths=*/true, truncated.load(std::memory_order_relaxed),
-      /*take_configs=*/true);
+      truncated.load(std::memory_order_relaxed), /*take_configs=*/true);
   // A mid-level stop leaves the current level partially expanded; trim back
   // to the last complete level boundary (same state a boundary-time stop
-  // would have produced). Level-synchronous expansion keeps stored depths
-  // exact, so the trimmed prefix is an array prefix here too.
+  // would have produced).
   bool trimmed = false;
   if (midlevel) {
     trimmed =
@@ -1423,230 +1404,6 @@ StatusOr<ConfigGraph> Explorer::explore_parallel(
       const Status written = write_checkpoint(
           graph, graph.pending_frontier_, graph.levels_completed_, fingerprint,
           options, flag_fn != nullptr, initial_flag);
-      if (!written.is_ok()) return written;
-    }
-  } else {
-    graph.levels_completed_ =
-        graph.nodes_.empty() ? 0 : graph.nodes_.back().depth + 1;
-  }
-  add_stable_counters(built, graph, seed, options.resume == nullptr,
-                      trimmed ? graph.levels_completed_
-                              : std::numeric_limits<std::uint32_t>::max());
-  live.publish(graph.nodes_.size() - prefix_nodes,
-               graph.transition_count() - seed.base_transitions,
-               graph.levels_completed_, graph.pending_frontier_.size());
-  record_graph_metrics(graph);
-  return graph;
-}
-
-// ---------------------------------------------------------------------------
-// Work-stealing engine.
-// ---------------------------------------------------------------------------
-
-StatusOr<ConfigGraph> Explorer::explore_work_stealing(
-    const ExploreOptions& options, int threads, const FlagFn& flag_fn,
-    std::int64_t initial_flag, const sim::Canonicalizer* sym, bool por,
-    std::uint64_t fingerprint) const {
-  const sim::Protocol& protocol = *protocol_;
-  BatchTable table;
-  std::atomic<bool> exhausted{false};
-  std::atomic<bool> truncated{false};
-
-  WordArena seed_arena;
-  BatchTable::Tally seed_tally;
-  auto seed_or = seed_table(protocol, &table, &seed_arena, &seed_tally,
-                            options.resume, sym, initial_flag);
-  if (!seed_or.is_ok()) return seed_or.status();
-  SeedState seed = std::move(seed_or).value();
-  truncated.store(seed.truncated, std::memory_order_relaxed);
-
-  // max_levels is an expansion-depth bound here: discoveries at the bound
-  // are interned but never queued, and the trim pass reports the level
-  // actually completed.
-  const std::uint32_t depth_bound =
-      options.max_levels > 0
-          ? seed.start_depth + options.max_levels
-          : std::numeric_limits<std::uint32_t>::max();
-
-  const LiveProgress live = LiveProgress::capture();
-  if (live.on) obs::Progress::global().configure_workers(threads);
-  const std::uint64_t prefix_nodes = seed.prefix_prov.size();
-
-  name_trace_lanes(threads);
-
-  std::vector<ParallelWorker> workers;
-  workers.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back(Expander(&protocol, &table, &flag_fn, sym, por,
-                                  options.max_nodes, options.allow_truncation,
-                                  &truncated));
-    attach_canon_cache(options, sym, static_cast<std::size_t>(t),
-                       workers.back().ex.canon_scratch());
-  }
-
-  struct WsQueue {
-    std::mutex mu;
-    std::deque<WorkItem> items;
-  };
-  std::deque<WsQueue> queues(static_cast<std::size_t>(threads));
-  // Items discovered but not yet expanded (queued or inside a worker's
-  // chunk). Zero with all queues empty == global termination.
-  std::atomic<std::int64_t> in_flight{0};
-  std::atomic<bool> stop{false};
-
-  {
-    std::size_t t = 0;
-    in_flight.store(static_cast<std::int64_t>(seed.frontier.size()),
-                    std::memory_order_relaxed);
-    for (WorkItem& item : seed.frontier) {
-      queues[t % static_cast<std::size_t>(threads)].items.push_back(
-          std::move(item));
-      ++t;
-    }
-    seed.frontier.clear();
-  }
-
-  auto worker_main = [&](int widx) {
-    ParallelWorker& w = workers[static_cast<std::size_t>(widx)];
-    obs::Span worker_span("explore.worker", obs::kCatWorker, widx + 1);
-    obs::Progress::WorkerSlot* slot =
-        live.on ? obs::Progress::global().worker(widx) : nullptr;
-    std::uint64_t seen_cas_retries = 0;
-    std::uint64_t seen_edges = 0;
-    CanonSeen canon_seen;
-    std::vector<WorkItem> chunk;
-    auto emit = [&](WorkItem&& item) {
-      if (item.depth >= depth_bound) return;  // discovered, never expanded
-      in_flight.fetch_add(1, std::memory_order_acq_rel);
-      WsQueue& own = queues[static_cast<std::size_t>(widx)];
-      std::lock_guard<std::mutex> lock(own.mu);
-      own.items.push_back(std::move(item));
-    };
-    while (!stop.load(std::memory_order_relaxed)) {
-      chunk.clear();
-      {
-        WsQueue& own = queues[static_cast<std::size_t>(widx)];
-        std::lock_guard<std::mutex> lock(own.mu);
-        while (!own.items.empty() && chunk.size() < kChunk) {
-          chunk.push_back(std::move(own.items.front()));
-          own.items.pop_front();
-        }
-      }
-      if (chunk.empty() && threads > 1) {
-        // Steal up to half the victim's queue (capped at a chunk), oldest
-        // items first — oldest are shallowest, which keeps expansion close
-        // to BFS order and the eventual trim level deep.
-        for (int off = 1; off < threads && chunk.empty(); ++off) {
-          WsQueue& victim =
-              queues[static_cast<std::size_t>((widx + off) % threads)];
-          std::lock_guard<std::mutex> lock(victim.mu);
-          if (victim.items.empty()) continue;
-          std::size_t take = std::min(kChunk, (victim.items.size() + 1) / 2);
-          while (take-- > 0) {
-            chunk.push_back(std::move(victim.items.front()));
-            victim.items.pop_front();
-          }
-          ++w.steals;
-          if (slot != nullptr) {
-            slot->steals.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        if (chunk.empty()) ++w.steal_misses;
-      }
-      if (chunk.empty()) {
-        if (in_flight.load(std::memory_order_acquire) == 0) break;
-        std::this_thread::yield();
-        continue;
-      }
-      // Work-chunk boundary: this engine's one lifecycle poll point
-      // (max_levels is handled by depth_bound above, not here).
-      if ((options.cancel != nullptr && options.cancel->cancelled()) ||
-          deadline_passed(options.deadline)) {
-        // The chunk's items (and everything still queued) simply stay
-        // unexpanded; the trim pass finds the deepest complete level
-        // regardless of where each worker stopped.
-        stop.store(true, std::memory_order_relaxed);
-        break;
-      }
-      if (slot != nullptr) slot->busy.store(1, std::memory_order_relaxed);
-      const bool ok =
-          w.ex.expand_chunk(std::span<WorkItem>(chunk), &w.sink, emit);
-      w.expanded += chunk.size();
-      in_flight.fetch_sub(static_cast<std::int64_t>(chunk.size()),
-                          std::memory_order_acq_rel);
-      // Chunk boundary: the engine's counter-drain cadence (it has no level
-      // barriers); the final chunk's drain publishes the run totals.
-      if (sym != nullptr) {
-        add_canon_metrics(*w.ex.canon_scratch(), &canon_seen);
-      }
-      if (slot != nullptr) {
-        // Work-chunk boundary: this engine's live-publication point. Nodes
-        // go through raise() (concurrent absolute republications of
-        // table.size() race; a stale smaller one must not un-publish) while
-        // transitions accumulate per-worker pool deltas.
-        slot->busy.store(0, std::memory_order_relaxed);
-        slot->expanded.fetch_add(chunk.size(), std::memory_order_relaxed);
-        const std::uint64_t cas_retries = w.ex.tally().cas_retries;
-        slot->cas_retries.fetch_add(cas_retries - seen_cas_retries,
-                                    std::memory_order_relaxed);
-        seen_cas_retries = cas_retries;
-        obs::Progress& p = obs::Progress::global();
-        const std::uint64_t edges = w.sink.pool.size();
-        p.transitions_total.fetch_add(edges - seen_edges,
-                                      std::memory_order_relaxed);
-        seen_edges = edges;
-        obs::Progress::raise(p.nodes_total,
-                             live.nodes_base + table.size() - prefix_nodes);
-        const std::int64_t pending =
-            in_flight.load(std::memory_order_relaxed);
-        p.frontier_size.store(
-            pending > 0 ? static_cast<std::uint64_t>(pending) : 0,
-            std::memory_order_relaxed);
-      }
-      if (!ok) {
-        exhausted.store(true, std::memory_order_relaxed);
-        stop.store(true, std::memory_order_relaxed);
-      }
-    }
-    worker_span.arg("expanded", static_cast<std::int64_t>(w.expanded));
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) pool.emplace_back(worker_main, t);
-  for (std::thread& t : pool) t.join();
-
-  BatchTable::Tally tally = seed_tally;
-  std::uint64_t steals = 0;
-  std::uint64_t steal_misses = 0;
-  for (const ParallelWorker& w : workers) {
-    tally += w.ex.tally();
-    steals += w.steals;
-    steal_misses += w.steal_misses;
-  }
-  add_intern_metrics(table, tally);
-  if (obs::metrics_enabled()) {
-    LBSA_OBS_COUNTER_ADD_V("explore.steal.count", steals);
-    LBSA_OBS_COUNTER_ADD_V("explore.steal.failed", steal_misses);
-  }
-
-  if (exhausted.load()) {
-    return resource_exhausted("explore: node budget exceeded (" +
-                              std::to_string(options.max_nodes) + ")");
-  }
-
-  CanonicalBuild built = internal::GraphBuilder::build(
-      table, workers, seed, options.resume, sym != nullptr,
-      /*trust_depths=*/false, truncated.load(std::memory_order_relaxed),
-      /*take_configs=*/true);
-  const bool trimmed = internal::GraphBuilder::trim_to_complete_prefix(
-      &built, seed.truncated);
-  ConfigGraph graph = std::move(built.graph);
-  if (trimmed) {
-    if (!options.checkpoint_path.empty()) {
-      const Status written = write_checkpoint(
-          graph, graph.pending_frontier_, graph.levels_completed_,
-          fingerprint, options, flag_fn != nullptr, initial_flag);
       if (!written.is_ok()) return written;
     }
   } else {
@@ -1771,8 +1528,6 @@ const char* engine_name(ExploreEngine engine) {
       return "serial";
     case ExploreEngine::kParallel:
       return "parallel";
-    case ExploreEngine::kWorkStealing:
-      return "workstealing";
   }
   return "auto";
 }
@@ -1781,23 +1536,14 @@ StatusOr<ExploreEngine> parse_engine(const std::string& name) {
   if (name == "auto") return ExploreEngine::kAuto;
   if (name == "serial") return ExploreEngine::kSerial;
   if (name == "parallel") return ExploreEngine::kParallel;
-  if (name == "workstealing") return ExploreEngine::kWorkStealing;
-  return invalid_argument(
-      "unknown engine '" + name +
-      "' (known: auto, serial, parallel, workstealing)");
+  return invalid_argument("unknown engine '" + name +
+                          "' (known: auto, serial, parallel)");
 }
 
 StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
                                         FlagFn flag_fn,
                                         std::int64_t initial_flag) const {
   const int threads = resolve_threads(options);
-  if (options.engine == ExploreEngine::kWorkStealing &&
-      options.checkpoint_every_levels > 0) {
-    return invalid_argument(
-        "explore: the work-stealing engine has no level boundaries and "
-        "cannot honor checkpoint_every_levels; use engine=parallel (or "
-        "auto) for periodic checkpoints");
-  }
 
   const bool want_sym = options.reduction == Reduction::kSymmetry ||
                         options.reduction == Reduction::kBoth;
@@ -1921,9 +1667,6 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
       case ExploreEngine::kParallel:
         return explore_parallel(opts, threads, flag_fn, initial_flag,
                                 sym.get(), por, fingerprint);
-      case ExploreEngine::kWorkStealing:
-        return explore_work_stealing(opts, threads, flag_fn, initial_flag,
-                                     sym.get(), por, fingerprint);
       case ExploreEngine::kAuto:
         break;
     }
@@ -1933,15 +1676,15 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
       return explore_serial(opts, flag_fn, initial_flag, sym.get(), por,
                             fingerprint);
     }
-    // Periodic checkpoint cadence is defined by level boundaries, which
-    // only the level-synchronous engine has end to end.
+    // Periodic checkpoints count levels from the session start; a probe
+    // handoff would restart that count mid-run, so one engine runs it all.
     if (opts.checkpoint_every_levels > 0) {
       used = ExploreEngine::kParallel;
       return explore_parallel(opts, threads, flag_fn, initial_flag,
                               sym.get(), por, fingerprint);
     }
     // Serial probe: small graphs finish right here with zero parallel
-    // overhead; big ones hand their canonical prefix to a parallel engine
+    // overhead; big ones hand their canonical prefix to the parallel engine
     // through an in-memory checkpoint.
     bool switched = false;
     auto probe = explore_serial(opts, flag_fn, initial_flag, sym.get(),
@@ -1966,15 +1709,9 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
     // stop_reason() fires before the switch check, so when max_levels is
     // set the probe stopped strictly short of it: remaining >= 1.
     if (options.max_levels > 0) cont.max_levels -= probe_levels;
-    if (prefix.pending_frontier().size() >=
-        kAutoWideFrontier * static_cast<std::size_t>(threads)) {
-      used = ExploreEngine::kParallel;
-      return explore_parallel(cont, threads, flag_fn, initial_flag, sym.get(),
-                              por, fingerprint);
-    }
-    used = ExploreEngine::kWorkStealing;
-    return explore_work_stealing(cont, threads, flag_fn, initial_flag,
-                                 sym.get(), por, fingerprint);
+    used = ExploreEngine::kParallel;
+    return explore_parallel(cont, threads, flag_fn, initial_flag, sym.get(),
+                            por, fingerprint);
   }();
 
   if (result.is_ok()) {

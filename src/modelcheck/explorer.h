@@ -32,26 +32,19 @@ namespace lbsa::modelcheck {
 struct ExploreCheckpoint;  // modelcheck/checkpoint.h
 
 namespace internal {
-// Grants the explorer's shared canonical-renumbering machinery (explorer.cc)
-// access to ConfigGraph internals; both parallel engines build and trim
-// graphs through it.
+// Grants the parallel engine's canonical-renumbering machinery (explorer.cc)
+// access to ConfigGraph internals; it builds and trims graphs through it.
 struct GraphBuilder;
 }  // namespace internal
 
 // Which exploration engine to run.
 //   kSerial — the reference implementation; defines the canonical graph.
 //   kParallel — level-synchronous BFS over a worker pool with batched
-//     lock-free interning; best for wide frontiers, and the only parallel
-//     engine with level boundaries (periodic checkpoints).
-//   kWorkStealing — per-worker deques with chunked stealing; keeps every
-//     worker busy on deep/narrow graphs where whole BFS levels are smaller
-//     than the pool. No level boundaries: periodic checkpointing is
-//     rejected, and interruption trims the result back to the deepest
-//     complete level (see docs/checking.md, "Engine selection").
+//     lock-free interning, a barrier between levels.
 //   kAuto — starts serial and, once the explored region outgrows a
 //     threshold where parallel overhead pays for itself, hands the run to
-//     kParallel (wide frontier) or kWorkStealing (narrow) via an in-memory
-//     checkpoint. Small graphs never leave the serial fast path.
+//     kParallel via an in-memory checkpoint. Small graphs never leave the
+//     serial fast path (see docs/checking.md, "Engine selection").
 // All engines produce bit-identical complete graphs (canonical
 // renumbering); the explicit values exist for equivalence testing and
 // benchmarking.
@@ -59,11 +52,10 @@ enum class ExploreEngine {
   kAuto = 0,
   kSerial,
   kParallel,
-  kWorkStealing,
 };
 
 // Stable short name for CLI flags and run reports: "auto", "serial",
-// "parallel", "workstealing".
+// "parallel".
 const char* engine_name(ExploreEngine engine);
 // Inverse of engine_name(); INVALID_ARGUMENT on anything else.
 StatusOr<ExploreEngine> parse_engine(const std::string& name);
@@ -152,18 +144,16 @@ struct ExploreOptions {
   std::shared_ptr<const sim::Canonicalizer> canonicalizer;
 
   // --- run lifecycle (docs/checking.md, "Long runs") ---
-  // All three engines poll cancel/deadline INSIDE levels, at work-chunk
+  // Both engines poll cancel/deadline INSIDE levels, at work-chunk
   // boundaries (every kChunk expansions per worker), so a trip stops the
   // run promptly even mid-way through a wide level. Stopping still only
   // ever happens at a BFS level boundary — the one point that preserves the
   // canonical-prefix guarantee: the serial engine rolls partially-expanded
-  // work back to the last completed level, the level-synchronous parallel
-  // engine trims the partial level before renumbering, and the
-  // work-stealing engine trims its result back to the deepest
-  // fully-expanded level. An interrupted graph is therefore bit-identical
-  // to the corresponding prefix of an uninterrupted run, for every engine
-  // and thread count (complete levels only). max_levels and periodic
-  // checkpoints remain level-boundary conditions.
+  // work back to the last completed level, and the parallel engine trims
+  // the partial level before returning. An interrupted graph is therefore
+  // bit-identical to the corresponding prefix of an uninterrupted run, for
+  // every engine and thread count (complete levels only). max_levels and
+  // periodic checkpoints remain level-boundary conditions.
   //
   // Cooperative cancellation. Non-owning; may be tripped from a signal
   // handler. When it fires, explore() returns an *interrupted* graph
@@ -175,19 +165,14 @@ struct ExploreOptions {
   // Deterministic interruption: stop (interrupted) once this many NEW
   // levels have completed this session; 0 = unlimited. This is the testable
   // stand-in for a wall-clock deadline — same code path, no timing races.
-  // The work-stealing engine (no level boundaries) treats this as an
-  // expansion-depth bound and may settle on FEWER completed levels (it
-  // trims to the deepest serial-identical prefix); read
-  // ConfigGraph::levels_completed() for the level actually reached.
   std::uint32_t max_levels = 0;
   // When non-empty, a resumable checkpoint is written here (atomically) at
   // every interruption, and additionally every checkpoint_every_levels
   // completed levels when that is non-zero. A failed checkpoint write fails
   // the run (a long run silently losing its safety net is the worse bug).
-  // Periodic checkpoints need level boundaries: combining a non-zero
-  // checkpoint_every_levels with engine == kWorkStealing is
-  // INVALID_ARGUMENT, and kAuto then completes the run on the
-  // level-synchronous parallel engine.
+  // kAuto with a non-zero checkpoint_every_levels skips the serial probe
+  // and runs the whole session on kParallel, so the cadence counts levels
+  // from the session start.
   std::string checkpoint_path;
   std::uint32_t checkpoint_every_levels = 0;
   // Label echoed into checkpoints and error messages (task name); not
@@ -254,7 +239,7 @@ class ConfigGraph {
   // attribute nodes/sec to the code path that did the work.
   ExploreEngine engine_used() const { return engine_used_; }
   // True iff this was a kAuto run that outgrew the serial probe and handed
-  // off to a parallel engine mid-run.
+  // off to the parallel engine mid-run.
   bool auto_switched() const { return auto_switched_; }
   // Non-null iff symmetry reduction was active (non-trivial group).
   const std::shared_ptr<const sim::Canonicalizer>& canonicalizer() const {
@@ -330,7 +315,7 @@ class Explorer {
   // fingerprint stamps any checkpoint written (see checkpoint.h).
   // switch_after_nodes > 0 is the kAuto probe mode: once the graph holds at
   // least that many nodes at a level boundary, return the interrupted
-  // prefix (no checkpoint written) with *switched set, for a parallel
+  // prefix (no checkpoint written) with *switched set, for the parallel
   // engine to resume.
   StatusOr<ConfigGraph> explore_serial(const ExploreOptions& options,
                                        const FlagFn& flag_fn,
@@ -348,16 +333,6 @@ class Explorer {
                                          const sim::Canonicalizer* sym,
                                          bool por,
                                          std::uint64_t fingerprint) const;
-  // Work-stealing engine: per-worker deques, chunked stealing, a pending
-  // counter for termination. On interruption the canonical result is
-  // trimmed back to the deepest serial-identical prefix.
-  StatusOr<ConfigGraph> explore_work_stealing(const ExploreOptions& options,
-                                              int threads,
-                                              const FlagFn& flag_fn,
-                                              std::int64_t initial_flag,
-                                              const sim::Canonicalizer* sym,
-                                              bool por,
-                                              std::uint64_t fingerprint) const;
 
   std::shared_ptr<const sim::Protocol> protocol_;
 };

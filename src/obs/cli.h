@@ -52,9 +52,9 @@ namespace lbsa::obs {
 std::uint64_t parse_count_flag(const char* flag, std::string_view text,
                                std::uint64_t min, std::uint64_t max);
 
-// A positive number of seconds (--deadline-s, --heartbeat-every), at most
-// 1e9 so a deadline stays inside the steady clock's nanosecond range;
-// anything else prints an error naming `flag` and exits 2.
+// A positive number of seconds (--deadline-s, --heartbeat-every,
+// --timeout-s), at most 1e9 so a deadline stays inside the steady clock's
+// nanosecond range; anything else prints an error naming `flag` and exits 2.
 double parse_seconds_flag(const char* flag, const char* text);
 
 class ObsCli {

@@ -55,7 +55,6 @@ void Progress::reset() {
   for (WorkerSlot& slot : slots_) {
     slot.busy.store(0, std::memory_order_relaxed);
     slot.expanded.store(0, std::memory_order_relaxed);
-    slot.steals.store(0, std::memory_order_relaxed);
     slot.cas_retries.store(0, std::memory_order_relaxed);
   }
 }
@@ -261,8 +260,6 @@ void HeartbeatSampler::write_tick(bool final) {
     w.value_uint(slot->busy.load(std::memory_order_relaxed));
     w.key("expanded");
     w.value_uint(slot->expanded.load(std::memory_order_relaxed));
-    w.key("steals");
-    w.value_uint(slot->steals.load(std::memory_order_relaxed));
     w.key("cas_retries");
     w.value_uint(slot->cas_retries.load(std::memory_order_relaxed));
     w.end_object();
@@ -466,7 +463,7 @@ Status validate_heartbeat_stream(std::string_view text) {
       if (!slot.is_object()) {
         return heartbeat_error(line_no, "workers element not an object");
       }
-      for (const char* field : {"busy", "expanded", "steals", "cas_retries"}) {
+      for (const char* field : {"busy", "expanded", "cas_retries"}) {
         if (require_int(slot, field) == nullptr) {
           return heartbeat_error(line_no, std::string("workers.") + field +
                                               " missing or not an integer");

@@ -7,7 +7,7 @@
 // a RunReport describes a finished run, a heartbeat stream describes a run
 // *while it happens* — levels completed, frontier size, rolling nodes/sec,
 // an ETA once the frontier is draining, checkpoint writes, and per-worker
-// utilization (busy flag, nodes expanded, steals, intern CAS retries).
+// utilization (busy flag, nodes expanded, intern CAS retries).
 // `tools/lbsa_watch` tails the stream; `report_check heartbeat` validates
 // it (strict JSON per line, contiguous sequence numbers, non-decreasing
 // cumulative counters, constant run_id).
@@ -39,7 +39,7 @@ namespace lbsa::obs {
 inline constexpr int kHeartbeatSchemaVersion = 1;
 inline constexpr int kHeartbeatSummarySchemaVersion = 1;
 
-// Per-worker utilization slots published by the parallel engines. A fixed
+// Per-worker utilization slots published by the parallel engine. A fixed
 // cap keeps the slots allocation-free and index-stable for samplers.
 inline constexpr int kProgressMaxWorkers = 64;
 
@@ -75,7 +75,6 @@ class Progress {
   struct WorkerSlot {
     std::atomic<std::uint64_t> busy{0};      // 1 while expanding a chunk
     std::atomic<std::uint64_t> expanded{0};  // nodes expanded (this engine)
-    std::atomic<std::uint64_t> steals{0};    // work-stealing only
     std::atomic<std::uint64_t> cas_retries{0};  // intern CAS retries
   };
 
@@ -96,8 +95,8 @@ class Progress {
   WorkerSlot* worker(int i);
 
   // Monotone store: raises `cell` to at least `value` (CAS loop). The
-  // work-stealing engine's workers race absolute republications through
-  // this so a stale smaller value can never un-publish a larger one.
+  // parallel engine's workers race absolute republications through this
+  // so a stale smaller value can never un-publish a larger one.
   static void raise(std::atomic<std::uint64_t>& cell, std::uint64_t value);
 
   // Zeroes everything (tests / fresh sessions). Establish quiescence first.

@@ -283,11 +283,10 @@ Status validate_bench_artifact_json(std::string_view json) {
     if (const JsonValue* engine = row.find("engine"); engine != nullptr) {
       if (!engine->is_string() || (engine->string_value != "serial" &&
                                    engine->string_value != "parallel" &&
-                                   engine->string_value != "workstealing" &&
                                    engine->string_value != "auto")) {
         return invalid_argument(
             "bench schema: benchmark engine not one of "
-            "serial/parallel/workstealing/auto");
+            "serial/parallel/auto");
       }
     }
     // Obs-overhead rows: "obs" (when present) names which telemetry state
@@ -528,10 +527,9 @@ Status validate_hierarchy_artifact_json(std::string_view json) {
   if (engine == nullptr || !engine->is_string() ||
       (engine->string_value != "serial" &&
        engine->string_value != "parallel" &&
-       engine->string_value != "workstealing" &&
        engine->string_value != "auto")) {
     return hierarchy_error(
-        "provenance.engine not one of serial/parallel/workstealing/auto");
+        "provenance.engine not one of serial/parallel/auto");
   }
   if (Status s =
           check_hierarchy_int(*provenance, "threads", 0, "provenance");

@@ -470,7 +470,7 @@ TEST(Lifecycle, MidLevelCancelBoundsWorkAndRollsBackCleanly) {
   const std::uint64_t threshold = before + 500;
   // Work tolerated AFTER the cancel store is visible: per-worker chunk
   // granularity plus the engines' publication lag (serial publishes every
-  // 512 pops, the parallel engines every 64-item chunk per worker). The
+  // 512 pops, the parallel engine every 64-item chunk per worker). The
   // pre-fix engines ran to the end of the level — `yield` more nodes, an
   // order of magnitude past this. Measured against the progress counter AT
   // the cancel, the bound is independent of how promptly the watcher
@@ -478,9 +478,7 @@ TEST(Lifecycle, MidLevelCancelBoundsWorkAndRollsBackCleanly) {
   const std::uint64_t kPostCancelSlack = 2500;
   ASSERT_GT(yield, kPostCancelSlack + 1500u);
 
-  for (const auto engine :
-       {ExploreEngine::kSerial, ExploreEngine::kParallel,
-        ExploreEngine::kWorkStealing}) {
+  for (const auto engine : {ExploreEngine::kSerial, ExploreEngine::kParallel}) {
     SCOPED_TRACE(static_cast<int>(engine));
     obs::Progress& progress = obs::Progress::global();
     progress.reset();

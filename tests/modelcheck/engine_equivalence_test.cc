@@ -1,11 +1,9 @@
-// Cross-engine equivalence: the work-stealing engine joins the contract the
-// level-synchronous engine already honors — on complete explorations every
-// engine, at every thread count, under every reduction mode, produces the
-// ConfigGraph bit-identical to the serial reference. Interruption differs
-// by design: work-stealing has no level barriers, so max_levels acts as an
-// expansion-depth bound and an interrupted/bounded run is trimmed back to
-// the deepest fully-expanded level — which must again be the exact serial
-// prefix, and resumable by any engine.
+// Cross-engine equivalence: on complete explorations the parallel engine,
+// at every thread count, under every reduction mode, with the orbit cache
+// on or off, produces the ConfigGraph bit-identical to the serial
+// reference. A max_levels-bounded run must stop on the exact serial
+// prefix, and a checkpoint written by either engine must resume on the
+// other.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -84,23 +82,19 @@ TEST(EngineEquivalence, AllEnginesBitIdenticalAcrossReductionsAndThreads) {
       cached.canon_cache_bytes = ExploreOptions{}.canon_cache_bytes;
       cached.canon_cache_pool = fresh_pool();
       expect_identical(serial, explore_or_die(task, cached));
-      for (ExploreEngine engine :
-           {ExploreEngine::kParallel, ExploreEngine::kWorkStealing}) {
-        for (int threads : {1, 2, 8}) {
-          for (bool use_cache : kCacheModes) {
-            SCOPED_TRACE(std::string(engine_name(engine)) + " t" +
-                         std::to_string(threads) +
-                         (use_cache ? " cache" : " nocache"));
-            ExploreOptions opts;
-            opts.reduction = reduction;
-            opts.engine = engine;
-            opts.threads = threads;
-            if (use_cache) opts.canon_cache_pool = fresh_pool();
-            const ConfigGraph graph = explore_or_die(task, opts);
-            EXPECT_EQ(graph.engine_used(), engine);
-            EXPECT_FALSE(graph.auto_switched());
-            expect_identical(serial, graph);
-          }
+      for (int threads : {1, 2, 8}) {
+        for (bool use_cache : kCacheModes) {
+          SCOPED_TRACE("parallel t" + std::to_string(threads) +
+                       (use_cache ? " cache" : " nocache"));
+          ExploreOptions opts;
+          opts.reduction = reduction;
+          opts.engine = ExploreEngine::kParallel;
+          opts.threads = threads;
+          if (use_cache) opts.canon_cache_pool = fresh_pool();
+          const ConfigGraph graph = explore_or_die(task, opts);
+          EXPECT_EQ(graph.engine_used(), ExploreEngine::kParallel);
+          EXPECT_FALSE(graph.auto_switched());
+          expect_identical(serial, graph);
         }
       }
     }
@@ -129,10 +123,10 @@ TEST(EngineEquivalence, SharedWarmCachePoolKeepsGraphsIdentical) {
   }
 }
 
-TEST(EngineEquivalence, WorkStealingMaxLevelsTrimsToSerialPrefix) {
-  // A depth-bounded work-stealing run must land on the same graph as the
-  // serial engine interrupted at the same boundary: same prefix, same
-  // pending frontier, levels_completed == the bound.
+TEST(EngineEquivalence, ParallelMaxLevelsMatchesSerialPrefix) {
+  // A depth-bounded parallel run must land on the same graph as the serial
+  // engine interrupted at the same boundary: same prefix, same pending
+  // frontier, levels_completed == the bound.
   const NamedTask task = get_task("dac3-sym");
   for (Reduction reduction : kAllModes) {
     SCOPED_TRACE(reduction_name(reduction));
@@ -148,22 +142,22 @@ TEST(EngineEquivalence, WorkStealingMaxLevelsTrimsToSerialPrefix) {
         SCOPED_TRACE(threads);
         ExploreOptions opts;
         opts.reduction = reduction;
-        opts.engine = ExploreEngine::kWorkStealing;
+        opts.engine = ExploreEngine::kParallel;
         opts.threads = threads;
         opts.max_levels = levels;
-        const ConfigGraph ws = explore_or_die(task, opts);
-        EXPECT_TRUE(ws.interrupted());
-        EXPECT_EQ(ws.levels_completed(), levels);
-        expect_identical(serial, ws);
+        const ConfigGraph parallel = explore_or_die(task, opts);
+        EXPECT_TRUE(parallel.interrupted());
+        EXPECT_EQ(parallel.levels_completed(), levels);
+        expect_identical(serial, parallel);
       }
     }
   }
 }
 
-TEST(EngineEquivalence, ResumeHopsAcrossAllThreeEngines) {
-  // serial (2 levels) -> work-stealing (2 more) -> parallel (to completion):
-  // every hop checkpoints, every hop resumes the previous engine's file, and
-  // the final graph is bit-identical to one uninterrupted serial run.
+TEST(EngineEquivalence, ResumeHopsBetweenSerialAndParallel) {
+  // serial (2 levels) -> parallel (2 more) -> serial (to completion): every
+  // hop checkpoints, every hop resumes the previous engine's file, and the
+  // final graph is bit-identical to one uninterrupted serial run.
   const NamedTask task = get_task("dac4-sym");
   for (Reduction reduction : {Reduction::kNone, Reduction::kBoth}) {
     SCOPED_TRACE(reduction_name(reduction));
@@ -188,7 +182,7 @@ TEST(EngineEquivalence, ResumeHopsAcrossAllThreeEngines) {
 
     ExploreOptions hop2;
     hop2.reduction = reduction;
-    hop2.engine = ExploreEngine::kWorkStealing;
+    hop2.engine = ExploreEngine::kParallel;
     hop2.threads = 4;
     hop2.max_levels = 2;
     hop2.checkpoint_path = path2;
@@ -202,8 +196,7 @@ TEST(EngineEquivalence, ResumeHopsAcrossAllThreeEngines) {
 
     ExploreOptions hop3;
     hop3.reduction = reduction;
-    hop3.engine = ExploreEngine::kParallel;
-    hop3.threads = 4;
+    hop3.engine = ExploreEngine::kSerial;
     hop3.resume = &cp2.value();
     const ConfigGraph final_graph = explore_or_die(task, hop3);
     EXPECT_FALSE(final_graph.interrupted());
@@ -211,57 +204,19 @@ TEST(EngineEquivalence, ResumeHopsAcrossAllThreeEngines) {
   }
 }
 
-TEST(EngineEquivalence, WorkStealingRejectsPeriodicCheckpoints) {
-  const NamedTask task = get_task("dac3-sym");
-  Explorer explorer(task.protocol);
-  ExploreOptions opts;
-  opts.engine = ExploreEngine::kWorkStealing;
-  opts.checkpoint_path = testing::TempDir() + "/never.ckpt";
-  opts.checkpoint_every_levels = 2;
-  const auto graph = explorer.explore(opts);
-  ASSERT_FALSE(graph.is_ok());
-  EXPECT_EQ(graph.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(EngineEquivalence, ParseAndNames) {
   EXPECT_STREQ(engine_name(ExploreEngine::kAuto), "auto");
   EXPECT_STREQ(engine_name(ExploreEngine::kSerial), "serial");
   EXPECT_STREQ(engine_name(ExploreEngine::kParallel), "parallel");
-  EXPECT_STREQ(engine_name(ExploreEngine::kWorkStealing), "workstealing");
-  for (const char* name : {"auto", "serial", "parallel", "workstealing"}) {
+  for (const char* name : {"auto", "serial", "parallel"}) {
     const auto parsed = parse_engine(name);
     ASSERT_TRUE(parsed.is_ok()) << name;
     EXPECT_STREQ(engine_name(parsed.value()), name);
   }
-  EXPECT_EQ(parse_engine("stealing").status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(EngineEquivalence, WorkStealingTruncatedGraphIsConsistent) {
-  // Truncated prefixes are schedule-dependent for every engine; what the
-  // work-stealing engine still owes is internal consistency and replayable
-  // parent chains.
-  const NamedTask task = get_task("strawdac3");
-  for (int threads : {2, 8}) {
-    SCOPED_TRACE(threads);
-    ExploreOptions opts;
-    opts.max_nodes = 50;
-    opts.allow_truncation = true;
-    opts.engine = ExploreEngine::kWorkStealing;
-    opts.threads = threads;
-    const ConfigGraph graph = explore_or_die(task, opts);
-    EXPECT_TRUE(graph.truncated());
-    for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
-      for (const Edge& e : graph.edges()[id]) {
-        ASSERT_LT(e.to, graph.nodes().size());
-      }
-      sim::Config config = sim::initial_config(*task.protocol);
-      for (const sim::Step& step : graph.path_to(id)) {
-        sim::apply_step(*task.protocol, &config, step.pid,
-                        step.outcome_choice);
-      }
-      EXPECT_EQ(config, graph.nodes()[id].config);
-    }
+  for (const char* name : {"workstealing", "stealing"}) {
+    EXPECT_EQ(parse_engine(name).status().code(),
+              StatusCode::kInvalidArgument)
+        << name;
   }
 }
 

@@ -4,6 +4,8 @@
 // engines. PR 1 made the parallel explorer's *graph* bit-identical to the
 // serial one; this suite pins down that the instrumentation layered on top
 // in this PR preserves that guarantee.
+#include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -91,35 +93,6 @@ TEST(ObsDeterminism, SerialAndParallelEnginesAgreeOnStableMetrics) {
   EXPECT_EQ(runs[0].task_events, runs[1].task_events);
 }
 
-TEST(ObsDeterminism, WorkStealingEngineAgreesOnStableMetrics) {
-  // The work-stealing engine has no level barriers, so it emits no per-level
-  // phase spans — phase-event counts are an engine property, not part of the
-  // determinism contract. Stable metric totals and the one-task-span rule
-  // still are: they derive from the canonical graph, which is bit-identical.
-  auto task = modelcheck::make_named_task("strawdac3");
-  ASSERT_TRUE(task.is_ok());
-  modelcheck::Explorer explorer(task.value().protocol);
-
-  const RunObservation serial = observe([&] {
-    modelcheck::ExploreOptions options;
-    options.engine = modelcheck::ExploreEngine::kSerial;
-    auto graph = explorer.explore(options);
-    ASSERT_TRUE(graph.is_ok()) << graph.status().to_string();
-  });
-  for (int threads : {1, 4}) {
-    const RunObservation ws = observe([&] {
-      modelcheck::ExploreOptions options;
-      options.engine = modelcheck::ExploreEngine::kWorkStealing;
-      options.threads = threads;
-      auto graph = explorer.explore(options);
-      ASSERT_TRUE(graph.is_ok()) << graph.status().to_string();
-    });
-    EXPECT_EQ(ws.stable_metrics, serial.stable_metrics)
-        << "threads=" << threads;
-    EXPECT_EQ(ws.task_events, serial.task_events) << "threads=" << threads;
-  }
-}
-
 TEST(ObsDeterminism, BlindFuzzStableMetricsIdenticalAcrossThreadCounts) {
   auto task = modelcheck::make_named_task("strawdac3");
   ASSERT_TRUE(task.is_ok());
@@ -146,6 +119,55 @@ TEST(ObsDeterminism, BlindFuzzStableMetricsIdenticalAcrossThreadCounts) {
       EXPECT_EQ(obs.phase_events, baseline.phase_events)
           << "one shrink-round span per ddmin round, same findings";
       EXPECT_EQ(obs.task_events, baseline.task_events);
+    }
+  }
+}
+
+// Regression: a parallel worker's "explore.worker" span used to close only
+// after the level-end barrier, so it also covered the wait for the level's
+// slowest worker and every worker looked busy for the whole level. Each
+// worker's i-th span must start and end inside the i-th lane-0
+// "explore.level" span: it opens after the level-start barrier and closes
+// before the worker arrives at the level-end barrier.
+TEST(ExplorerTrace, ParallelWorkerSpansLieInsideTheirLevel) {
+  auto task = modelcheck::make_named_task("dac5");
+  ASSERT_TRUE(task.is_ok());
+  constexpr int kThreads = 4;
+  Tracer::global().reset();
+  set_tracing_enabled(true);
+  modelcheck::ExploreOptions options;
+  options.engine = modelcheck::ExploreEngine::kParallel;
+  options.threads = kThreads;
+  auto graph = modelcheck::Explorer(task.value().protocol).explore(options);
+  set_tracing_enabled(false);
+  ASSERT_TRUE(graph.is_ok()) << graph.status().to_string();
+
+  auto by_start = [](const TraceEvent& a, const TraceEvent& b) {
+    return a.ts_us < b.ts_us;
+  };
+  std::vector<TraceEvent> levels;
+  std::map<int, std::vector<TraceEvent>> workers;  // by lane
+  for (TraceEvent& event : Tracer::global().snapshot()) {
+    if (event.name == "explore.level" && event.lane == 0) {
+      levels.push_back(std::move(event));
+    } else if (event.name == "explore.worker") {
+      workers[event.lane].push_back(std::move(event));
+    }
+  }
+  Tracer::global().reset();
+  std::sort(levels.begin(), levels.end(), by_start);
+  ASSERT_EQ(levels.size(), graph.value().levels_completed());
+  ASSERT_EQ(workers.size(), static_cast<std::size_t>(kThreads));
+  for (auto& [lane, spans] : workers) {
+    SCOPED_TRACE("lane " + std::to_string(lane));
+    ASSERT_EQ(spans.size(), levels.size());
+    std::sort(spans.begin(), spans.end(), by_start);
+    for (std::size_t i = 0; i < levels.size(); ++i) {
+      const TraceEvent& level = levels[i];
+      const TraceEvent& worker = spans[i];
+      EXPECT_GE(worker.ts_us, level.ts_us) << "level " << i;
+      EXPECT_LE(worker.ts_us + worker.dur_us, level.ts_us + level.dur_us)
+          << "level " << i << ": worker span outlives its level";
     }
   }
 }

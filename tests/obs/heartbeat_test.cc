@@ -347,8 +347,7 @@ TEST(HeartbeatEngines, FieldSetStableAcrossEnginesAndThreads) {
   std::set<std::string> baseline_keys;
   std::size_t baseline_lines = 0;
   for (const auto engine : {modelcheck::ExploreEngine::kSerial,
-                            modelcheck::ExploreEngine::kParallel,
-                            modelcheck::ExploreEngine::kWorkStealing}) {
+                            modelcheck::ExploreEngine::kParallel}) {
     for (int threads : {1, 2, 8}) {
       const std::string path = temp_path("hb_engines.jsonl");
       std::remove(path.c_str());
@@ -404,6 +403,20 @@ TEST(HeartbeatEngines, FieldSetStableAcrossEnginesAndThreads) {
             << "engine=" << modelcheck::engine_name(engine)
             << " threads=" << threads;
         EXPECT_EQ(lines.size(), baseline_lines);
+      }
+      // Streams from before the per-worker `steals` gauge was dropped keep
+      // heartbeat_version 1 and stay valid: unknown keys are ignored.
+      if (engine == modelcheck::ExploreEngine::kParallel) {
+        std::string older = text;
+        const std::string needle = "\"cas_retries\":";
+        const std::string steals = "\"steals\":12,";
+        for (std::size_t pos = older.find(needle); pos != std::string::npos;
+             pos = older.find(needle, pos + steals.size() + needle.size())) {
+          older.insert(pos, steals);
+        }
+        EXPECT_NE(older, text) << "parallel heartbeats carry worker slots";
+        EXPECT_TRUE(validate_heartbeat_stream(older).is_ok())
+            << "threads=" << threads;
       }
       std::remove(path.c_str());
     }

@@ -3,7 +3,7 @@
 //
 //   ./explorer_cli --list
 //   ./explorer_cli <task> [--threads N]
-//                  [--engine auto|serial|parallel|workstealing]
+//                  [--engine auto|serial|parallel]
 //                  [--max-nodes N] [--allow-truncation]
 //                  [--reduction none|symmetry|por|both]
 //                  [--canon-cache-bytes N]
@@ -62,7 +62,7 @@ int usage() {
       stderr,
       "usage: explorer_cli --list\n"
       "       explorer_cli <task> [--threads N]\n"
-      "                    [--engine auto|serial|parallel|workstealing]\n"
+      "                    [--engine auto|serial|parallel]\n"
       "                    [--max-nodes N] [--allow-truncation]\n"
       "                    [--reduction none|symmetry|por|both]\n"
       "                    [--canon-cache-bytes N]\n"

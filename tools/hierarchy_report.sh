@@ -74,7 +74,7 @@ run_sweep() {
 # cross-check mode must reproduce the rows document byte-identically.
 run_sweep "$TMP/rows-base.json" --n-max "$MATRIX_N_MAX" \
     --engine serial --threads 1
-MATRIX=("parallel 2" "parallel 8" "workstealing 2" "workstealing 8" "auto 1")
+MATRIX=("parallel 2" "parallel 8" "auto 1")
 for row in "${MATRIX[@]}"; do
   read -r engine t <<<"$row"
   run_sweep "$TMP/rows-$engine-t$t.json" --n-max "$MATRIX_N_MAX" \

@@ -6,7 +6,7 @@
 // Observation 5.1(b)).
 //
 //   ./hierarchy_sweep_cli [--n-min N] [--n-max N] [--only N,M]
-//                         [--engine auto|serial|parallel|workstealing]
+//                         [--engine auto|serial|parallel]
 //                         [--threads N] [--max-nodes N]
 //                         [--check-reduction none|por|both]
 //                         [--rows-json PATH] [--out PATH] [--markdown]
@@ -51,8 +51,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: hierarchy_sweep_cli [--n-min N] [--n-max N] [--only N,M]\n"
-      "                           [--engine auto|serial|parallel|"
-      "workstealing]\n"
+      "                           [--engine auto|serial|parallel]\n"
       "                           [--threads N] [--max-nodes N]\n"
       "                           [--check-reduction none|por|both]\n"
       "                           [--rows-json PATH] [--out PATH] "

@@ -29,6 +29,7 @@
 #include <string>
 #include <thread>
 
+#include "obs/cli.h"
 #include "obs/heartbeat.h"
 #include "obs/json.h"
 #include "obs/report.h"
@@ -98,11 +99,8 @@ int main(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--summary-json")) {
       summary_path = next_arg("--summary-json");
     } else if (!std::strcmp(argv[i], "--timeout-s")) {
-      timeout_s = std::strtod(next_arg("--timeout-s"), nullptr);
-      if (!(timeout_s > 0.0)) {
-        std::fprintf(stderr, "--timeout-s needs a positive number\n");
-        return usage();
-      }
+      timeout_s =
+          obs::parse_seconds_flag("--timeout-s", next_arg("--timeout-s"));
     } else if (!std::strcmp(argv[i], "--quiet")) {
       quiet = true;
     } else {

@@ -10,7 +10,7 @@
 #                    {"task": "dac4-sym", "threads": 1, "reduction": "both",
 #                     "nodes": N, "nodes_per_sec": R,
 #                     "reduction_ratio": X}, ...,
-#                    {"task": "dac5", "engine": "workstealing", "threads": 4,
+#                    {"task": "dac5", "engine": "parallel", "threads": 4,
 #                     "threads_available": C, "reduction": "none",
 #                     "nodes": N, "nodes_per_sec": R}, ...],
 #    "run_reports": {"explorer_cli:dac3:t1": <RunReport>, ...}}
@@ -75,7 +75,7 @@ REDUCTIONS=(none symmetry por both)
 # setup, on the engines x reductions the speedup claims are made for.
 PERF_TASKS=(dac5 consensus5)
 PERF_REDUCTIONS=(none symmetry)
-PERF_ENGINES=("serial 1" "parallel 4" "workstealing 4" "auto 4")
+PERF_ENGINES=("serial 1" "parallel 4" "auto 4")
 THREADS_AVAILABLE="$(nproc 2>/dev/null || echo 1)"
 
 TMP="$(mktemp -d)"

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -90,6 +91,12 @@ int main(int argc, char** argv) {
   }
 
   const bool random_mode = !std::strcmp(argv[2], "--random");
+  std::uint64_t seed = 0;
+  if (random_mode) {
+    if (argc < 4) return usage();
+    seed = lbsa::obs::parse_count_flag(
+        "--random", argv[3], 0, std::numeric_limits<std::uint64_t>::max());
+  }
   if (const lbsa::Status s = obs_cli.start_heartbeat(
           protocol->name(),
           lbsa::obs::derive_run_id("schedule_replayer", protocol->name(),
@@ -105,8 +112,6 @@ int main(int argc, char** argv) {
       lbsa::invalid_argument("unset");
 
   if (random_mode) {
-    if (argc < 4) return usage();
-    const std::uint64_t seed = std::strtoull(argv[3], nullptr, 10);
     random_run.emplace(protocol);
     lbsa::sim::RandomAdversary adversary(seed);
     random_run->run(&adversary, {.max_steps = 100'000});

@@ -5,13 +5,16 @@
 //
 //   ./soak [seconds] [--metrics-json PATH] [--trace-out PATH]   (default 5s)
 //
+// `seconds` must be a whole number >= 1 (exit 2 otherwise): a soak of 0
+// rounds would report clean with no evidence.
+//
 // Intended uses: a pre-release burn-in (`./soak 300`), a quick sanity pass
 // in CI (`./soak 2`), and a TSan/ASan target.
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <thread>
 
@@ -76,7 +79,8 @@ int main(int argc, char** argv) {
   lbsa::obs::ObsCli obs_cli("soak");
   for (int i = 1; i < argc; ++i) {
     if (obs_cli.consume(argc, argv, &i)) continue;
-    seconds = std::atoi(argv[i]);
+    seconds = static_cast<int>(
+        lbsa::obs::parse_count_flag("seconds", argv[i], 1, INT_MAX));
   }
   const auto deadline = Clock::now() + std::chrono::seconds(seconds);
   Tally tally;

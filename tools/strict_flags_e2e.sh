@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
-# strict_flags_e2e.sh — numeric flags of explorer_cli, fuzz_shrink_cli and
-# hierarchy_sweep_cli parse strictly: a value that is not wholly a number in
-# range exits 2 with an error naming the flag, before any work runs. The same
-# flags with well-formed values still run to a verdict.
+# strict_flags_e2e.sh — numeric flags of explorer_cli, fuzz_shrink_cli,
+# hierarchy_sweep_cli, soak, schedule_replayer and lbsa_watch parse strictly:
+# a value that is not wholly a number in range exits 2 with an error naming
+# the flag, before any work runs. So does an engine name explorer_cli does
+# not know. The same flags with well-formed values still run to a verdict.
 #
 # Usage: tools/strict_flags_e2e.sh [build-dir]
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 TOOLS="$BUILD_DIR/tools"
-for bin in explorer_cli fuzz_shrink_cli hierarchy_sweep_cli; do
+for bin in explorer_cli fuzz_shrink_cli hierarchy_sweep_cli soak \
+    schedule_replayer lbsa_watch; do
   if [[ ! -x "$TOOLS/$bin" ]]; then
     echo "error: $TOOLS/$bin not found or not executable; build first" >&2
     exit 1
@@ -65,6 +67,7 @@ expect_usage_error --canon-cache-bytes explorer_cli dac3 \
 expect_usage_error --checkpoint-every explorer_cli dac3 --checkpoint-every +1
 expect_usage_error --deadline-s explorer_cli dac3 --deadline-s inf
 expect_usage_error --heartbeat-every explorer_cli dac3 --heartbeat-every 0
+expect_usage_error "unknown engine" explorer_cli dac3 --engine workstealing
 
 expect_usage_error --only hierarchy_sweep_cli --only 3,2x
 expect_usage_error --only hierarchy_sweep_cli --only three,2
@@ -72,11 +75,21 @@ expect_usage_error --n-max hierarchy_sweep_cli --n-max 6.0
 expect_usage_error --threads hierarchy_sweep_cli --threads -2
 expect_usage_error --max-nodes hierarchy_sweep_cli --max-nodes 5M
 
+expect_usage_error seconds soak abc
+expect_usage_error seconds soak -3
+expect_usage_error --random schedule_replayer dac3 --random banana
+expect_usage_error --random schedule_replayer dac3 \
+    --random 18446744073709551616
+expect_usage_error --timeout-s lbsa_watch "$BUILD_DIR/no-such-stream.jsonl" \
+    --timeout-s 0.5x
+
 expect_exit 0 explorer_cli dac3 --max-levels 100 --threads 2 \
     --max-nodes 100000 --canon-cache-bytes 65536 --deadline-s 60
 expect_exit 0 fuzz_shrink_cli dac3 --runs 20 --seed 7 --threads 1 \
     --max-violations 1 --deadline-s 60
 expect_exit 0 hierarchy_sweep_cli --only 2,1 --threads 1 --max-nodes 100000
+expect_exit 0 soak 1
+expect_exit 0 schedule_replayer dac3 --random 7
 
 if [[ $failures -ne 0 ]]; then
   echo "strict_flags_e2e: $failures case(s) failed" >&2
