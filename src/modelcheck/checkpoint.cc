@@ -15,6 +15,7 @@
 
 #include "base/check.h"
 #include "base/hashing.h"
+#include "sim/trace.h"
 
 namespace lbsa::modelcheck {
 namespace {
@@ -138,6 +139,18 @@ class WordReader {
       out.push_back(static_cast<char>(static_cast<unsigned char>(c)));
     }
     return out;
+  }
+
+  // A schedule in the sim/trace.h text format. One that does not parse
+  // fails the read here, so a resumed campaign never has to.
+  std::string schedule(const char* what) {
+    std::string text = str(what);
+    if (!status_.is_ok()) return text;
+    if (const auto parsed = sim::parse_schedule(text); !parsed.is_ok()) {
+      fail(std::string(what) + " does not parse: " +
+           parsed.status().message());
+    }
+    return text;
   }
 
   std::vector<std::uint8_t> bytes(const char* what) {
@@ -552,7 +565,7 @@ StatusOr<FuzzCheckpoint> read_fuzz_checkpoint(const std::string& path) {
   const std::size_t pool_count = r.count("pool");
   cp.pool.reserve(pool_count);
   for (std::size_t i = 0; i < pool_count && r.status().is_ok(); ++i) {
-    cp.pool.push_back(r.str("pool schedule"));
+    cp.pool.push_back(r.schedule("pool schedule"));
   }
   cp.runs_terminated = r.u64();
   cp.interesting_runs = r.u64();
@@ -565,7 +578,7 @@ StatusOr<FuzzCheckpoint> read_fuzz_checkpoint(const std::string& path) {
     v.property = r.str("violation property");
     v.detail = r.str("violation detail");
     v.run_seed = r.u64();
-    v.schedule = r.str("violation schedule");
+    v.schedule = r.schedule("violation schedule");
     v.raw_steps = r.u64();
     cp.violations.push_back(std::move(v));
   }

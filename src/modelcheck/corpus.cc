@@ -312,7 +312,7 @@ StatusOr<NamedTask> make_named_task(const std::string& name) {
     if (!known.empty()) known += ", ";
     known += entry.name;
   }
-  return not_found("unknown fuzz task '" + name + "' (known: " + known + ")");
+  return not_found("unknown task '" + name + "' (known: " + known + ")");
 }
 
 std::vector<std::string> named_task_names() {

@@ -16,7 +16,6 @@
 #include "base/hashing.h"
 #include "modelcheck/batch_intern.h"
 #include "modelcheck/checkpoint.h"
-#include "obs/heartbeat.h"
 #include "obs/obs.h"
 
 namespace lbsa::modelcheck {
@@ -81,44 +80,6 @@ void record_graph_metrics(const ConfigGraph& graph) {
     LBSA_OBS_GAUGE_MAX("explore.max_depth", level_sizes.size() - 1);
   }
 }
-
-// Live telemetry (obs/heartbeat.h). Progress counters are process-cumulative
-// — hierarchy sweeps accumulate across cells, and on resume the CLI seeds
-// the checkpoint's totals before calling explore — so each engine captures
-// the entry values and publishes base + its session's delta through
-// Progress::raise (monotone even when parallel workers race stale
-// absolutes). Gated on heartbeat_enabled(): an un-observed run pays one
-// relaxed load at each quiescence point.
-struct LiveProgress {
-  bool on = false;
-  std::uint64_t nodes_base = 0;
-  std::uint64_t transitions_base = 0;
-
-  static LiveProgress capture() {
-    LiveProgress live;
-    live.on = obs::heartbeat_enabled();
-    if (live.on) {
-      obs::Progress& p = obs::Progress::global();
-      live.nodes_base = p.nodes_total.load(std::memory_order_relaxed);
-      live.transitions_base =
-          p.transitions_total.load(std::memory_order_relaxed);
-    }
-    return live;
-  }
-
-  // `session_nodes`/`session_transitions` count work done this session only
-  // (the resumed prefix is already in the base via the CLI's seeding).
-  void publish(std::uint64_t session_nodes, std::uint64_t session_transitions,
-               std::uint64_t levels, std::uint64_t frontier) const {
-    if (!on) return;
-    obs::Progress& p = obs::Progress::global();
-    obs::Progress::raise(p.nodes_total, nodes_base + session_nodes);
-    obs::Progress::raise(p.transitions_total,
-                         transitions_base + session_transitions);
-    p.levels_completed.store(levels, std::memory_order_relaxed);
-    p.frontier_size.store(frontier, std::memory_order_relaxed);
-  }
-};
 
 // Frontier items claimed per grab in the parallel engine. Sized so a
 // chunk's successors (a handful per item) form per-shard intern batches
@@ -206,10 +167,6 @@ Status write_checkpoint(const ConfigGraph& graph,
                         const ExploreOptions& options, bool has_flag_fn,
                         std::int64_t initial_flag) {
   LBSA_OBS_COUNTER_ADD_V("explore.checkpoint.writes", 1);
-  if (obs::heartbeat_enabled()) {
-    obs::Progress::global().checkpoint_writes.fetch_add(
-        1, std::memory_order_relaxed);
-  }
   return write_explore_checkpoint(
       checkpoint_from_graph(graph, frontier, levels_completed, fingerprint,
                             options, has_flag_fn, initial_flag),
@@ -333,12 +290,6 @@ StatusOr<ConfigGraph> Explorer::explore_serial(
     frontier.push_back(0);
   }
 
-  const LiveProgress live = LiveProgress::capture();
-  if (live.on) obs::Progress::global().configure_workers(0);
-  const std::uint64_t prefix_nodes =
-      options.resume != nullptr ? options.resume->node_words.size() : 0;
-  const std::uint64_t prefix_transitions =
-      options.resume != nullptr ? options.resume->transition_count : 0;
   std::uint64_t pops = 0;
 
   // One "explore.level" phase event per BFS level. The frontier is a FIFO,
@@ -409,9 +360,6 @@ StatusOr<ConfigGraph> Explorer::explore_serial(
       // deque holds exactly the depth-`depth` nodes in ascending id order —
       // the one state a checkpoint can represent and a resume can
       // reproduce. All lifecycle actions happen here and only here.
-      live.publish(graph.nodes_.size() - prefix_nodes,
-                   graph.transition_count_ - prefix_transitions, depth,
-                   frontier.size());
       if (sym != nullptr) add_canon_metrics(canon_scratch, &canon_seen);
       const std::uint32_t session_levels = depth - start_depth;
       if (stop_reason(options, session_levels) != StopReason::kNone) {
@@ -452,15 +400,6 @@ StatusOr<ConfigGraph> Explorer::explore_serial(
     }
     frontier.pop_front();
     ++pops;
-    // Mid-level cadence so heartbeats move inside long levels; every 512
-    // pops keeps the relaxed-load guard the only cost when unobserved and
-    // bounds the publication lag behind actual interning to well under the
-    // parallel engine's per-worker chunk cadence times its pool width.
-    if (live.on && (pops & 0x1FFu) == 0) {
-      live.publish(graph.nodes_.size() - prefix_nodes,
-                   graph.transition_count_ - prefix_transitions, span_depth,
-                   frontier.size());
-    }
     // Mid-level lifecycle poll, every kChunk pops (matching the parallel
     // engine's work-chunk cadence). max_levels stays level-granular; only
     // cancel/deadline — the request-lifecycle knobs — trip mid-level.
@@ -537,9 +476,6 @@ StatusOr<ConfigGraph> Explorer::explore_serial(
     graph.levels_completed_ =
         graph.nodes_.empty() ? 0 : graph.nodes_.back().depth + 1;
   }
-  live.publish(graph.nodes_.size() - prefix_nodes,
-               graph.transition_count_ - prefix_transitions,
-               graph.levels_completed_, graph.pending_frontier_.size());
   if (sym != nullptr) add_canon_metrics(canon_scratch, &canon_seen);
   LBSA_CHECK(graph.nodes_.size() == graph.edges_.size() &&
              graph.nodes_.size() == graph.parents_.size());
@@ -1204,10 +1140,6 @@ StatusOr<ConfigGraph> Explorer::explore_parallel(
   truncated.store(seed.truncated, std::memory_order_relaxed);
   std::vector<WorkItem> frontier = std::move(seed.frontier);
 
-  const LiveProgress live = LiveProgress::capture();
-  if (live.on) obs::Progress::global().configure_workers(threads);
-  const std::uint64_t prefix_nodes = seed.prefix_prov.size();
-
   name_trace_lanes(threads);
 
   std::vector<ParallelWorker> workers;
@@ -1237,10 +1169,6 @@ StatusOr<ConfigGraph> Explorer::explore_parallel(
 
   auto worker_main = [&](int widx) {
     ParallelWorker& w = workers[static_cast<std::size_t>(widx)];
-    obs::Progress::WorkerSlot* slot =
-        live.on ? obs::Progress::global().worker(widx) : nullptr;
-    std::uint64_t seen_cas_retries = 0;
-    std::uint64_t seen_edges = 0;
     CanonSeen canon_seen;
     while (true) {
       level_start.arrive_and_wait();
@@ -1251,7 +1179,6 @@ StatusOr<ConfigGraph> Explorer::explore_parallel(
         // span closes before the level-end barrier, so the wait for the
         // level's slowest worker shows as time outside it.
         obs::Span worker_span("explore.worker", obs::kCatWorker, widx + 1);
-        if (slot != nullptr) slot->busy.store(1, std::memory_order_relaxed);
         std::uint64_t expanded = 0;
         while (!exhausted.load(std::memory_order_relaxed) &&
                !lifecycle_stop.load(std::memory_order_relaxed)) {
@@ -1270,31 +1197,10 @@ StatusOr<ConfigGraph> Explorer::explore_parallel(
               std::span<const WorkItem>(frontier.data() + begin, end - begin),
               &w.sink, &w.next);
           expanded += end - begin;
-          if (slot != nullptr) {
-            // Work-chunk boundary: live-publish mid-level so heartbeats keep
-            // moving through a huge level. Concurrent absolute
-            // republications of table.size() race; a stale smaller one must
-            // not un-publish, hence raise().
-            slot->expanded.fetch_add(end - begin, std::memory_order_relaxed);
-            obs::Progress& p = obs::Progress::global();
-            const std::uint64_t edges = w.sink.pool.size();
-            p.transitions_total.fetch_add(edges - seen_edges,
-                                          std::memory_order_relaxed);
-            seen_edges = edges;
-            obs::Progress::raise(p.nodes_total,
-                                 live.nodes_base + table.size() - prefix_nodes);
-          }
           if (!ok) exhausted.store(true, std::memory_order_relaxed);
         }
-        if (slot != nullptr) {
-          slot->busy.store(0, std::memory_order_relaxed);
-          const std::uint64_t cas_retries = w.ex.tally().cas_retries;
-          slot->cas_retries.fetch_add(cas_retries - seen_cas_retries,
-                                      std::memory_order_relaxed);
-          seen_cas_retries = cas_retries;
-        }
-        // Level boundary: drain canonicalization tallies so heartbeat
-        // snapshots see them move while the run is live.
+        // Level boundary: drain this worker's canonicalization tallies
+        // into the metrics registry.
         if (sym != nullptr) {
           add_canon_metrics(*w.ex.canon_scratch(), &canon_seen);
         }
@@ -1314,12 +1220,6 @@ StatusOr<ConfigGraph> Explorer::explore_parallel(
   while (!frontier.empty() && !exhausted.load(std::memory_order_relaxed)) {
     // Top of loop == level boundary: workers quiescent, every level < depth
     // fully expanded, `frontier` holding exactly the depth-`depth` nodes.
-    if (live.on) {
-      std::uint64_t session_edges = 0;
-      for (const ParallelWorker& w : workers) session_edges += w.sink.pool.size();
-      live.publish(table.size() - prefix_nodes, session_edges, depth,
-                   frontier.size());
-    }
     const std::uint32_t session_levels = depth - seed.start_depth;
     if (stop_reason(options, session_levels) != StopReason::kNone) {
       interrupted = true;
@@ -1413,9 +1313,6 @@ StatusOr<ConfigGraph> Explorer::explore_parallel(
   add_stable_counters(built, graph, seed, options.resume == nullptr,
                       trimmed ? graph.levels_completed_
                               : std::numeric_limits<std::uint32_t>::max());
-  live.publish(graph.nodes_.size() - prefix_nodes,
-               graph.transition_count() - seed.base_transitions,
-               graph.levels_completed_, graph.pending_frontier_.size());
   record_graph_metrics(graph);
   return graph;
 }

@@ -146,8 +146,7 @@ struct FuzzReport {
 // INVALID_ARGUMENT names the offending knob, in the same style as the
 // checkpoint wrong-run errors. fuzz_safety itself treats a bad combination
 // as a contract violation (LBSA_CHECK); callers that accept external
-// options (the CLIs, via run_fuzz_task) validate here first and surface the
-// Status.
+// options validate here first and surface the Status.
 Status validate_fuzz_options(const FuzzOptions& options);
 
 // Safety predicate factories (shared by the fuzzers, the shrinker, and the

@@ -114,50 +114,6 @@ Status check_metric_group(const JsonValue& group, const std::string& where) {
   return Status::ok();
 }
 
-// The optional sections.timeseries object mirroring a heartbeat stream:
-// run_id + interval + parallel arrays, one entry per captured tick.
-Status check_timeseries_section(const JsonValue& ts) {
-  if (!ts.is_object()) {
-    return schema_error("sections.timeseries not an object");
-  }
-  const JsonValue* run_id = ts.find("run_id");
-  if (run_id == nullptr || !run_id->is_string() ||
-      run_id->string_value.empty()) {
-    return schema_error("sections.timeseries.run_id missing or empty");
-  }
-  const JsonValue* interval = ts.find("interval_ms");
-  if (interval == nullptr || !interval->is_number() ||
-      !interval->number_is_integer || interval->int_value < 1) {
-    return schema_error(
-        "sections.timeseries.interval_ms missing or not a positive integer");
-  }
-  const JsonValue* ticks = ts.find("ticks");
-  if (ticks == nullptr || !ticks->is_number() || !ticks->number_is_integer ||
-      ticks->int_value < 0) {
-    return schema_error(
-        "sections.timeseries.ticks missing or not a non-negative integer");
-  }
-  for (const char* field :
-       {"uptime_ms", "nodes_total", "frontier_size", "nodes_per_sec"}) {
-    const JsonValue* arr = ts.find(field);
-    if (arr == nullptr || !arr->is_array()) {
-      return schema_error(std::string("sections.timeseries.") + field +
-                          " missing or not an array");
-    }
-    if (arr->array.size() != static_cast<std::size_t>(ticks->int_value)) {
-      return schema_error(std::string("sections.timeseries.") + field +
-                          " length != ticks");
-    }
-    for (const JsonValue& v : arr->array) {
-      if (!v.is_number()) {
-        return schema_error(std::string("sections.timeseries.") + field +
-                            " element not a number");
-      }
-    }
-  }
-  return Status::ok();
-}
-
 Status check_run_report_value(const JsonValue& root) {
   if (!root.is_object()) return schema_error("document not an object");
   const JsonValue* version = root.find("run_report_version");
@@ -200,11 +156,6 @@ Status check_run_report_value(const JsonValue& root) {
   const JsonValue* sections = root.find("sections");
   if (sections == nullptr || !sections->is_object()) {
     return schema_error("sections missing or not an object");
-  }
-  if (const JsonValue* ts = sections->find("timeseries"); ts != nullptr) {
-    if (Status status = check_timeseries_section(*ts); !status.is_ok()) {
-      return status;
-    }
   }
   // The explorer section's full-graph estimate (and the reduction ratio
   // derived from it) only counts visited orbits, so on a truncated or
@@ -287,15 +238,6 @@ Status validate_bench_artifact_json(std::string_view json) {
         return invalid_argument(
             "bench schema: benchmark engine not one of "
             "serial/parallel/auto");
-      }
-    }
-    // Obs-overhead rows: "obs" (when present) names which telemetry state
-    // the row was measured under.
-    if (const JsonValue* obs = row.find("obs"); obs != nullptr) {
-      if (!obs->is_string() || (obs->string_value != "heartbeat" &&
-                                obs->string_value != "disabled")) {
-        return invalid_argument(
-            "bench schema: benchmark obs not one of heartbeat/disabled");
       }
     }
     // Symmetry-cost rows: "sym_cost" (when present) names which side of the

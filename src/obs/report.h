@@ -19,18 +19,12 @@
 //                       "histograms": {...} }              // schedule-dep.
 //     },
 //     "sections": {
-//       "explorer": { "nodes": 441, ... },                 // tool-specific
-//       "timeseries": {                    // only when --heartbeat-out ran
-//         "run_id": "a1b2...", "interval_ms": 1000, "ticks": 3,
-//         "uptime_ms": [...], "nodes_total": [...],
-//         "frontier_size": [...], "nodes_per_sec": [...]
-//       }
+//       "explorer": { "nodes": 441, ... }                  // tool-specific
 //     }
 //   }
 //
-// v2 (heartbeat PR) added the per-histogram "quantiles" object (upper-bound
-// log2-bucket quantiles, see HistogramQuantiles in obs/metrics.h) and the
-// optional "timeseries" section mirroring the run's heartbeat stream.
+// v2 added the per-histogram "quantiles" object (upper-bound log2-bucket
+// quantiles, see HistogramQuantiles in obs/metrics.h).
 //
 // "params" and "sections" values are raw JSON supplied by the tool (built
 // with obs::JsonWriter). The stable metrics sections are byte-identical

@@ -14,6 +14,7 @@
 //     exact prefix of the uninterrupted exploration.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -26,7 +27,6 @@
 #include "modelcheck/corpus.h"
 #include "modelcheck/explorer.h"
 #include "modelcheck/fuzz.h"
-#include "obs/heartbeat.h"
 
 namespace lbsa::modelcheck {
 namespace {
@@ -436,87 +436,97 @@ TEST(FuzzCheckpoint, StaleFuzzCheckpointRejected) {
   small.runs = 5;
   EXPECT_EQ(validate_fuzz_resume(*task.protocol, small, cp.value()).code(),
             StatusCode::kFailedPrecondition);
+
+  // A schedule that does not parse, in the pool or in a violation: the
+  // fingerprint still matches, so only the reader can reject it (a resumed
+  // campaign used to abort on it).
+  const auto expect_read_rejects = [&](const FuzzCheckpoint& bad,
+                                       const std::string& field) {
+    const std::string path = temp_path("bad-schedule-fuzz.ckpt");
+    ASSERT_TRUE(write_fuzz_checkpoint(bad, path).is_ok());
+    const auto read = read_fuzz_checkpoint(path);
+    ASSERT_FALSE(read.is_ok()) << field;
+    EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(read.status().message().find(field), std::string::npos)
+        << read.status().to_string();
+  };
+  FuzzCheckpoint bad_pool = cp.value();
+  bad_pool.pool.push_back("this is not a schedule");
+  expect_read_rejects(bad_pool, "pool schedule");
+  FuzzCheckpoint bad_violation = cp.value();
+  bad_violation.violations.push_back(
+      {"agreement", "detail", 1, "this is not a schedule", 3});
+  expect_read_rejects(bad_violation, "violation schedule");
 }
 
 // Regression: the BFS engines must poll cancellation and
 // deadlines INSIDE per-worker expansion chunks, not just at level
 // boundaries. Before the fix, a cancel landing mid-level ran to the end of
 // the level — on a wide level, thousands of expansions after the request.
-// The watcher trips the token from live Progress (not wall clock), so the
-// test is schedule-robust: it cancels once exploration is provably inside
-// the widest level, then asserts the engine stopped well before finishing
-// it, AND that the rolled-back result is bit-identical to a fresh run
-// stopped at the same level boundary.
+// The cancel is tripped from inside the run, so the test does not depend on
+// thread scheduling: a flag function that returns its input unchanged
+// counts its calls (one per emitted transition, in both engines) and
+// cancels at a count that lies provably inside the widest level. The test
+// then asserts the engine stopped well before finishing that level, AND
+// that the rolled-back result is bit-identical to a fresh run stopped at
+// the same level boundary.
 TEST(Lifecycle, MidLevelCancelBoundsWorkAndRollsBackCleanly) {
   const NamedTask task = get_task("dac5");
   const ConfigGraph full = explore_or_die(task, {});
 
-  // Cumulative node count by depth; pick the depth whose EXPANSION yields
-  // the most new nodes — the widest window for a mid-level cancel.
-  std::vector<std::uint64_t> count;
-  for (const Node& node : full.nodes()) {
-    if (node.depth >= count.size()) count.resize(node.depth + 1, 0);
-    ++count[node.depth];
+  // Transitions emitted by expanding each BFS level; pick the level whose
+  // expansion emits the most — the widest window for a mid-level cancel.
+  std::vector<std::uint64_t> level_calls;
+  for (std::uint32_t id = 0; id < full.nodes().size(); ++id) {
+    const std::uint32_t depth = full.nodes()[id].depth;
+    if (depth >= level_calls.size()) level_calls.resize(depth + 1, 0);
+    level_calls[depth] += full.edges()[id].size();
   }
-  std::size_t widest = 0;  // expanding level `widest` interns count[widest+1]
-  for (std::size_t d = 0; d + 1 < count.size(); ++d) {
-    if (count[d + 1] > count[widest + 1]) widest = d;
+  std::size_t widest = 0;
+  for (std::size_t d = 0; d < level_calls.size(); ++d) {
+    if (level_calls[d] > level_calls[widest]) widest = d;
   }
-  std::uint64_t before = 0;  // nodes interned when level `widest` opens
-  for (std::size_t d = 0; d <= widest; ++d) before += count[d];
-  const std::uint64_t yield = count[widest + 1];
-  ASSERT_GT(yield, 4000u) << "task too small to expose mid-level latency";
+  std::uint64_t before = 0;  // flag-function calls when level `widest` opens
+  for (std::size_t d = 0; d < widest; ++d) before += level_calls[d];
+  const std::uint64_t yield = level_calls[widest];  // 21,017 on dac5
   // Cancel once exploration is provably inside the widest level.
-  const std::uint64_t threshold = before + 500;
-  // Work tolerated AFTER the cancel store is visible: per-worker chunk
-  // granularity plus the engines' publication lag (serial publishes every
-  // 512 pops, the parallel engine every 64-item chunk per worker). The
-  // pre-fix engines ran to the end of the level — `yield` more nodes, an
-  // order of magnitude past this. Measured against the progress counter AT
-  // the cancel, the bound is independent of how promptly the watcher
-  // thread got scheduled.
+  const std::uint64_t trip = before + 2000;
+  // Calls tolerated after the cancel: the engines poll every kChunk (64)
+  // expansions per worker, so each of the 4 workers finishes at most one
+  // chunk of at most 5 transitions per node (dac5 has 5 processes) — 1,280
+  // calls. The pre-fix engines ran to the end of the level — `yield` - 2000
+  // more calls, an order of magnitude past this.
   const std::uint64_t kPostCancelSlack = 2500;
-  ASSERT_GT(yield, kPostCancelSlack + 1500u);
+  ASSERT_GT(yield, trip - before + 4 * kPostCancelSlack)
+      << "task too small to expose mid-level latency";
 
   for (const auto engine : {ExploreEngine::kSerial, ExploreEngine::kParallel}) {
     SCOPED_TRACE(static_cast<int>(engine));
-    obs::Progress& progress = obs::Progress::global();
-    progress.reset();
-    obs::set_heartbeat_enabled(true);  // engines publish live Progress
-
     CancelToken cancel;
+    std::atomic<std::uint64_t> calls{0};
+    const Explorer::FlagFn cancel_inside_widest_level =
+        [&](std::int64_t flag, const sim::Step&) {
+          if (calls.fetch_add(1, std::memory_order_relaxed) + 1 == trip) {
+            cancel.cancel();
+          }
+          return flag;
+        };
     ExploreOptions opts;
     opts.engine = engine;
     opts.threads = engine == ExploreEngine::kSerial ? 1 : 4;
     opts.cancel = &cancel;
-    StatusOr<ConfigGraph> partial_or = internal_error("run never finished");
-    std::thread runner([&] {
-      Explorer explorer(task.protocol);
-      partial_or = explorer.explore(opts);
-    });
-    // Spin until the engine is provably mid-level, then cancel. Terminates
-    // even without the fix: nodes_total is monotone and reaches the full
-    // graph size, which exceeds the threshold.
-    while (progress.nodes_total.load(std::memory_order_relaxed) < threshold) {
-      std::this_thread::yield();
-    }
-    cancel.cancel();
-    const std::uint64_t at_cancel =
-        progress.nodes_total.load(std::memory_order_relaxed);
-    runner.join();
-    const std::uint64_t interned =
-        progress.nodes_total.load(std::memory_order_relaxed);
-    obs::set_heartbeat_enabled(false);
-
+    Explorer explorer(task.protocol);
+    auto partial_or = explorer.explore(opts, cancel_inside_widest_level);
     ASSERT_TRUE(partial_or.is_ok()) << partial_or.status().to_string();
     const ConfigGraph& partial = partial_or.value();
     ASSERT_TRUE(partial.interrupted());
-    // The regression bite: a level-boundary-only poll keeps interning until
-    // the level is done — `yield`-ish nodes past the cancel. The fixed
-    // engines stop within a chunk per worker.
-    EXPECT_LE(interned - at_cancel, kPostCancelSlack)
+    // The regression bite: a level-boundary-only poll keeps expanding until
+    // the level is done. The fixed engines stop within a chunk per worker.
+    const std::uint64_t total = calls.load();
+    ASSERT_GE(total, trip);
+    EXPECT_LE(total - trip, kPostCancelSlack)
         << "engine kept expanding a wide level after cancellation"
-        << " (at_cancel=" << at_cancel << " final=" << interned << ")";
+        << " (cancelled at call " << trip << ", final " << total << ")";
 
     // Rollback correctness: the interrupted graph is the exact result of
     // stopping at the same level boundary on purpose.

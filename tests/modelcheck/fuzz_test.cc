@@ -205,8 +205,8 @@ TEST(Fuzz, ViolationsCarryRawAndShrunkSchedules) {
 // lifecycle knobs (its claim order is thread-scheduling dependent, so it
 // has no resumable boundary) — a blind campaign launched with a
 // checkpoint_path ran to completion with no checkpoint and no error.
-// External callers (the CLIs, via run_fuzz_task) now validate first and
-// must get INVALID_ARGUMENT naming the offending knob.
+// External callers now validate first and must get INVALID_ARGUMENT naming
+// the offending knob.
 TEST(Fuzz, ValidateOptionsRejectsBlindLifecycleKnobs) {
   FuzzOptions blind;
   blind.coverage_guided = false;

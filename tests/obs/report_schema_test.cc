@@ -130,9 +130,7 @@ TEST(RunReportSchema, RejectsReductionRatioOnIncompleteGraphs) {
   }
 }
 
-// v2 additions: every histogram row must carry a quantiles object, and the
-// optional sections.timeseries (heartbeat samples folded into the report)
-// must be internally consistent.
+// v2 addition: every histogram row must carry a quantiles object.
 TEST(RunReportSchema, RequiresHistogramQuantiles) {
   std::string json = sample_report().to_json();
   ASSERT_NE(json.find("\"quantiles\""), std::string::npos);
@@ -155,37 +153,6 @@ TEST(RunReportSchema, RejectsDisorderedQuantiles) {
   ASSERT_NE(json.find(needle), std::string::npos);
   json.replace(json.find(needle), needle.size(), "\"p90\":3");
   EXPECT_FALSE(validate_run_report_json(json).is_ok());
-}
-
-TEST(RunReportSchema, AcceptsAndRejectsTimeseriesSection) {
-  auto with_timeseries = [](const std::string& ts_json) {
-    RunReport report = sample_report();
-    report.sections.emplace_back("timeseries", ts_json);
-    return report.to_json();
-  };
-  const Status good = validate_run_report_json(with_timeseries(
-      "{\"run_id\":\"0123456789abcdef\",\"interval_ms\":1000,\"ticks\":2,"
-      "\"uptime_ms\":[1000,2000],\"nodes_total\":[10,20],"
-      "\"frontier_size\":[4,0],\"nodes_per_sec\":[10.0,10.0]}"));
-  EXPECT_TRUE(good.is_ok()) << good.to_string();
-  // Array length disagrees with ticks.
-  EXPECT_FALSE(validate_run_report_json(with_timeseries(
-                   "{\"run_id\":\"0123456789abcdef\",\"interval_ms\":1000,"
-                   "\"ticks\":2,\"uptime_ms\":[1000],\"nodes_total\":[10,20],"
-                   "\"frontier_size\":[4,0],\"nodes_per_sec\":[10.0,10.0]}"))
-                   .is_ok());
-  // Empty run_id.
-  EXPECT_FALSE(validate_run_report_json(with_timeseries(
-                   "{\"run_id\":\"\",\"interval_ms\":1000,\"ticks\":0,"
-                   "\"uptime_ms\":[],\"nodes_total\":[],"
-                   "\"frontier_size\":[],\"nodes_per_sec\":[]}"))
-                   .is_ok());
-  // interval below 1ms.
-  EXPECT_FALSE(validate_run_report_json(with_timeseries(
-                   "{\"run_id\":\"0123456789abcdef\",\"interval_ms\":0,"
-                   "\"ticks\":0,\"uptime_ms\":[],\"nodes_total\":[],"
-                   "\"frontier_size\":[],\"nodes_per_sec\":[]}"))
-                   .is_ok());
 }
 
 TEST(BenchArtifactSchema, AcceptsMergedArtifactAndRejectsBadRows) {

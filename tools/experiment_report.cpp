@@ -9,7 +9,7 @@
 // files, so stdout stays the reproducible document).
 //
 // Timing-sensitive results (throughput, scaling) intentionally live in the
-// bench binaries instead; see bench_output.txt.
+// bench binaries instead; see BENCH_modelcheck.json and perfbench/.
 
 #include <cstdio>
 #include <memory>
@@ -29,7 +29,6 @@
 #include "obs/json.h"
 #include "protocols/ben_or.h"
 #include "protocols/classic_consensus.h"
-#include "protocols/dac_from_nm_pac.h"
 #include "protocols/dac_from_pac.h"
 #include "protocols/flp_race.h"
 #include "protocols/one_shot.h"
@@ -268,28 +267,9 @@ void e5_nmpac() {
   std::printf("## E5 — Section 5: the (n,m)-PAC object (Theorem 5.3 "
               "positive half, Observation 5.1, Theorem 7.1 constructive "
               "step)\n\n");
-  std::printf("| claim | instance | result |\n|---|---|---|\n");
-  for (const auto& [n, m] : {std::pair{3, 2}, std::pair{4, 3}}) {
-    const auto inputs = iota_inputs(m);
-    std::printf("| (n,m)-PAC solves m-consensus (Obs 5.1(c)) | (%d,%d)-PAC "
-                "| %s |\n",
-                n, m,
-                consensus_cell(lbsa::protocols::make_consensus_via_nm_pac(
-                                   n, m, inputs),
-                               inputs, true)
-                    .c_str());
-  }
-  for (const auto& [n, m] : {std::pair{3, 2}, std::pair{4, 2}}) {
-    const auto inputs = iota_inputs(n);
-    std::printf("| (n,m)-PAC solves n-DAC (Obs 5.1(b) / Thm 7.1) | "
-                "(%d,%d)-PAC | %s |\n",
-                n, m,
-                dac_cell(std::make_shared<
-                             lbsa::protocols::DacFromNmPacProtocol>(inputs, m),
-                         inputs, true)
-                    .c_str());
-  }
-  std::printf("\n");
+  std::printf("Checked for every (n,m)-PAC with 2 ≤ n ≤ 6 in "
+              "`HIERARCHY.json` (m-consensus for every p ≤ m and n-DAC, all "
+              "schedules; regenerate with `tools/hierarchy_report.sh`).\n\n");
 }
 
 void e6_implementations() {
@@ -573,7 +553,8 @@ void e10_meta() {
                 mark(fuzz.violates("agreement")));
   }
   std::printf("\nChecker timing series live in `bench_modelcheck` and "
-              "`bench_lincheck` (see bench_output.txt).\n\n");
+              "`bench_lincheck` (see `BENCH_modelcheck.json` and "
+              "`perfbench/`).\n\n");
 }
 
 void e11_hierarchy() {
@@ -719,7 +700,8 @@ int main(int argc, char** argv) {
       "units are its theorems, algorithms, and object specifications; the "
       "experiment ids below follow DESIGN.md §3. Timing/throughput series "
       "are produced by the `bench_*` binaries (captured in "
-      "`bench_output.txt`).\n\n"
+      "`BENCH_modelcheck.json`) and by the time-to-verdict benchmark in "
+      "`perfbench/`.\n\n"
       "Legend: *pass* = the paper's claim verified mechanically; for "
       "impossibility results (which quantify over all algorithms and are "
       "not machine-checkable), *pass* on a control row means the checker "

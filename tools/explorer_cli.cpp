@@ -11,12 +11,9 @@
 //                  [--checkpoint PATH] [--checkpoint-every N]
 //                  [--resume PATH]
 //                  [--metrics-json PATH] [--trace-out PATH]
-//                  [--heartbeat-out PATH] [--heartbeat-every S]
 //
 // --metrics-json writes a versioned RunReport (docs/observability.md);
 // --trace-out writes a chrome://tracing timeline with one lane per worker.
-// --heartbeat-out streams one JSON heartbeat line per --heartbeat-every
-// seconds (default 1) while the run is in flight; `lbsa_watch` tails it.
 // Exploration is deterministic for every thread count / engine, so the
 // RunReport's stable metrics compare byte-identical across configurations —
 // the obs determinism test drives this binary at threads=1/2/8 and diffs
@@ -51,7 +48,6 @@
 #include "modelcheck/checkpoint.h"
 #include "modelcheck/corpus.h"
 #include "modelcheck/explorer.h"
-#include "modelcheck/run_task.h"
 #include "obs/cli.h"
 #include "obs/json.h"
 
@@ -68,9 +64,8 @@ int usage() {
       "                    [--canon-cache-bytes N]\n"
       "                    [--deadline-s S] [--max-levels N]\n"
       "                    [--checkpoint PATH] [--checkpoint-every N]\n"
-      "                    [--resume PATH] [--run-nonce NONCE]\n"
-      "                    [--metrics-json PATH] [--trace-out PATH]\n"
-      "                    [--heartbeat-out PATH] [--heartbeat-every S]\n");
+      "                    [--resume PATH]\n"
+      "                    [--metrics-json PATH] [--trace-out PATH]\n");
   return 2;
 }
 
@@ -110,7 +105,6 @@ int main(int argc, char** argv) {
   modelcheck::ExploreOptions options;
   options.threads = 1;
   std::string resume_path;
-  std::string run_nonce;
   obs::ObsCli obs_cli("explorer_cli");
   for (int i = 2; i < argc; ++i) {
     auto next_arg = [&](const char* flag) -> const char* {
@@ -168,8 +162,6 @@ int main(int argc, char** argv) {
               UINT32_MAX));
     } else if (!std::strcmp(argv[i], "--resume")) {
       resume_path = next_arg("--resume");
-    } else if (!std::strcmp(argv[i], "--run-nonce")) {
-      run_nonce = next_arg("--run-nonce");
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return usage();
@@ -192,66 +184,126 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, on_sigint);
   options.cancel = &g_cancel;
 
-  if (obs_cli.heartbeat_requested()) {
-    if (options.resume != nullptr) {
-      // Seed the cumulative counters with the checkpoint's totals so the
-      // resumed stream continues monotonically from where the interrupted
-      // session's heartbeats left off.
-      obs::Progress& progress = obs::Progress::global();
-      progress.nodes_total.store(checkpoint.node_words.size(),
-                                 std::memory_order_relaxed);
-      progress.transitions_total.store(checkpoint.transition_count,
-                                       std::memory_order_relaxed);
-      progress.levels_completed.store(checkpoint.levels_completed,
-                                      std::memory_order_relaxed);
-      progress.frontier_size.store(checkpoint.frontier.size(),
-                                   std::memory_order_relaxed);
-    }
-    // Stable across engines/threads AND across resume (same task + budget),
-    // so the appended stream validates as a continuation. --run-nonce
-    // disambiguates otherwise-identical concurrent runs sharing a stream
-    // namespace; pass the same nonce when resuming such a run.
-    const std::string run_id = obs::derive_run_id(
-        "explorer_cli", task.name,
-        modelcheck::reduction_name(options.reduction), options.max_nodes,
-        run_nonce);
-    if (const Status s = obs_cli.start_heartbeat(task.name, run_id);
-        !s.is_ok()) {
-      std::fprintf(stderr, "%s\n", s.to_string().c_str());
-      return 1;
-    }
-  }
-
-  // run_explore_task owns the exploration and the deterministic outputs
-  // (summary text, RunReport skeleton); the CLI keeps the rest:
-  // wall-clock timing, obs finalization, stderr, exit code.
-  modelcheck::ExploreTaskSpec spec;
-  spec.options = std::move(options);
-  spec.resumed_from = resume_path;
   const auto t0 = std::chrono::steady_clock::now();
-  modelcheck::TaskRunResult result = modelcheck::run_explore_task(task, spec);
+  modelcheck::Explorer explorer(task.protocol);
+  auto graph_or = explorer.explore(options);
+  if (!graph_or.is_ok()) {
+    std::fprintf(stderr, "%s: %s\n", task.name.c_str(),
+                 graph_or.status().to_string().c_str());
+    return 1;
+  }
+  const modelcheck::ConfigGraph& graph = graph_or.value();
+  // Truncated and interrupted graphs are incomplete: the full-graph estimate
+  // only covers visited orbits, so the reduction ratio would understate the
+  // reduction (or divide nonsense) — omit it rather than mislead.
+  const bool complete = !graph.truncated() && !graph.interrupted();
+
+  std::uint32_t max_depth = 0;
+  for (const modelcheck::Node& node : graph.nodes()) {
+    if (node.depth > max_depth) max_depth = node.depth;
+  }
+  std::printf("%s: %zu nodes, %llu transitions, depth %u%s%s\n",
+              task.name.c_str(), graph.nodes().size(),
+              static_cast<unsigned long long>(graph.transition_count()),
+              max_depth, graph.truncated() ? " (truncated)" : "",
+              graph.interrupted() ? " (interrupted)" : "");
+  if (graph.interrupted()) {
+    const std::string resume_hint =
+        options.checkpoint_path.empty()
+            ? ""
+            : "; resume with --resume " + options.checkpoint_path;
+    std::printf("  interrupted after %u levels, %zu nodes pending%s\n",
+                graph.levels_completed(), graph.pending_frontier().size(),
+                resume_hint.c_str());
+  }
+  if (options.reduction != modelcheck::Reduction::kNone && complete &&
+      !graph.nodes().empty()) {
+    const std::uint64_t full_estimate = graph.full_node_estimate();
+    std::printf("  reduction=%s: >=%llu full-graph nodes, ratio %.2fx\n",
+                modelcheck::reduction_name(graph.reduction()),
+                static_cast<unsigned long long>(full_estimate),
+                static_cast<double>(full_estimate) /
+                    static_cast<double>(graph.nodes().size()));
+  }
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  if (!result.report_valid) {
-    std::fprintf(stderr, "%s\n", result.error.c_str());
-    return result.exit_code;
-  }
-  std::fputs(result.human.c_str(), stdout);
   // Wall-clock rate, stdout only: the RunReport's stable sections must stay
   // byte-identical across runs, so timing never lands in --metrics-json
   // (beyond the existing volatile wall_seconds field).
   std::printf("  elapsed %.6f s, %.0f nodes/s\n", elapsed,
               elapsed > 0.0
-                  ? static_cast<double>(result.work_items) / elapsed
+                  ? static_cast<double>(graph.nodes().size()) / elapsed
                   : 0.0);
 
-  if (const Status s = obs_cli.finish(&result.report); !s.is_ok()) {
+  obs::RunReport report;
+  report.task = task.name;
+  report.params = {
+      {"threads", std::to_string(options.threads)},
+      // How many cores the host actually had: bench rows that claim a
+      // parallel speedup are uninterpretable without it.
+      {"threads_available",
+       std::to_string(std::thread::hardware_concurrency())},
+      {"engine",
+       "\"" + std::string(modelcheck::engine_name(options.engine)) + "\""},
+      {"max_nodes", std::to_string(options.max_nodes)},
+      {"allow_truncation", options.allow_truncation ? "true" : "false"},
+      {"reduction",
+       "\"" + std::string(modelcheck::reduction_name(options.reduction)) +
+           "\""},
+  };
+  if (!resume_path.empty()) {
+    report.params.emplace_back(
+        "resumed_from", "\"" + obs::json_escape(resume_path) + "\"");
+  }
+  {
+    obs::JsonWriter w;
+    w.begin_object();
+    w.key("nodes");
+    w.value_uint(graph.nodes().size());
+    w.key("transitions");
+    w.value_uint(graph.transition_count());
+    w.key("max_depth");
+    w.value_uint(max_depth);
+    w.key("truncated");
+    w.value_bool(graph.truncated());
+    w.key("interrupted");
+    w.value_bool(graph.interrupted());
+    w.key("levels_completed");
+    w.value_uint(graph.levels_completed());
+    w.key("reduction");
+    w.value_string(modelcheck::reduction_name(graph.reduction()));
+    // The engine that actually ran (kAuto resolves to one of the concrete
+    // engines; auto_switched records a mid-run serial->parallel handoff).
+    w.key("engine_used");
+    w.value_string(modelcheck::engine_name(graph.engine_used()));
+    w.key("auto_switched");
+    w.value_bool(graph.auto_switched());
+    // Only on complete graphs (see `complete` above): the schema validator
+    // rejects a ratio sitting next to truncated/interrupted = true.
+    if (complete && !graph.nodes().empty()) {
+      const std::uint64_t full_estimate = graph.full_node_estimate();
+      w.key("nodes_full_estimate");
+      w.value_uint(full_estimate);
+      w.key("reduction_ratio");
+      w.value_double(static_cast<double>(full_estimate) /
+                     static_cast<double>(graph.nodes().size()));
+    }
+    w.end_object();
+    report.sections.emplace_back("explorer", std::move(w).str());
+  }
+  if (const Status s = obs_cli.finish(&report); !s.is_ok()) {
     std::fprintf(stderr, "%s\n", s.to_string().c_str());
     return 1;
   }
-  if (!result.error.empty()) {
-    std::fprintf(stderr, "%s\n", result.error.c_str());
+  if (graph.interrupted()) return 4;
+  if (graph.truncated()) {
+    std::fprintf(stderr,
+                 "%s: truncated at --max-nodes: property verdicts that rely "
+                 "on absence (no violation found) are unsound on a partial "
+                 "graph\n",
+                 task.name.c_str());
+    return 3;
   }
-  return result.exit_code;
+  return 0;
 }

@@ -10,12 +10,10 @@
 //                     [--checkpoint PATH] [--checkpoint-every N]
 //                     [--resume PATH]
 //                     [--metrics-json PATH] [--trace-out PATH]
-//                     [--heartbeat-out PATH] [--heartbeat-every S]
 //
 // Without --out, found schedules are printed to stdout. --metrics-json
 // writes a versioned RunReport (docs/observability.md); --trace-out writes
-// a chrome://tracing timeline. --heartbeat-out streams one JSON heartbeat
-// line per --heartbeat-every seconds (default 1); `lbsa_watch` tails it.
+// a chrome://tracing timeline.
 //
 // Long campaigns (docs/checking.md, "Long runs"): SIGINT (or --deadline-s /
 // --stop-after-runs) stops the campaign at the next run boundary; with
@@ -48,7 +46,7 @@
 #include "modelcheck/cancel.h"
 #include "modelcheck/checkpoint.h"
 #include "modelcheck/corpus.h"
-#include "modelcheck/run_task.h"
+#include "modelcheck/fuzz.h"
 #include "obs/cli.h"
 #include "obs/json.h"
 
@@ -62,9 +60,8 @@ int usage() {
       "                       [--coverage] [--max-violations V] [--out DIR]\n"
       "                       [--deadline-s S] [--stop-after-runs N]\n"
       "                       [--checkpoint PATH] [--checkpoint-every N]\n"
-      "                       [--resume PATH] [--run-nonce NONCE]\n"
-      "                       [--metrics-json PATH] [--trace-out PATH]\n"
-      "                       [--heartbeat-out PATH] [--heartbeat-every S]\n");
+      "                       [--resume PATH]\n"
+      "                       [--metrics-json PATH] [--trace-out PATH]\n");
   return 2;
 }
 
@@ -106,7 +103,6 @@ int main(int argc, char** argv) {
   options.runs = 2000;
   const char* out_dir = nullptr;
   std::string resume_path;
-  std::string run_nonce;
   obs::ObsCli obs_cli("fuzz_shrink_cli");
   for (int i = 2; i < argc; ++i) {
     auto next_arg = [&](const char* flag) -> const char* {
@@ -153,8 +149,6 @@ int main(int argc, char** argv) {
           UINT64_MAX);
     } else if (!std::strcmp(argv[i], "--resume")) {
       resume_path = next_arg("--resume");
-    } else if (!std::strcmp(argv[i], "--run-nonce")) {
-      run_nonce = next_arg("--run-nonce");
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return usage();
@@ -193,35 +187,24 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, on_sigint);
   options.cancel = &g_cancel;
 
-  if (obs_cli.heartbeat_requested()) {
-    // Stable across threads and resume: a resumed campaign (same task,
-    // engine, and budget) appends to the same stream as a continuation.
-    // --run-nonce disambiguates otherwise-identical concurrent campaigns;
-    // pass the same nonce when resuming such a campaign.
-    const std::string run_id = obs::derive_run_id(
-        "fuzz_shrink_cli", task.name,
-        options.coverage_guided ? "coverage" : "blind", options.runs,
-        run_nonce);
-    if (const Status s = obs_cli.start_heartbeat(task.name, run_id);
-        !s.is_ok()) {
-      std::fprintf(stderr, "%s\n", s.to_string().c_str());
-      return 1;
-    }
+  const modelcheck::FuzzReport report =
+      modelcheck::fuzz_named_task(task, options);
+  std::printf("%s: %llu runs (%llu terminated), %llu distinct fingerprints, "
+              "%llu interesting, %llu mutated, %zu violations "
+              "(%llu shrink replays)%s\n",
+              task.name.c_str(),
+              static_cast<unsigned long long>(report.runs_executed),
+              static_cast<unsigned long long>(report.runs_terminated),
+              static_cast<unsigned long long>(report.distinct_fingerprints),
+              static_cast<unsigned long long>(report.interesting_runs),
+              static_cast<unsigned long long>(report.mutated_runs),
+              report.violations.size(),
+              static_cast<unsigned long long>(report.shrink_replays),
+              report.interrupted ? " [interrupted]" : "");
+  if (report.interrupted && !options.checkpoint_path.empty() &&
+      report.checkpoint_error.empty()) {
+    std::printf("  resume with --resume %s\n", options.checkpoint_path.c_str());
   }
-
-  // run_fuzz_task owns the campaign and the deterministic outputs (summary
-  // text, RunReport skeleton); the CLI keeps the rest: obs
-  // finalization, stderr, corpus emission, exit code.
-  modelcheck::FuzzTaskSpec spec;
-  spec.options = std::move(options);
-  spec.resumed_from = resume_path;
-  modelcheck::FuzzTaskRunResult result = modelcheck::run_fuzz_task(task, spec);
-  if (!result.report_valid) {
-    std::fprintf(stderr, "%s\n", result.error.c_str());
-    return result.exit_code;
-  }
-  const modelcheck::FuzzReport& report = result.fuzz;
-  std::fputs(result.human.c_str(), stdout);
 
   // An interrupted campaign is an incomplete sample: don't judge the task
   // expectation on it (exit 4 below instead).
@@ -234,10 +217,48 @@ int main(int argc, char** argv) {
                  report.violations.size());
   }
 
+  obs::RunReport run_report;
+  run_report.task = task.name;
+  run_report.params = {
+      {"runs", std::to_string(options.runs)},
+      {"seed", std::to_string(report.seed)},
+      {"threads", std::to_string(report.threads)},
+      {"engine", "\"" + report.engine + "\""},
+      {"max_violations", std::to_string(options.max_violations)},
+  };
+  if (!resume_path.empty()) {
+    run_report.params.emplace_back(
+        "resumed_from", "\"" + obs::json_escape(resume_path) + "\"");
+  }
+  {
+    obs::JsonWriter w;
+    w.begin_object();
+    w.key("runs_executed");
+    w.value_uint(report.runs_executed);
+    w.key("runs_terminated");
+    w.value_uint(report.runs_terminated);
+    w.key("distinct_fingerprints");
+    w.value_uint(report.distinct_fingerprints);
+    w.key("interesting_runs");
+    w.value_uint(report.interesting_runs);
+    w.key("mutated_runs");
+    w.value_uint(report.mutated_runs);
+    w.key("shrink_replays");
+    w.value_uint(report.shrink_replays);
+    w.key("violations");
+    w.value_uint(report.violations.size());
+    w.key("interrupted");
+    w.value_bool(report.interrupted);
+    w.key("expected_outcome");
+    w.value_bool(expected);
+    w.end_object();
+    run_report.sections.emplace_back("fuzz", std::move(w).str());
+  }
+
   // Finalize obs artifacts BEFORE corpus emission: the emission loop has
   // internal-error exits, and an interrupted/failed campaign must still
   // leave complete, valid --metrics-json/--trace-out files behind.
-  if (const Status s = obs_cli.finish(&result.report); !s.is_ok()) {
+  if (const Status s = obs_cli.finish(&run_report); !s.is_ok()) {
     std::fprintf(stderr, "%s\n", s.to_string().c_str());
     return 1;
   }

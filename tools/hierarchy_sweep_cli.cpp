@@ -11,16 +11,13 @@
 //                         [--check-reduction none|por|both]
 //                         [--rows-json PATH] [--out PATH] [--markdown]
 //                         [--metrics-json PATH] [--trace-out PATH]
-//                         [--heartbeat-out PATH] [--heartbeat-every S]
 //
 // --rows-json writes the deterministic rows document (byte-identical across
 // engines, thread counts, and --check-reduction modes); --out writes the
 // full HIERARCHY.json artifact (rows + provenance), schema-checked by
 // `report_check hierarchy`. --markdown prints the consensus-power table.
 // --only N,M checks a single cell and prints its row document. The obs
-// flags match the other tools (shared ObsCli): --heartbeat-out streams live
-// telemetry across the whole sweep — the cumulative node/transition totals
-// accumulate over cells, so `lbsa_watch` shows sweep-wide progress.
+// flags match the other tools (shared ObsCli).
 //
 // Numeric flags (including both halves of --only) parse strictly: a value
 // that is not wholly a number in range is a usage error naming the flag.
@@ -56,9 +53,7 @@ int usage() {
       "                           [--check-reduction none|por|both]\n"
       "                           [--rows-json PATH] [--out PATH] "
       "[--markdown]\n"
-      "                           [--metrics-json PATH] [--trace-out PATH]\n"
-      "                           [--heartbeat-out PATH] "
-      "[--heartbeat-every S]\n");
+      "                           [--metrics-json PATH] [--trace-out PATH]\n");
   return 2;
 }
 
@@ -165,16 +160,6 @@ int main(int argc, char** argv) {
                            "(artifacts must cover the full grid)\n");
       return usage();
     }
-    if (const Status s = obs_cli.start_heartbeat(
-            "hierarchy",
-            obs::derive_run_id(
-                "hierarchy_sweep_cli", "hierarchy",
-                std::to_string(only_n) + "," + std::to_string(only_m),
-                options.max_nodes));
-        !s.is_ok()) {
-      std::fprintf(stderr, "%s\n", s.to_string().c_str());
-      return 1;
-    }
     auto row_or = core::run_hierarchy_row(only_n, only_m, options);
     if (!row_or.is_ok()) {
       std::fprintf(stderr, "%s\n", row_or.status().to_string().c_str());
@@ -206,17 +191,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     return row_or.value().ok() ? 0 : 3;
-  }
-
-  if (const Status s = obs_cli.start_heartbeat(
-          "hierarchy",
-          obs::derive_run_id("hierarchy_sweep_cli", "hierarchy",
-                             std::to_string(options.n_min) + ".." +
-                                 std::to_string(options.n_max),
-                             options.max_nodes));
-      !s.is_ok()) {
-    std::fprintf(stderr, "%s\n", s.to_string().c_str());
-    return 1;
   }
 
   auto result_or = core::run_hierarchy_sweep(options);

@@ -14,13 +14,7 @@
 # reasons no code change can fix. The measured ratio is still printed so
 # the log records what the host saw.
 #
-# A second gate bounds observability overhead: the same task explored with
-# a 1s heartbeat sampler attached must stay within MAX_OBS_OVERHEAD_PCT of
-# the LBSA_OBS_DISABLED baseline (docs/observability.md, "Overhead"). The
-# sampler reads relaxed atomics the engines publish at quiescence points,
-# so the expected cost is well under a percent; 2% leaves room for noise.
-#
-# A third gate asserts that symmetry reduction pays at wall-clock: the same
+# A second gate asserts that symmetry reduction pays at wall-clock: the same
 # task explored serially with --reduction symmetry must finish strictly
 # faster than with --reduction none (docs/checking.md, "State-space
 # reduction"). Serial and single-threaded on both sides, so this gate runs
@@ -30,7 +24,6 @@
 # Usage: tools/perf_smoke.sh [build-dir]
 #   MIN_RATIO             parallel gate threshold (default 1.0)
 #   PERF_TASK             task to run (default dac5)
-#   MAX_OBS_OVERHEAD_PCT  heartbeat overhead gate (default 2)
 #   SYM_TASK              symmetry-pays gate task (default dac5-sym; must
 #                         have a nontrivial symmetry group — plain dac5 has
 #                         distinct inputs, so its group is trivial and
@@ -72,8 +65,8 @@ echo "perf smoke ($PERF_TASK, $CORES cores):" \
      "serial=$SERIAL parallel(t4)=$PARALLEL parallel/serial=${RATIO}x"
 
 if (( CORES < 2 )); then
-  # The overhead gate below still runs: it compares like against like, so a
-  # timeshared core cancels out of the ratio.
+  # The symmetry gate below still runs: it is serial and single-threaded
+  # on both sides.
   echo "warn: single-core host; parallel-vs-serial gate skipped" >&2
 elif awk -v r="$RATIO" -v m="$MIN_RATIO" 'BEGIN { exit !(r < m) }'; then
   echo "error: parallel engine is ${RATIO}x serial (< ${MIN_RATIO}x)" >&2
@@ -81,54 +74,6 @@ elif awk -v r="$RATIO" -v m="$MIN_RATIO" 'BEGIN { exit !(r < m) }'; then
 else
   echo "ok: parallel >= ${MIN_RATIO}x serial"
 fi
-
-# --- heartbeat-overhead gate ------------------------------------------------
-MAX_OBS_OVERHEAD_PCT="${MAX_OBS_OVERHEAD_PCT:-2}"
-HB_TMP="$(mktemp -d)"
-trap 'rm -rf "$HB_TMP"' EXIT INT TERM
-
-# rate_obs MODE RUN -> nodes/sec of one run, with the heartbeat sampler
-# attached (mode=heartbeat, fresh stream per run) or the runtime kill
-# switch set (mode=disabled).
-rate_obs() {
-  local mode="$1" run="$2"
-  if [[ "$mode" == heartbeat ]]; then
-    "$EXPLORER" "$PERF_TASK" --threads 4 \
-        --heartbeat-out "$HB_TMP/$mode-$run.jsonl" \
-        --heartbeat-every 1 \
-      | sed -nE 's/^ *elapsed [0-9.]+ s, ([0-9]+) nodes\/s$/\1/p'
-  else
-    LBSA_OBS_DISABLED=1 "$EXPLORER" "$PERF_TASK" --threads 4 \
-      | sed -nE 's/^ *elapsed [0-9.]+ s, ([0-9]+) nodes\/s$/\1/p'
-  fi
-}
-
-# Best-of-3 per mode after one warmup each, with the two modes interleaved
-# within each round: loaded CI hosts drift through fast and slow windows
-# lasting longer than a whole batch, so back-to-back batches of one mode
-# each can land in different windows and report phantom overhead. Pairing
-# the modes per round keeps both sides in the same window.
-rate_obs heartbeat 0 > /dev/null
-rate_obs disabled 0 > /dev/null
-HB_RATE=0
-OFF_RATE=0
-for run in 1 2 3; do
-  r="$(rate_obs heartbeat "$run")"
-  if (( r > HB_RATE )); then HB_RATE="$r"; fi
-  r="$(rate_obs disabled "$run")"
-  if (( r > OFF_RATE )); then OFF_RATE="$r"; fi
-done
-OVERHEAD="$(awk -v h="$HB_RATE" -v o="$OFF_RATE" \
-                'BEGIN { printf("%.2f", (o > 0) ? (o - h) * 100.0 / o : 0) }')"
-echo "obs overhead ($PERF_TASK): heartbeat=$HB_RATE disabled=$OFF_RATE" \
-     "overhead=${OVERHEAD}%"
-if awk -v x="$OVERHEAD" -v m="$MAX_OBS_OVERHEAD_PCT" \
-       'BEGIN { exit !(x > m) }'; then
-  echo "error: heartbeat sampling costs ${OVERHEAD}% nodes/sec" \
-       "(> ${MAX_OBS_OVERHEAD_PCT}%)" >&2
-  exit 1
-fi
-echo "ok: heartbeat overhead <= ${MAX_OBS_OVERHEAD_PCT}%"
 
 # --- symmetry-pays gate -----------------------------------------------------
 SYM_TASK="${SYM_TASK:-dac5-sym}"

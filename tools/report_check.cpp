@@ -5,8 +5,6 @@
 //   ./report_check bench FILE...        # tools/run_report.sh BENCH artifact
 //   ./report_check hierarchy FILE...    # tools/hierarchy_report.sh HIERARCHY
 //   ./report_check trace FILE...        # --trace-out chrome://tracing JSON
-//   ./report_check heartbeat FILE...    # --heartbeat-out JSONL stream, or
-//                                       # an lbsa_watch --summary-json digest
 //
 // Exits 0 iff every file validates; prints one line per file. Used by
 // tools/run_report.sh to gate its merged artifact and handy for checking
@@ -17,7 +15,6 @@
 #include <sstream>
 #include <string>
 
-#include "obs/heartbeat.h"
 #include "obs/json.h"
 #include "obs/report.h"
 
@@ -28,8 +25,7 @@ int usage() {
                "usage: report_check run-report FILE...\n"
                "       report_check bench FILE...\n"
                "       report_check hierarchy FILE...\n"
-               "       report_check trace FILE...\n"
-               "       report_check heartbeat FILE...\n");
+               "       report_check trace FILE...\n");
   return 2;
 }
 
@@ -73,8 +69,7 @@ int main(int argc, char** argv) {
   if (argc < 3) return usage();
   const char* mode = argv[1];
   if (std::strcmp(mode, "run-report") != 0 && std::strcmp(mode, "bench") != 0 &&
-      std::strcmp(mode, "hierarchy") != 0 && std::strcmp(mode, "trace") != 0 &&
-      std::strcmp(mode, "heartbeat") != 0) {
+      std::strcmp(mode, "hierarchy") != 0 && std::strcmp(mode, "trace") != 0) {
     return usage();
   }
 
@@ -97,8 +92,6 @@ int main(int argc, char** argv) {
       s = obs::validate_bench_artifact_json(text);
     } else if (!std::strcmp(mode, "hierarchy")) {
       s = obs::validate_hierarchy_artifact_json(text);
-    } else if (!std::strcmp(mode, "heartbeat")) {
-      s = obs::validate_heartbeat_file(text);
     } else {
       s = validate_trace_json(text);
     }

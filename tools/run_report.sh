@@ -22,11 +22,8 @@
 # bench-sized tasks explored by every engine; threads_available records how
 # many cores the host really had, since a parallel-vs-serial comparison from
 # a 1-core CI box measures per-node overhead, not speedup. A fourth row
-# shape, {"task": "dac5", "obs": "heartbeat"|"disabled", ...}, is the
-# observability-overhead pair (docs/observability.md): the same exploration
-# once with a 1s heartbeat sampler attached and once under the
-# LBSA_OBS_DISABLED kill switch, so commits can diff what live telemetry
-# costs (tools/perf_smoke.sh gates the same pair at < 2%).
+# shape, {"task": "dac5-sym", "sym_cost": "none"|"symmetry", ...}, is the
+# symmetry-cost pair (tools/perf_smoke.sh gates the same comparison).
 #
 # Noise control: every row is run once as a cache/allocator warmup and then
 # three times, keeping the best nodes_per_sec — wall-clock rates from a
@@ -186,40 +183,6 @@ run_explorer() {
     run_explorer "$SYM_COST_TASK" 1 "$red" serial "$TMP/symcost-$red.json"
     printf ',{"task":"%s","sym_cost":"%s","threads":1' "$SYM_COST_TASK" "$red"
     printf ',"nodes":%s,"nodes_per_sec":%s}' "$NODES" "$NODES_PER_SEC"
-  done
-  # Obs-overhead pair: dac5 with a live 1s heartbeat vs the kill switch.
-  # Each timed run streams to a fresh file (appending across runs would mix
-  # unrelated sessions); the last stream is schema-checked so the row also
-  # proves the sampler emits a valid stream under load.
-  OBS_TASK="${OBS_TASK:-dac5}"
-  for mode in heartbeat disabled; do
-    best=0
-    for run in 0 1 2 3; do   # run 0 is the warmup
-      rc=0
-      if [[ "$mode" == heartbeat ]]; then
-        out="$(timeout "$ROW_TIMEOUT" \
-               "$EXPLORER" "$OBS_TASK" --threads 4 \
-               --heartbeat-out "$TMP/obs-hb-$run.jsonl" \
-               --heartbeat-every 1)" || rc=$?
-      else
-        out="$(LBSA_OBS_DISABLED=1 timeout "$ROW_TIMEOUT" \
-               "$EXPLORER" "$OBS_TASK" --threads 4)" || rc=$?
-      fi
-      if [[ $rc -ne 0 ]]; then
-        echo "error: obs-overhead row ($mode) exited $rc" >&2
-        exit 1
-      fi
-      NODES="$(sed -nE '1s/^[^:]+: ([0-9]+) nodes.*/\1/p' <<<"$out")"
-      rate="$(sed -nE \
-          's/^ *elapsed [0-9.]+ s, ([0-9]+) nodes\/s$/\1/p' <<<"$out")"
-      if [[ $run -gt 0 ]] && (( rate > best )); then best="$rate"; fi
-    done
-    if [[ "$mode" == heartbeat ]]; then
-      "$CHECK" heartbeat "$TMP/obs-hb-3.jsonl" >&2
-    fi
-    printf ',{"task":"%s","obs":"%s","threads":4,"threads_available":%d' \
-        "$OBS_TASK" "$mode" "$THREADS_AVAILABLE"
-    printf ',"nodes":%s,"nodes_per_sec":%s}' "$NODES" "$best"
   done
   printf '],"run_reports":{'
   first=1

@@ -5,14 +5,17 @@
 //
 //   ./schedule_replayer <protocol> <schedule-file> [--record <out-file>]
 //                       [--metrics-json PATH] [--trace-out PATH]
-//                       [--heartbeat-out PATH] [--heartbeat-every S]
 //   ./schedule_replayer <protocol> --random <seed> [--record <out-file>]
 //                       [--metrics-json PATH] [--trace-out PATH]
-//                       [--heartbeat-out PATH] [--heartbeat-every S]
 //
 // Protocol names resolve through the modelcheck/corpus.h registry (the same
-// keys tools/fuzz_shrink_cli uses — run `fuzz_shrink_cli --list`); a few
-// legacy aliases from before the registry existed are kept below.
+// keys tools/fuzz_shrink_cli uses — run `fuzz_shrink_cli --list`).
+//
+// Exit codes:
+//   0  replayed (and recorded, with --record)
+//   1  unreadable or unreplayable schedule, or a failed write
+//   2  usage error: unknown protocol or flag, a flag missing its value, or
+//      a --random seed that is not a whole number
 
 #include <cstdio>
 #include <cstring>
@@ -25,40 +28,9 @@
 #include "modelcheck/corpus.h"
 #include "obs/cli.h"
 #include "obs/json.h"
-#include "protocols/ben_or.h"
-#include "protocols/dac_from_pac.h"
-#include "protocols/one_shot.h"
-#include "protocols/straw_dac.h"
 #include "sim/trace.h"
 
 namespace {
-
-std::shared_ptr<const lbsa::sim::Protocol> pick(const char* name) {
-  using namespace lbsa;
-  if (auto task = modelcheck::make_named_task(name); task.is_ok()) {
-    return task.value().protocol;
-  }
-  // Legacy aliases predating the registry.
-  if (!std::strcmp(name, "dac4")) {
-    return std::make_shared<protocols::DacFromPacProtocol>(
-        std::vector<Value>{100, 101, 102, 103});
-  }
-  if (!std::strcmp(name, "consensus3")) {
-    return protocols::make_consensus_via_n_consensus({100, 101, 102});
-  }
-  if (!std::strcmp(name, "twosa3")) {
-    return protocols::make_ksa_via_two_sa({100, 101, 102});
-  }
-  if (!std::strcmp(name, "benor2")) {
-    return std::make_shared<protocols::BenOrProtocol>(
-        std::vector<Value>{0, 1}, 8);
-  }
-  if (!std::strcmp(name, "strawdac")) {
-    return std::make_shared<protocols::StrawDacFallbackProtocol>(
-        std::vector<Value>{100, 101, 102});
-  }
-  return nullptr;
-}
 
 int usage() {
   std::string names;
@@ -66,10 +38,12 @@ int usage() {
     names += " " + name;
   }
   std::fprintf(stderr,
-               "usage: schedule_replayer <protocol> <schedule-file>\n"
-               "       schedule_replayer <protocol> --random <seed>\n"
-               "protocols:%s\n"
-               "legacy aliases: dac4 consensus3 twosa3 benor2 strawdac\n",
+               "usage: schedule_replayer <protocol> <schedule-file> "
+               "[--record PATH]\n"
+               "       schedule_replayer <protocol> --random <seed> "
+               "[--record PATH]\n"
+               "       [--metrics-json PATH] [--trace-out PATH]\n"
+               "protocols:%s\n",
                names.c_str());
   return 2;
 }
@@ -78,17 +52,13 @@ int usage() {
 
 int main(int argc, char** argv) {
   if (argc < 3) return usage();
-  auto protocol = pick(argv[1]);
-  if (!protocol) return usage();
-
-  const char* record_path = nullptr;
-  lbsa::obs::ObsCli obs_cli("schedule_replayer");
-  for (int i = 3; i < argc; ++i) {
-    if (obs_cli.consume(argc, argv, &i)) continue;
-    if (!std::strcmp(argv[i], "--record") && i + 1 < argc) {
-      record_path = argv[++i];
-    }
+  auto task = lbsa::modelcheck::make_named_task(argv[1]);
+  if (!task.is_ok()) {
+    std::fprintf(stderr, "%s\n", task.status().to_string().c_str());
+    return usage();
   }
+  const std::shared_ptr<const lbsa::sim::Protocol> protocol =
+      task.value().protocol;
 
   const bool random_mode = !std::strcmp(argv[2], "--random");
   std::uint64_t seed = 0;
@@ -97,13 +67,21 @@ int main(int argc, char** argv) {
     seed = lbsa::obs::parse_count_flag(
         "--random", argv[3], 0, std::numeric_limits<std::uint64_t>::max());
   }
-  if (const lbsa::Status s = obs_cli.start_heartbeat(
-          protocol->name(),
-          lbsa::obs::derive_run_id("schedule_replayer", protocol->name(),
-                                   random_mode ? "random" : "replay", 0));
-      !s.is_ok()) {
-    std::fprintf(stderr, "%s\n", s.to_string().c_str());
-    return 1;
+
+  const char* record_path = nullptr;
+  lbsa::obs::ObsCli obs_cli("schedule_replayer");
+  for (int i = random_mode ? 4 : 3; i < argc; ++i) {
+    if (obs_cli.consume(argc, argv, &i)) continue;
+    if (!std::strcmp(argv[i], "--record")) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "--record needs an argument\n");
+        return 2;
+      }
+      record_path = argv[++i];
+    } else {
+      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+      return usage();
+    }
   }
 
   lbsa::sim::Simulation* run = nullptr;
@@ -155,6 +133,11 @@ int main(int argc, char** argv) {
   if (record_path != nullptr) {
     std::ofstream out(record_path);
     out << lbsa::sim::schedule_to_string(*protocol, run->history());
+    out.close();
+    if (!out) {
+      std::fprintf(stderr, "cannot write %s\n", record_path);
+      return 1;
+    }
     std::printf("schedule written to %s\n", record_path);
   }
 

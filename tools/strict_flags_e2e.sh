@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # strict_flags_e2e.sh — numeric flags of explorer_cli, fuzz_shrink_cli,
-# hierarchy_sweep_cli, soak, schedule_replayer and lbsa_watch parse strictly:
-# a value that is not wholly a number in range exits 2 with an error naming
-# the flag, before any work runs. So does an engine name explorer_cli does
-# not know. The same flags with well-formed values still run to a verdict.
+# hierarchy_sweep_cli, soak and schedule_replayer parse strictly: a value
+# that is not wholly a number in range exits 2 with an error naming the
+# flag, before any work runs. So do an engine name explorer_cli does not
+# know, a flag a tool does not have, and a flag missing its value. A
+# schedule_replayer --record that cannot be written exits 1. The same flags
+# with well-formed values still run to a verdict.
 #
 # Usage: tools/strict_flags_e2e.sh [build-dir]
 set -euo pipefail
@@ -11,7 +13,7 @@ set -euo pipefail
 BUILD_DIR="${1:-build}"
 TOOLS="$BUILD_DIR/tools"
 for bin in explorer_cli fuzz_shrink_cli hierarchy_sweep_cli soak \
-    schedule_replayer lbsa_watch; do
+    schedule_replayer; do
   if [[ ! -x "$TOOLS/$bin" ]]; then
     echo "error: $TOOLS/$bin not found or not executable; build first" >&2
     exit 1
@@ -66,7 +68,7 @@ expect_usage_error --canon-cache-bytes explorer_cli dac3 \
     --canon-cache-bytes 4MiB
 expect_usage_error --checkpoint-every explorer_cli dac3 --checkpoint-every +1
 expect_usage_error --deadline-s explorer_cli dac3 --deadline-s inf
-expect_usage_error --heartbeat-every explorer_cli dac3 --heartbeat-every 0
+expect_usage_error --heartbeat-out explorer_cli dac3 --heartbeat-out F
 expect_usage_error "unknown engine" explorer_cli dac3 --engine workstealing
 
 expect_usage_error --only hierarchy_sweep_cli --only 3,2x
@@ -80,8 +82,11 @@ expect_usage_error seconds soak -3
 expect_usage_error --random schedule_replayer dac3 --random banana
 expect_usage_error --random schedule_replayer dac3 \
     --random 18446744073709551616
-expect_usage_error --timeout-s lbsa_watch "$BUILD_DIR/no-such-stream.jsonl" \
-    --timeout-s 0.5x
+expect_usage_error --recrod schedule_replayer dac3 --random 7 \
+    --recrod "$BUILD_DIR/strict-flags-record.txt"
+expect_usage_error --record schedule_replayer dac3 --random 7 --record
+expect_exit 1 schedule_replayer dac3 --random 7 \
+    --record "$BUILD_DIR/no-such-dir/x.txt"
 
 expect_exit 0 explorer_cli dac3 --max-levels 100 --threads 2 \
     --max-nodes 100000 --canon-cache-bytes 65536 --deadline-s 60
