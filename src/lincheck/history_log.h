@@ -10,7 +10,7 @@
 // The log is lock-free on the hot path: a fixed-capacity slot array with an
 // atomic cursor, and one atomic logical clock stamping invocations and
 // responses. Snapshots must be taken at quiescence (no in-flight recording
-// threads), which is how the tests and benches use it.
+// threads), which is how the tests use it.
 #ifndef LBSA_LINCHECK_HISTORY_LOG_H_
 #define LBSA_LINCHECK_HISTORY_LOG_H_
 

@@ -199,6 +199,14 @@ Status validate_bench_artifact_json(std::string_view json) {
   if (!root.is_object()) {
     return invalid_argument("bench schema: document not an object");
   }
+  // Only tools/run_report.sh writes this artifact, and it writes exactly
+  // these three sections; anything else is stale or hand-edited.
+  for (const auto& [key, value] : root.members) {
+    if (key != "lbsa_bench_schema" && key != "benchmarks" &&
+        key != "run_reports") {
+      return invalid_argument("bench schema: unknown top-level key " + key);
+    }
+  }
   const JsonValue* version = root.find("lbsa_bench_schema");
   if (version == nullptr || !version->is_number() ||
       !version->number_is_integer || version->int_value != 1) {
@@ -250,8 +258,18 @@ Status validate_bench_artifact_json(std::string_view json) {
             "bench schema: benchmark sym_cost not one of none/symmetry");
       }
     }
-    for (const char* field : {"nodes", "nodes_per_sec", "reduction_ratio",
-                              "threads", "threads_available"}) {
+    // Every row is a measurement. A rate of 0 is what the script writes when
+    // its parse of explorer_cli's "elapsed ... nodes/s" line comes up empty.
+    for (const char* field : {"nodes", "nodes_per_sec"}) {
+      const JsonValue* v = row.find(field);
+      if (v == nullptr || !v->is_number() || !v->number_is_integer ||
+          v->int_value <= 0) {
+        return invalid_argument(std::string("bench schema: benchmark ") +
+                                field + " missing or not a positive integer");
+      }
+    }
+    for (const char* field : {"reduction_ratio", "threads",
+                              "threads_available"}) {
       if (const JsonValue* v = row.find(field); v != nullptr) {
         if (!v->is_number()) {
           return invalid_argument(std::string("bench schema: benchmark ") +

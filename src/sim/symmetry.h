@@ -239,8 +239,7 @@ class Canonicalizer {
   // The pre-rewrite reference implementation: applies every group element
   // to a copy and keeps the lexicographic minimum of the full encodings.
   // Kept as the test oracle the branch-and-bound path must match
-  // bit-for-bit (tests/sim/symmetry_test.cc) and as the microbenchmark
-  // baseline (bench/bench_canon.cpp). Not used by the explorer.
+  // bit-for-bit (tests/sim/symmetry_test.cc). Not used by the explorer.
   void brute_force_canonical_encode_into(
       const Config& config, std::vector<std::int64_t>* out,
       std::vector<std::uint8_t>* perm = nullptr) const;

@@ -3,7 +3,7 @@
 // separation result is about: test&set and FIFO queues at level 2,
 // compare&swap at level ∞. The library ships them so that the paper's
 // objects (O_n at level n, 2-SA at level 1) can be compared against the
-// familiar landscape — in protocols, power sequences, and benches.
+// familiar landscape — in protocols and power sequences.
 #ifndef LBSA_SPEC_CLASSIC_TYPES_H_
 #define LBSA_SPEC_CLASSIC_TYPES_H_
 

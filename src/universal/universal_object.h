@@ -55,7 +55,7 @@ class UniversalObject final : public concurrent::ConcurrentObject {
   Value apply_as(int thread, const spec::Operation& op) override;
 
   // Number of operations applied to the shared sequence so far (monotonic;
-  // for tests and benches).
+  // for tests).
   std::size_t applied_count() const;
 
  private:

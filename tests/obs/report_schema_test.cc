@@ -158,11 +158,37 @@ TEST(RunReportSchema, RejectsDisorderedQuantiles) {
 TEST(BenchArtifactSchema, AcceptsMergedArtifactAndRejectsBadRows) {
   const std::string report_json = sample_report().to_json();
   const std::string good = "{\"lbsa_bench_schema\":1,"
-                           "\"benchmarks\":[{\"task\":\"dac3\",\"nodes\":441}],"
+                           "\"benchmarks\":[{\"task\":\"dac3\",\"nodes\":441,"
+                           "\"nodes_per_sec\":382412}],"
                            "\"run_reports\":{\"explorer_cli:dac3:t1\":" +
                            report_json + "}}";
   const Status s = validate_bench_artifact_json(good);
   EXPECT_TRUE(s.is_ok()) << s.to_string();
+
+  // A top-level section that tools/run_report.sh does not write: stale or
+  // hand-edited.
+  std::string stale = good;
+  stale.insert(stale.size() - 1, ",\"raw_dump\":{}");
+  const Status unknown = validate_bench_artifact_json(stale);
+  EXPECT_FALSE(unknown.is_ok());
+  EXPECT_NE(unknown.message().find("raw_dump"), std::string::npos)
+      << unknown.to_string();
+
+  // Every row carries positive integer nodes and nodes_per_sec; a 0 rate is
+  // what an empty parse of explorer_cli's elapsed line turns into.
+  for (const char* row :
+       {"{\"task\":\"dac3\",\"nodes\":441}",
+        "{\"task\":\"dac3\",\"nodes_per_sec\":382412}",
+        "{\"task\":\"dac3\",\"nodes\":441,\"nodes_per_sec\":0}",
+        "{\"task\":\"dac3\",\"nodes\":0,\"nodes_per_sec\":382412}",
+        "{\"task\":\"dac3\",\"nodes\":441,\"nodes_per_sec\":-5}",
+        "{\"task\":\"dac3\",\"nodes\":441,\"nodes_per_sec\":1.5}"}) {
+    EXPECT_FALSE(validate_bench_artifact_json(
+                     std::string("{\"lbsa_bench_schema\":1,\"benchmarks\":[") +
+                     row + "],\"run_reports\":{}}")
+                     .is_ok())
+        << row;
+  }
 
   EXPECT_FALSE(validate_bench_artifact_json("{}").is_ok());
   EXPECT_FALSE(validate_bench_artifact_json(
@@ -192,18 +218,21 @@ TEST(BenchArtifactSchema, ChecksReductionSweepRows) {
   // Unknown reduction mode.
   EXPECT_FALSE(validate_bench_artifact_json(
                    "{\"lbsa_bench_schema\":1,\"benchmarks\":["
-                   "{\"task\":\"dac4-sym\",\"reduction\":\"sym\"}],"
+                   "{\"task\":\"dac4-sym\",\"reduction\":\"sym\","
+                   "\"nodes\":394,\"nodes_per_sec\":228805}],"
                    "\"run_reports\":{}}")
                    .is_ok());
   // Measurement fields, when present, must be numbers.
   EXPECT_FALSE(validate_bench_artifact_json(
                    "{\"lbsa_bench_schema\":1,\"benchmarks\":["
-                   "{\"task\":\"dac4-sym\",\"reduction_ratio\":\"4.27\"}],"
+                   "{\"task\":\"dac4-sym\",\"reduction_ratio\":\"4.27\","
+                   "\"nodes\":394,\"nodes_per_sec\":228805}],"
                    "\"run_reports\":{}}")
                    .is_ok());
   EXPECT_FALSE(validate_bench_artifact_json(
                    "{\"lbsa_bench_schema\":1,\"benchmarks\":["
-                   "{\"task\":\"dac4-sym\",\"nodes_per_sec\":true}],"
+                   "{\"task\":\"dac4-sym\",\"nodes\":394,"
+                   "\"nodes_per_sec\":true}],"
                    "\"run_reports\":{}}")
                    .is_ok());
 }
@@ -222,12 +251,14 @@ TEST(BenchArtifactSchema, ChecksSymCostRows) {
   // sym_cost only names the two sides of the pair.
   EXPECT_FALSE(validate_bench_artifact_json(
                    "{\"lbsa_bench_schema\":1,\"benchmarks\":["
-                   "{\"task\":\"dac5\",\"sym_cost\":\"por\"}],"
+                   "{\"task\":\"dac5\",\"sym_cost\":\"por\",\"nodes\":19221,"
+                   "\"nodes_per_sec\":250000}],"
                    "\"run_reports\":{}}")
                    .is_ok());
   EXPECT_FALSE(validate_bench_artifact_json(
                    "{\"lbsa_bench_schema\":1,\"benchmarks\":["
-                   "{\"task\":\"dac5\",\"sym_cost\":1}],"
+                   "{\"task\":\"dac5\",\"sym_cost\":1,\"nodes\":19221,"
+                   "\"nodes_per_sec\":250000}],"
                    "\"run_reports\":{}}")
                    .is_ok());
 }

@@ -8,8 +8,8 @@
 // --metrics-json / --trace-out write observability artifacts (to separate
 // files, so stdout stays the reproducible document).
 //
-// Timing-sensitive results (throughput, scaling) intentionally live in the
-// bench binaries instead; see BENCH_modelcheck.json and perfbench/.
+// Timing-sensitive results (throughput, scaling) intentionally live outside
+// this report: BENCH_modelcheck.json (tools/run_report.sh) and perfbench/.
 
 #include <cstdio>
 #include <memory>
@@ -446,8 +446,7 @@ void e9_universal() {
               delay, mark(wait_free_ok && delay <= 6));
   std::printf("- multithreaded totals and linearizability: covered by "
               "`tests/universal/` (8 threads × 400 ops exact-sum, helping "
-              "bound asserted, recorded histories Wing–Gong-checked); "
-              "throughput in `bench_universal`.\n\n");
+              "bound asserted, recorded histories Wing–Gong-checked).\n\n");
 }
 
 void e10_meta() {
@@ -552,9 +551,8 @@ void e10_meta() {
                 static_cast<unsigned long long>(fuzz.runs_executed),
                 mark(fuzz.violates("agreement")));
   }
-  std::printf("\nChecker timing series live in `bench_modelcheck` and "
-              "`bench_lincheck` (see `BENCH_modelcheck.json` and "
-              "`perfbench/`).\n\n");
+  std::printf("\nExplorer timing lives in `BENCH_modelcheck.json` "
+              "(`tools/run_report.sh`) and `perfbench/`.\n\n");
 }
 
 void e11_hierarchy() {
@@ -698,10 +696,9 @@ int main(int argc, char** argv) {
       "`./build/tools/experiment_report > EXPERIMENTS.md`). The paper has "
       "no tables or figures — it is a theory paper — so the reproducible "
       "units are its theorems, algorithms, and object specifications; the "
-      "experiment ids below follow DESIGN.md §3. Timing/throughput series "
-      "are produced by the `bench_*` binaries (captured in "
-      "`BENCH_modelcheck.json`) and by the time-to-verdict benchmark in "
-      "`perfbench/`.\n\n"
+      "experiment ids below follow DESIGN.md §3. Timing series live in "
+      "`BENCH_modelcheck.json` (`tools/run_report.sh`) and in the "
+      "time-to-verdict benchmark in `perfbench/`.\n\n"
       "Legend: *pass* = the paper's claim verified mechanically; for "
       "impossibility results (which quantify over all algorithms and are "
       "not machine-checkable), *pass* on a control row means the checker "

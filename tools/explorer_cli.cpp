@@ -16,8 +16,8 @@
 // --trace-out writes a chrome://tracing timeline with one lane per worker.
 // Exploration is deterministic for every thread count / engine, so the
 // RunReport's stable metrics compare byte-identical across configurations —
-// the obs determinism test drives this binary at threads=1/2/8 and diffs
-// exactly that.
+// ObsDeterminism.* (tests/obs/determinism_test.cc) checks exactly that
+// through the library at threads 1/2/8 and across engines.
 //
 // Long runs (docs/checking.md, "Long runs"): SIGINT (or --deadline-s /
 // --max-levels) stops the exploration at the next BFS level boundary; with

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # run_report.sh — produce the per-commit observability artifact
 # BENCH_modelcheck.json: a sweep of explorer_cli run reports over small
-# exhaustively-explorable tasks at several thread counts, merged under the
-# versioned bench schema
+# exhaustively-explorable tasks, merged under the versioned bench schema
 #
 #   {"lbsa_bench_schema": 1,
 #    "benchmarks":  [{"task": "dac3", "threads": 1, "nodes": N,
@@ -15,14 +14,18 @@
 #                     "nodes": N, "nodes_per_sec": R}, ...],
 #    "run_reports": {"explorer_cli:dac3:t1": <RunReport>, ...}}
 #
-# The second row shape is the state-space-reduction sweep (docs/checking.md,
-# "State-space reduction"): symmetric corpus tasks explored at every
-# --reduction mode; reduction_ratio is full-graph-nodes / reduced-nodes.
-# The third is the engine sweep (docs/checking.md, "Engine selection"):
-# bench-sized tasks explored by every engine; threads_available records how
-# many cores the host really had, since a parallel-vs-serial comparison from
-# a 1-core CI box measures per-node overhead, not speedup. A fourth row
-# shape, {"task": "dac5-sym", "sym_cost": "none"|"symmetry", ...}, is the
+# The first two row shapes run at one thread: every task in them stays
+# below the 32,768 nodes at which `auto` hands off to the parallel engine,
+# so rows at more threads would time the serial engine again under another
+# label. The second shape is the state-space-reduction sweep
+# (docs/checking.md, "State-space reduction"): symmetric corpus tasks
+# explored at every --reduction mode; reduction_ratio is full-graph-nodes /
+# reduced-nodes. The third is the engine sweep (docs/checking.md, "Engine
+# selection") and the only place the parallel engine is timed: bench-sized
+# tasks explored by every engine; threads_available records how many cores
+# the host really had, since a parallel-vs-serial comparison from a 1-core
+# CI box measures per-node overhead, not speedup. A fourth row shape,
+# {"task": "dac5-sym", "sym_cost": "none"|"symmetry", ...}, is the
 # symmetry-cost pair (tools/perf_smoke.sh gates the same comparison).
 #
 # Noise control: every row is run once as a cache/allocator warmup and then
@@ -32,25 +35,17 @@
 # identical across the runs; the stable RunReport sections don't depend on
 # timing at all.
 #
-# and validated with `report_check bench` before the script exits 0. CI
-# archives the artifact per commit; the stable metric sections inside each
-# RunReport are byte-identical across thread counts, so diffs across
-# commits are meaningful.
+# The artifact is validated with `report_check bench` before the script
+# exits 0. CI archives it per commit; the stable metric sections inside
+# each RunReport do not depend on the engine or thread count
+# (ObsDeterminism.* in tests/obs/determinism_test.cc checks that), so diffs
+# across commits are meaningful.
 #
-# Usage: tools/run_report.sh [build-dir] [output.json] [--with-bench]
-#
-# --with-bench additionally runs the Google-Benchmark exploration suite
-# (bench/bench_modelcheck) and embeds its raw JSON under a "gbench" key:
-#
-#   tools/run_report.sh build BENCH_modelcheck.json --with-bench
+# Usage: tools/run_report.sh [build-dir] [output.json]
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 OUT="${2:-BENCH_modelcheck.json}"
-WITH_BENCH=0
-for arg in "$@"; do
-  [[ "$arg" == "--with-bench" ]] && WITH_BENCH=1
-done
 
 EXPLORER="$BUILD_DIR/tools/explorer_cli"
 CHECK="$BUILD_DIR/tools/report_check"
@@ -64,7 +59,6 @@ done
 
 # Small tasks an exhaustive exploration finishes in well under a second.
 TASKS=(dac3 strawdac3 mutant-dac-no-adopt3)
-THREADS=(1 2 8)
 # Symmetric tasks for the reduction sweep (declared non-trivial symmetry).
 SYM_TASKS=(dac3-sym dac4-sym dac5-sym)
 REDUCTIONS=(none symmetry por both)
@@ -139,23 +133,19 @@ run_explorer() {
   printf '{"lbsa_bench_schema":1,"benchmarks":['
   first=1
   for task in "${TASKS[@]}"; do
-    for t in "${THREADS[@]}"; do
-      run_explorer "$task" "$t" none auto "$TMP/$task-t$t.json"
-      [[ $first == 1 ]] || printf ','
-      first=0
-      printf '{"task":"%s","threads":%d,"nodes":%s,"nodes_per_sec":%s}' \
-          "$task" "$t" "$NODES" "$NODES_PER_SEC"
-    done
+    run_explorer "$task" 1 none auto "$TMP/$task.json"
+    [[ $first == 1 ]] || printf ','
+    first=0
+    printf '{"task":"%s","threads":1,"nodes":%s,"nodes_per_sec":%s}' \
+        "$task" "$NODES" "$NODES_PER_SEC"
   done
   for task in "${SYM_TASKS[@]}"; do
-    for t in "${THREADS[@]}"; do
-      for red in "${REDUCTIONS[@]}"; do
-        run_explorer "$task" "$t" "$red" auto "$TMP/$task-t$t-$red.json"
-        printf ',{"task":"%s","threads":%d,"reduction":"%s","nodes":%s' \
-            "$task" "$t" "$red" "$NODES"
-        printf ',"nodes_per_sec":%s,"reduction_ratio":%s}' \
-            "$NODES_PER_SEC" "$RATIO"
-      done
+    for red in "${REDUCTIONS[@]}"; do
+      run_explorer "$task" 1 "$red" auto "$TMP/$task-$red.json"
+      printf ',{"task":"%s","threads":1,"reduction":"%s","nodes":%s' \
+          "$task" "$red" "$NODES"
+      printf ',"nodes_per_sec":%s,"reduction_ratio":%s}' \
+          "$NODES_PER_SEC" "$RATIO"
     done
   done
   for task in "${PERF_TASKS[@]}"; do
@@ -187,20 +177,16 @@ run_explorer() {
   printf '],"run_reports":{'
   first=1
   for task in "${TASKS[@]}"; do
-    for t in "${THREADS[@]}"; do
-      [[ $first == 1 ]] || printf ','
-      first=0
-      printf '"explorer_cli:%s:t%d":' "$task" "$t"
-      # write_run_report emits exactly one line of JSON.
-      tr -d '\n' < "$TMP/$task-t$t.json"
-    done
+    [[ $first == 1 ]] || printf ','
+    first=0
+    printf '"explorer_cli:%s:t1":' "$task"
+    # write_run_report emits exactly one line of JSON.
+    tr -d '\n' < "$TMP/$task.json"
   done
   for task in "${SYM_TASKS[@]}"; do
-    for t in "${THREADS[@]}"; do
-      for red in "${REDUCTIONS[@]}"; do
-        printf ',"explorer_cli:%s:t%d:%s":' "$task" "$t" "$red"
-        tr -d '\n' < "$TMP/$task-t$t-$red.json"
-      done
+    for red in "${REDUCTIONS[@]}"; do
+      printf ',"explorer_cli:%s:t1:%s":' "$task" "$red"
+      tr -d '\n' < "$TMP/$task-$red.json"
     done
   done
   for task in "${PERF_TASKS[@]}"; do
@@ -216,22 +202,7 @@ run_explorer() {
     printf ',"explorer_cli:%s:symcost:%s":' "$SYM_COST_TASK" "$red"
     tr -d '\n' < "$TMP/symcost-$red.json"
   done
-  printf '}'
-  if [[ $WITH_BENCH == 1 ]]; then
-    BIN="$BUILD_DIR/bench/bench_modelcheck"
-    if [[ ! -x "$BIN" ]]; then
-      echo "error: --with-bench needs $BIN" >&2
-      exit 1
-    fi
-    "$BIN" \
-      --benchmark_filter='ModelCheck_Explore' \
-      --benchmark_out="$TMP/gbench.json" \
-      --benchmark_out_format=json \
-      --benchmark_counters_tabular=true >&2
-    printf ',"gbench":'
-    cat "$TMP/gbench.json"
-  fi
-  printf '}\n'
+  printf '}}\n'
 } > "$STAGED"
 
 # Validate the staged artifact, then publish it atomically (same-directory
