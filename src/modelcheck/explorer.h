@@ -18,7 +18,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "base/status.h"
@@ -31,23 +30,17 @@ namespace lbsa::modelcheck {
 
 struct ExploreCheckpoint;  // modelcheck/checkpoint.h
 
-namespace internal {
-// Grants the parallel engine's canonical-renumbering machinery (explorer.cc)
-// access to ConfigGraph internals; it builds and trims graphs through it.
-struct GraphBuilder;
-}  // namespace internal
-
-// Which exploration engine to run.
-//   kSerial — the reference implementation; defines the canonical graph.
-//   kParallel — level-synchronous BFS over a worker pool with batched
-//     lock-free interning, a barrier between levels.
-//   kAuto — starts serial and, once the explored region outgrows a
-//     threshold where parallel overhead pays for itself, hands the run to
-//     kParallel via an in-memory checkpoint. Small graphs never leave the
-//     serial fast path (see docs/checking.md, "Engine selection").
-// All engines produce bit-identical complete graphs (canonical
-// renumbering); the explicit values exist for equivalence testing and
-// benchmarking.
+// Where each BFS level generates its successors. There is one explorer: a
+// level-synchronous BFS that interns successors on the calling thread in
+// canonical order. The engine only decides which levels hand successor
+// generation (step, flag fold, encode or canonicalize, hash) to a pool of
+// ExploreOptions::threads workers (docs/checking.md, "Engine selection"):
+//   kSerial — never; every level runs inline on the calling thread.
+//   kParallel — every level, however narrow (the equivalence suites use it
+//     to exercise the pool on small graphs).
+//   kAuto — levels of at least 1,024 nodes, when threads > 1; narrower
+//     levels run inline, where waking workers costs more than it saves.
+// The graph does not depend on the engine or the thread count.
 enum class ExploreEngine {
   kAuto = 0,
   kSerial,
@@ -98,15 +91,12 @@ struct ExploreOptions {
   // Soundness note: on a truncated graph, property VIOLATIONS found are
   // real (every node is reachable), but their absence certifies only the
   // explored region; valence analysis is likewise a lower bound on
-  // reachable decisions. Additionally, a truncated PARALLEL run keeps a
-  // schedule-dependent prefix: which nodes fall inside the budget depends
-  // on thread interleaving, so truncated graphs are not bit-identical
-  // across engines or thread counts (complete graphs always are).
+  // reachable decisions. The budget is applied in canonical discovery
+  // order, so a truncated graph is the same for every engine and thread
+  // count.
   bool allow_truncation = false;
-  // Worker threads for the parallel engine; 0 = hardware_concurrency.
-  // Exploration is deterministic for every thread count: the parallel
-  // engine renumbers its result into the canonical serial BFS order, so a
-  // complete graph is bit-identical to the serial engine's.
+  // Successor-generation workers for pooled levels; 0 =
+  // hardware_concurrency. The graph is the same for every thread count.
   int threads = 0;
   ExploreEngine engine = ExploreEngine::kAuto;
   // Which state-space reduction to apply (see Reduction above).
@@ -144,16 +134,16 @@ struct ExploreOptions {
   std::shared_ptr<const sim::Canonicalizer> canonicalizer;
 
   // --- run lifecycle (docs/checking.md, "Long runs") ---
-  // Both engines poll cancel/deadline INSIDE levels, at work-chunk
-  // boundaries (every kChunk expansions per worker), so a trip stops the
-  // run promptly even mid-way through a wide level. Stopping still only
-  // ever happens at a BFS level boundary — the one point that preserves the
-  // canonical-prefix guarantee: the serial engine rolls partially-expanded
-  // work back to the last completed level, and the parallel engine trims
-  // the partial level before returning. An interrupted graph is therefore
-  // bit-identical to the corresponding prefix of an uninterrupted run, for
-  // every engine and thread count (complete levels only). max_levels and
-  // periodic checkpoints remain level-boundary conditions.
+  // cancel/deadline are polled INSIDE levels, before every work chunk (64
+  // frontier nodes) on the calling thread and on each worker, so a trip
+  // stops the run promptly even mid-way through a wide level. Stopping
+  // still only ever happens at a BFS level boundary — the one point that
+  // preserves the canonical-prefix guarantee: partially expanded work is
+  // rolled back to the last completed level. An interrupted graph is
+  // therefore bit-identical to the corresponding prefix of an
+  // uninterrupted run, for every engine and thread count (complete levels
+  // only). max_levels and periodic checkpoints remain level-boundary
+  // conditions.
   //
   // Cooperative cancellation. Non-owning; may be tripped from a signal
   // handler. When it fires, explore() returns an *interrupted* graph
@@ -170,9 +160,7 @@ struct ExploreOptions {
   // every interruption, and additionally every checkpoint_every_levels
   // completed levels when that is non-zero. A failed checkpoint write fails
   // the run (a long run silently losing its safety net is the worse bug).
-  // kAuto with a non-zero checkpoint_every_levels skips the serial probe
-  // and runs the whole session on kParallel, so the cadence counts levels
-  // from the session start.
+  // The cadence counts levels from the session start.
   std::string checkpoint_path;
   std::uint32_t checkpoint_every_levels = 0;
   // Label echoed into checkpoints and error messages (task name); not
@@ -234,13 +222,10 @@ class ConfigGraph {
   }
   // The reduction mode this graph was explored under.
   Reduction reduction() const { return reduction_; }
-  // The engine that actually produced this graph (never kAuto: an auto run
-  // reports the engine it settled on). With auto_switched(), lets reports
-  // attribute nodes/sec to the code path that did the work.
+  // kParallel iff at least one level generated its successors on the
+  // worker pool, else kSerial (never kAuto). Lets reports attribute
+  // nodes/sec to the code path that did the work.
   ExploreEngine engine_used() const { return engine_used_; }
-  // True iff this was a kAuto run that outgrew the serial probe and handed
-  // off to the parallel engine mid-run.
-  bool auto_switched() const { return auto_switched_; }
   // Non-null iff symmetry reduction was active (non-trivial group).
   const std::shared_ptr<const sim::Canonicalizer>& canonicalizer() const {
     return canonicalizer_;
@@ -263,7 +248,6 @@ class ConfigGraph {
 
  private:
   friend class Explorer;
-  friend struct internal::GraphBuilder;
   std::vector<Node> nodes_;
   std::vector<std::vector<Edge>> edges_;
   // Parent pointers for path reconstruction: (parent id, step taken).
@@ -280,7 +264,6 @@ class ConfigGraph {
   std::vector<std::uint32_t> pending_frontier_;
   Reduction reduction_ = Reduction::kNone;
   ExploreEngine engine_used_ = ExploreEngine::kSerial;
-  bool auto_switched_ = false;
   std::shared_ptr<const sim::Canonicalizer> canonicalizer_;
   // Kept for path lifting and orbit sizing on reduced graphs.
   std::shared_ptr<const sim::Protocol> lift_protocol_;
@@ -290,7 +273,7 @@ class Explorer {
  public:
   // Folds a step into the path flag (must be monotone for the graph to be
   // meaningful: nodes reached with different flags are distinct nodes).
-  // Must be a pure function of its arguments: the parallel engine calls it
+  // Must be a pure function of its arguments: pooled levels call it
   // concurrently from worker threads.
   using FlagFn =
       std::function<std::int64_t(std::int64_t flag, const sim::Step& step)>;
@@ -300,9 +283,10 @@ class Explorer {
 
   // BFS from the initial configuration. On success the graph is complete:
   // every reachable (config, flag) node and every transition is present.
-  // Node ids, edge order, depths and parent pointers are canonical (serial
-  // BFS discovery order) regardless of options.threads/engine, so complete
-  // graphs from any configuration of the explorer compare bit-identical.
+  // Node ids, edge order, depths and parent pointers are canonical (BFS
+  // discovery order: frontier ids, then pids ascending, then outcome
+  // order) regardless of options.threads/engine, so graphs from any
+  // configuration of the explorer compare bit-identical.
   StatusOr<ConfigGraph> explore(const ExploreOptions& options = {},
                                 FlagFn flag_fn = nullptr,
                                 std::int64_t initial_flag = 0) const;
@@ -310,30 +294,6 @@ class Explorer {
   const sim::Protocol& protocol() const { return *protocol_; }
 
  private:
-  // The serial reference engine: defines the canonical graph (ids in BFS
-  // discovery order). sym is non-null iff symmetry reduction is active;
-  // fingerprint stamps any checkpoint written (see checkpoint.h).
-  // switch_after_nodes > 0 is the kAuto probe mode: once the graph holds at
-  // least that many nodes at a level boundary, return the interrupted
-  // prefix (no checkpoint written) with *switched set, for the parallel
-  // engine to resume.
-  StatusOr<ConfigGraph> explore_serial(const ExploreOptions& options,
-                                       const FlagFn& flag_fn,
-                                       std::int64_t initial_flag,
-                                       const sim::Canonicalizer* sym,
-                                       bool por,
-                                       std::uint64_t fingerprint,
-                                       std::uint64_t switch_after_nodes = 0,
-                                       bool* switched = nullptr) const;
-  // Level-synchronous parallel engine over `threads` workers; renumbers its
-  // result into the canonical order before returning.
-  StatusOr<ConfigGraph> explore_parallel(const ExploreOptions& options,
-                                         int threads, const FlagFn& flag_fn,
-                                         std::int64_t initial_flag,
-                                         const sim::Canonicalizer* sym,
-                                         bool por,
-                                         std::uint64_t fingerprint) const;
-
   std::shared_ptr<const sim::Protocol> protocol_;
 };
 

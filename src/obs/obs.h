@@ -13,7 +13,7 @@
 // one relaxed atomic load per call — see obs/metrics.h.
 //
 //   LBSA_OBS_COUNTER_ADD("explore.nodes", 1);
-//   LBSA_OBS_COUNTER_ADD_V("explore.intern.probes", n);   // volatile metric
+//   LBSA_OBS_COUNTER_ADD_V("explore.canon.cache_hits", n);   // volatile metric
 //   LBSA_OBS_GAUGE_SET("explore.max_depth", depth);
 //   LBSA_OBS_GAUGE_MAX("fuzz.pool.peak", pool.size());
 //   LBSA_OBS_HISTOGRAM_OBSERVE("explore.frontier_size", frontier.size());

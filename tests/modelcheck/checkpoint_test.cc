@@ -308,6 +308,49 @@ TEST(Checkpoint, CorruptFilesRejected) {
   }
 }
 
+// Regression: the reader checks only that each discovery-perm element is a
+// byte, and resume used to check neither the perms nor the parent-step
+// pids. A well-formed file with a perm that is not a permutation of the
+// processes, or with a parent step naming a process the protocol lacks,
+// resumed fine and then crashed path_to() (heap corruption, or an abort on
+// an internal check). Resume now rejects both with INVALID_ARGUMENT.
+TEST(Checkpoint, ResumeRejectsBadPermsAndParentPids) {
+  const NamedTask task = get_task("dac3-sym");
+  const std::string path = temp_path("bad-perm.ckpt");
+  const ExploreCheckpoint good =
+      interrupt_and_read(task, Reduction::kSymmetry, 3, path);
+  ASSERT_GT(good.discovery_perms.size(), 2u);
+  auto expect_rejected = [&](const ExploreCheckpoint& bad, const char* what) {
+    SCOPED_TRACE(what);
+    ASSERT_TRUE(write_explore_checkpoint(bad, path).is_ok());
+    auto read = read_explore_checkpoint(path);
+    ASSERT_TRUE(read.is_ok()) << read.status().to_string();
+    ExploreOptions opts;
+    opts.reduction = Reduction::kSymmetry;
+    opts.resume = &read.value();
+    const auto resumed = Explorer(task.protocol).explore(opts);
+    EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument)
+        << resumed.status().to_string();
+  };
+  for (const std::vector<std::uint8_t>& perm :
+       {std::vector<std::uint8_t>{7, 7, 7}, std::vector<std::uint8_t>{0, 0, 1},
+        std::vector<std::uint8_t>{1, 0}}) {
+    ExploreCheckpoint bad = good;
+    bad.discovery_perms[2] = perm;
+    expect_rejected(bad, "discovery perm");
+  }
+  for (const int pid : {99, -1}) {
+    ExploreCheckpoint bad = good;
+    bad.parent_steps[2].pid = pid;
+    expect_rejected(bad, "parent step pid");
+  }
+  // The untouched checkpoint still resumes.
+  ExploreOptions opts;
+  opts.reduction = Reduction::kSymmetry;
+  opts.resume = &good;
+  EXPECT_TRUE(Explorer(task.protocol).explore(opts).is_ok());
+}
+
 TEST(Checkpoint, CancelAndDeadlineInterruptBothEngines) {
   const NamedTask task = get_task("dac4-sym");
   const ConfigGraph uninterrupted = explore_or_die(task, {});

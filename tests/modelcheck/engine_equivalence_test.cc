@@ -93,7 +93,6 @@ TEST(EngineEquivalence, AllEnginesBitIdenticalAcrossReductionsAndThreads) {
           if (use_cache) opts.canon_cache_pool = fresh_pool();
           const ConfigGraph graph = explore_or_die(task, opts);
           EXPECT_EQ(graph.engine_used(), ExploreEngine::kParallel);
-          EXPECT_FALSE(graph.auto_switched());
           expect_identical(serial, graph);
         }
       }

@@ -1,10 +1,10 @@
-// Serial-vs-parallel equivalence: the parallel engine must produce a
-// canonical ConfigGraph that is bit-identical to the serial reference —
-// same node ids, configurations, flags, depths, edge lists, parents (via
-// path_to) and transition counts — for every thread count. This is the
-// contract that lets every downstream consumer (valence, task_check,
-// critical, step_complexity, export) stay oblivious to how the graph was
-// built.
+// Serial-vs-pooled equivalence: generating successors on the worker pool
+// must produce a canonical ConfigGraph that is bit-identical to the inline
+// (serial) run — same node ids, configurations, flags, depths, edge lists,
+// parents (via path_to) and transition counts — for every thread count.
+// This is the contract that lets every downstream consumer (valence,
+// task_check, critical, step_complexity, export) stay oblivious to how the
+// graph was built.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -116,13 +116,21 @@ TEST(ParallelExplorer, NodeBudgetErrorWithoutTruncation) {
 }
 
 TEST(ParallelExplorer, TruncatedGraphIsConsistent) {
-  // Truncated parallel prefixes are schedule-dependent (not bit-identical
-  // to serial), but must still be internally consistent: truncated() set,
-  // every edge in range, every node beyond the budget kept but unexpanded,
-  // and every node replayable from the root.
+  // The node budget is applied in canonical discovery order, so a
+  // truncated pooled run is bit-identical to the truncated serial run
+  // (nodes, edges, parents, truncated()) and, like it, internally
+  // consistent: every edge in range, every node beyond the budget kept but
+  // unexpanded, and every node replayable from the root.
   auto protocol =
       std::make_shared<DacFromPacProtocol>(std::vector<Value>{10, 20, 30});
   Explorer explorer(protocol);
+  const auto serial_or = explorer.explore({.max_nodes = 50,
+                                           .allow_truncation = true,
+                                           .engine = ExploreEngine::kSerial});
+  ASSERT_TRUE(serial_or.is_ok());
+  const ConfigGraph& serial = serial_or.value();
+  EXPECT_TRUE(serial.truncated());
+  EXPECT_GT(serial.nodes().size(), 50u);  // kept nodes overshoot the budget
   for (int threads : {2, 8}) {
     SCOPED_TRACE(threads);
     const auto partial_or = explorer.explore({.max_nodes = 50,
@@ -131,8 +139,8 @@ TEST(ParallelExplorer, TruncatedGraphIsConsistent) {
                                               .engine = ExploreEngine::kParallel});
     ASSERT_TRUE(partial_or.is_ok());
     const ConfigGraph& graph = partial_or.value();
-    EXPECT_TRUE(graph.truncated());
-    EXPECT_GT(graph.nodes().size(), 50u);  // kept nodes overshoot the budget
+    expect_identical(serial, graph, "truncated");
+    EXPECT_EQ(serial.parents(), graph.parents());
     for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
       for (const Edge& e : graph.edges()[id]) {
         ASSERT_LT(e.to, graph.nodes().size());

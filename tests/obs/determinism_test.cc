@@ -172,5 +172,57 @@ TEST(ExplorerTrace, ParallelWorkerSpansLieInsideTheirLevel) {
   }
 }
 
+// kAuto pools only levels of at least 1,024 nodes, which keeps narrow
+// explorations (every hierarchy-sweep cell) at serial cost: dac4-sym, as
+// the sweep runs it, starts no worker at all, while on dac5 each of the 4
+// workers records one span per wide level, inside that level's span.
+TEST(ExplorerTrace, AutoPoolsOnlyWideLevels) {
+  constexpr std::int64_t kPoolMinLevel = 1024;
+  constexpr int kThreads = 4;
+  for (const char* name : {"dac4-sym", "dac5"}) {
+    SCOPED_TRACE(name);
+    auto task = modelcheck::make_named_task(name);
+    ASSERT_TRUE(task.is_ok());
+    Tracer::global().reset();
+    set_tracing_enabled(true);
+    modelcheck::ExploreOptions options;
+    options.engine = modelcheck::ExploreEngine::kAuto;
+    options.threads = kThreads;
+    options.reduction = modelcheck::Reduction::kSymmetry;
+    auto graph = modelcheck::Explorer(task.value().protocol).explore(options);
+    set_tracing_enabled(false);
+    ASSERT_TRUE(graph.is_ok()) << graph.status().to_string();
+
+    std::vector<TraceEvent> wide_levels;
+    std::vector<TraceEvent> workers;
+    for (TraceEvent& event : Tracer::global().snapshot()) {
+      if (event.name == "explore.level" && event.lane == 0) {
+        for (const auto& [key, value] : event.args) {
+          if (key == "nodes" && value >= kPoolMinLevel) {
+            wide_levels.push_back(event);
+          }
+        }
+      } else if (event.name == "explore.worker") {
+        workers.push_back(std::move(event));
+      }
+    }
+    Tracer::global().reset();
+    const bool narrow = std::string(name) == "dac4-sym";
+    EXPECT_EQ(wide_levels.empty(), narrow);
+    EXPECT_EQ(graph.value().engine_used(),
+              narrow ? modelcheck::ExploreEngine::kSerial
+                     : modelcheck::ExploreEngine::kParallel);
+    EXPECT_EQ(workers.size(), kThreads * wide_levels.size());
+    for (const TraceEvent& worker : workers) {
+      EXPECT_TRUE(std::any_of(
+          wide_levels.begin(), wide_levels.end(), [&](const TraceEvent& level) {
+            return worker.ts_us >= level.ts_us &&
+                   worker.ts_us + worker.dur_us <= level.ts_us + level.dur_us;
+          }))
+          << "worker span on lane " << worker.lane << " outside a wide level";
+    }
+  }
+}
+
 }  // namespace
 }  // namespace lbsa::obs

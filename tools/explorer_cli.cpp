@@ -273,12 +273,10 @@ int main(int argc, char** argv) {
     w.value_uint(graph.levels_completed());
     w.key("reduction");
     w.value_string(modelcheck::reduction_name(graph.reduction()));
-    // The engine that actually ran (kAuto resolves to one of the concrete
-    // engines; auto_switched records a mid-run serial->parallel handoff).
+    // "parallel" iff at least one level generated its successors on the
+    // worker pool, else "serial".
     w.key("engine_used");
     w.value_string(modelcheck::engine_name(graph.engine_used()));
-    w.key("auto_switched");
-    w.value_bool(graph.auto_switched());
     // Only on complete graphs (see `complete` above): the schema validator
     // rejects a ratio sitting next to truncated/interrupted = true.
     if (complete && !graph.nodes().empty()) {

@@ -14,17 +14,18 @@
 #                     "nodes": N, "nodes_per_sec": R}, ...],
 #    "run_reports": {"explorer_cli:dac3:t1": <RunReport>, ...}}
 #
-# The first two row shapes run at one thread: every task in them stays
-# below the 32,768 nodes at which `auto` hands off to the parallel engine,
-# so rows at more threads would time the serial engine again under another
-# label. The second shape is the state-space-reduction sweep
-# (docs/checking.md, "State-space reduction"): symmetric corpus tasks
-# explored at every --reduction mode; reduction_ratio is full-graph-nodes /
-# reduced-nodes. The third is the engine sweep (docs/checking.md, "Engine
-# selection") and the only place the parallel engine is timed: bench-sized
-# tasks explored by every engine; threads_available records how many cores
-# the host really had, since a parallel-vs-serial comparison from a 1-core
-# CI box measures per-node overhead, not speedup. A fourth row shape,
+# The first two row shapes run at one thread, where `auto` never starts
+# the worker pool, so they time the inline path; that is the whole
+# explorer for every level narrower than the 1,024 nodes at which `auto`
+# pools successor generation. The second shape is the
+# state-space-reduction sweep (docs/checking.md, "State-space reduction"):
+# symmetric corpus tasks explored at every --reduction mode;
+# reduction_ratio is full-graph-nodes / reduced-nodes. The third is the
+# engine sweep (docs/checking.md, "Engine selection") and the only place
+# pooled generation is timed: bench-sized tasks explored by every engine;
+# threads_available records how many cores the host really had, since a
+# parallel-vs-serial comparison from a 1-core CI box measures per-node
+# overhead, not speedup. A fourth row shape,
 # {"task": "dac5-sym", "sym_cost": "none"|"symmetry", ...}, is the
 # symmetry-cost pair (tools/perf_smoke.sh gates the same comparison).
 #
@@ -62,8 +63,9 @@ TASKS=(dac3 strawdac3 mutant-dac-no-adopt3)
 # Symmetric tasks for the reduction sweep (declared non-trivial symmetry).
 SYM_TASKS=(dac3-sym dac4-sym dac5-sym)
 REDUCTIONS=(none symmetry por both)
-# Engine sweep: tasks big enough for parallel exploration to amortize its
-# setup, on the engines x reductions the speedup claims are made for.
+# Engine sweep: tasks with levels wide enough for the worker pool to
+# amortize its hand-offs, on the engines x reductions the speedup claims
+# are made for.
 PERF_TASKS=(dac5 consensus5)
 PERF_REDUCTIONS=(none symmetry)
 PERF_ENGINES=("serial 1" "parallel 4" "auto 4")
