@@ -79,8 +79,8 @@ int main(int argc, char** argv) {
     std::fputs(to_dot(*protocol, graph, &analyzer).c_str(), stdout);
     return 0;
   }
-  std::printf("reachable configurations: %zu\ntransitions:              %llu\n",
-              graph.nodes().size(),
+  std::printf("reachable configurations: %u\ntransitions:              %llu\n",
+              graph.node_count(),
               static_cast<unsigned long long>(graph.transition_count()));
 
   ValenceAnalyzer analyzer(graph);
@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
       std::printf("  %s\n", step.to_string(*protocol).c_str());
     }
     std::printf("successor valences:\n");
-    for (const auto& edge : graph.edges()[id]) {
+    for (const auto& edge : graph.edges(id)) {
       std::printf("  after p%d step -> %lld-valent\n", edge.pid,
                   static_cast<long long>(analyzer.univalent_value(edge.to)));
     }

@@ -3,7 +3,7 @@
 // WordArena hands out contiguous runs of int64 words from geometrically
 // growing blocks. Unlike a std::vector, a block never moves once allocated,
 // so pointers into the arena stay valid for the arena's lifetime — the
-// explorer's intern table keeps every node's key words in one, and the
+// explored graph keeps every node's intern key in one, and the
 // batched intern table (modelcheck/batch_intern.h) stores key spans that
 // point straight into per-worker arenas instead of copying every key into a
 // shard-owned pool under a lock.
@@ -78,8 +78,10 @@ class WordArena {
     std::size_t words = blocks_.empty() ? first_block_words_
                                         : blocks_.back().words * 2;
     if (words < min_words) words = min_words;
+    // Not zero-filled: alloc() is uninitialized, so a block's unused tail
+    // never becomes resident.
     blocks_.push_back(
-        Block{std::make_unique<std::int64_t[]>(words), words});
+        Block{std::make_unique_for_overwrite<std::int64_t[]>(words), words});
     block_ = blocks_.size() - 1;
     used_ = 0;
   }

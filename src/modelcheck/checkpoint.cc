@@ -47,12 +47,12 @@ class WordWriter {
     }
   }
 
-  void bytes(const std::vector<std::uint8_t>& v) {
+  void bytes(std::span<const std::uint8_t> v) {
     u64(v.size());
     for (std::uint8_t b : v) words_.push_back(static_cast<std::int64_t>(b));
   }
 
-  void word_vec(const std::vector<std::int64_t>& v) {
+  void word_vec(std::span<const std::int64_t> v) {
     u64(v.size());
     words_.insert(words_.end(), v.begin(), v.end());
   }
@@ -153,29 +153,30 @@ class WordReader {
     return text;
   }
 
-  std::vector<std::uint8_t> bytes(const char* what) {
+  // Reads a byte vector as the next run of *out.
+  void bytes(const char* what, NodeRuns<std::uint8_t>* out) {
     const std::size_t n = count(what);
-    std::vector<std::uint8_t> out;
-    out.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       const std::int64_t b = i64();
       if (b < 0 || b > 255) {
         fail(std::string(what) + " has a non-byte element");
-        return out;
+        break;
       }
-      out.push_back(static_cast<std::uint8_t>(b));
+      out->items.push_back(static_cast<std::uint8_t>(b));
     }
-    return out;
+    out->offsets.push_back(out->items.size());
   }
 
-  std::vector<std::int64_t> word_vec(const char* what) {
+  // Reads a word vector as the next run of *out.
+  void word_vec(const char* what, NodeRuns<std::int64_t>* out) {
     const std::size_t n = count(what);
-    std::vector<std::int64_t> out;
-    if (!status_.is_ok()) return out;
-    out.assign(words_.begin() + static_cast<std::ptrdiff_t>(pos_),
-               words_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return out;
+    if (status_.is_ok()) {
+      out->items.insert(
+          out->items.end(), words_.begin() + static_cast<std::ptrdiff_t>(pos_),
+          words_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+      pos_ += n;
+    }
+    out->offsets.push_back(out->items.size());
   }
 
   sim::Step step() {
@@ -455,24 +456,22 @@ StatusOr<ExploreCheckpoint> read_explore_checkpoint(const std::string& path) {
   // and edge count.
   const std::size_t n = r.count("node", /*min_words_per_element=*/14);
   const bool has_perms = r.boolean("has discovery perms");
-  cp.node_words.reserve(n);
+  cp.node_words.offsets.reserve(n + 1);
   cp.node_flags.reserve(n);
   cp.node_depths.reserve(n);
   cp.parents.reserve(n);
   cp.parent_steps.reserve(n);
-  cp.edges.reserve(n);
-  if (has_perms) cp.discovery_perms.reserve(n);
+  cp.edges.offsets.reserve(n + 1);
+  if (has_perms) cp.discovery_perms.offsets.reserve(n + 1);
   for (std::size_t i = 0; i < n && r.status().is_ok(); ++i) {
-    cp.node_words.push_back(r.word_vec("node config words"));
+    r.word_vec("node config words", &cp.node_words);
     cp.node_flags.push_back(r.i64());
     cp.node_depths.push_back(r.u32("node depth"));
     cp.parents.push_back(r.u32("node parent"));
     cp.parent_steps.push_back(r.step());
-    if (has_perms) cp.discovery_perms.push_back(r.bytes("discovery perm"));
+    if (has_perms) r.bytes("discovery perm", &cp.discovery_perms);
     const std::size_t edge_count =
         r.count("edge", /*min_words_per_element=*/3);
-    std::vector<Edge> edges;
-    edges.reserve(edge_count);
     for (std::size_t j = 0; j < edge_count && r.status().is_ok(); ++j) {
       Edge e;
       e.to = r.u32("edge target");
@@ -484,9 +483,9 @@ StatusOr<ExploreCheckpoint> read_explore_checkpoint(const std::string& path) {
       }
       e.kind = static_cast<sim::Action::Kind>(kind);
       if (e.to >= n) r.fail("edge target beyond node count");
-      edges.push_back(e);
+      cp.edges.items.push_back(e);
     }
-    cp.edges.push_back(std::move(edges));
+    cp.edges.offsets.push_back(cp.edges.items.size());
   }
   const std::size_t frontier_count = r.count("frontier");
   cp.frontier.reserve(frontier_count);

@@ -31,6 +31,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,24 @@ namespace lbsa::modelcheck {
 
 // Bump when the serialized layout changes; readers reject other versions.
 inline constexpr std::uint32_t kCheckpointSchemaVersion = 1;
+
+// One run of T per node, stored flat: run i is
+// items[offsets[i], offsets[i + 1]).
+template <typename T>
+struct NodeRuns {
+  std::vector<T> items;
+  std::vector<std::uint64_t> offsets{0};
+
+  std::size_t size() const { return offsets.size() - 1; }
+  bool empty() const { return size() == 0; }
+  std::span<const T> operator[](std::size_t i) const {
+    return {items.data() + offsets[i], items.data() + offsets[i + 1]};
+  }
+  void push_back(std::span<const T> run) {
+    items.insert(items.end(), run.begin(), run.end());
+    offsets.push_back(items.size());
+  }
+};
 
 // A paused exploration: the canonical graph prefix (every node of depth
 // <= levels_completed expanded; frontier = the next level, unexpanded, in
@@ -74,13 +93,14 @@ struct ExploreCheckpoint {
   std::uint32_t levels_completed = 0;
 
   // --- the canonical partial graph (parallel arrays, one slot per node) ---
-  std::vector<std::vector<std::int64_t>> node_words;  // Config::encode()
+  NodeRuns<std::int64_t> node_words;  // Config::encode()
   std::vector<std::int64_t> node_flags;
   std::vector<std::uint32_t> node_depths;
   std::vector<std::uint32_t> parents;      // parents[0] unused (root)
   std::vector<sim::Step> parent_steps;     // parallel to `parents`
-  std::vector<std::vector<std::uint8_t>> discovery_perms;  // may be empty
-  std::vector<std::vector<Edge>> edges;
+  // No runs without symmetry reduction; an empty run is the identity.
+  NodeRuns<std::uint8_t> discovery_perms;
+  NodeRuns<Edge> edges;
 
   // Node ids awaiting expansion (ascending). Nodes past the truncation
   // budget are NOT listed: they are never expanded.

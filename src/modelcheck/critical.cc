@@ -7,7 +7,7 @@ CriticalInfo analyze_pending_steps(const sim::Protocol& protocol,
                                    std::uint32_t node) {
   CriticalInfo info;
   info.node = node;
-  const sim::Config& config = graph.nodes()[node].config;
+  const sim::Config config = graph.config(node);
 
   for (int pid = 0; pid < static_cast<int>(config.procs.size()); ++pid) {
     if (!config.enabled(pid)) continue;

@@ -58,9 +58,10 @@ int select_ample_pid(const sim::Protocol& protocol, const sim::Config& config,
 void record_graph_metrics(const ConfigGraph& graph) {
   if (!obs::metrics_enabled()) return;
   std::vector<std::uint64_t> level_sizes;
-  for (const Node& node : graph.nodes()) {
-    if (node.depth >= level_sizes.size()) level_sizes.resize(node.depth + 1, 0);
-    ++level_sizes[node.depth];
+  for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
+    const std::uint32_t depth = graph.depth(id);
+    if (depth >= level_sizes.size()) level_sizes.resize(depth + 1, 0);
+    ++level_sizes[depth];
   }
   for (std::uint64_t size : level_sizes) {
     LBSA_OBS_HISTOGRAM_OBSERVE("explore.frontier_size", size);
@@ -122,8 +123,8 @@ void add_canon_metrics(const sim::CanonScratch& s) {
 // another thread allocated.
 struct Batch {
   struct Succ {
-    sim::Step step;
-    std::int64_t flag = 0;
+    std::int32_t pid = -1;  // the step that reached it
+    sim::Action::Kind kind = sim::Action::Kind::kInvoke;
     std::uint64_t hash = 0;
     std::uint32_t begin = 0;  // offset of the key in `words`
     std::uint32_t size = 0;
@@ -153,17 +154,17 @@ struct Batch {
   }
 };
 
-// A node's configuration, rebuilt from its intern key: the key is the
-// configuration's encoding (under symmetry reduction, the representative's)
-// followed by the path flag.
-sim::Config decode_key(std::span<const std::int64_t> key) {
-  auto config = sim::decode_config(key.first(key.size() - 1));
-  LBSA_CHECK(config.is_ok());
-  return std::move(config).value();
+// A node's configuration, rebuilt from its intern key into *out: the key
+// is the configuration's encoding (under symmetry reduction, the
+// representative's) followed by the path flag.
+void decode_key_into(std::span<const std::int64_t> key, sim::Config* out) {
+  const Status decoded =
+      sim::decode_config_into(key.first(key.size() - 1), out);
+  LBSA_CHECK(decoded.is_ok());
 }
 
 // Successor generation for one thread: decode, step, flag fold, encode or
-// canonicalize, hash. Touches only the frontier nodes it expands, so any
+// canonicalize, hash. Reads only the keys of the nodes it expands, so any
 // thread may run it on any chunk; one instance per worker.
 class Generator {
  public:
@@ -171,32 +172,30 @@ class Generator {
             const sim::Canonicalizer* sym, bool por)
       : protocol_(&protocol), flag_fn_(&flag_fn), sym_(sym), por_(por) {}
 
-  // Expands nodes[ids] into *out (cleared first), first decoding each
-  // node's configuration from keys[id] if it has none yet.
-  void expand(std::vector<Node>* nodes,
-              std::span<const std::span<const std::int64_t>> keys,
+  // Expands the nodes `ids`, whose intern keys are keys[id], into *out
+  // (cleared first). Each node is decoded into one reused Config.
+  void expand(std::span<const std::span<const std::int64_t>> keys,
               std::span<const std::uint32_t> ids, Batch* out) {
     out->clear();
     for (const std::uint32_t id : ids) {
-      Node& node = (*nodes)[id];
-      if (node.config.procs.empty()) node.config = decode_key(keys[id]);
+      decode_key_into(keys[id], &config_);
+      const std::int64_t flag = keys[id].back();
       const int ample =
-          por_ ? select_ample_pid(*protocol_, node.config, node.flag, *flag_fn_)
-               : -1;
+          por_ ? select_ample_pid(*protocol_, config_, flag, *flag_fn_) : -1;
       if (ample >= 0) {
         out->ample = true;
         out->por_skips +=
-            static_cast<std::uint64_t>(node.config.enabled_count() - 1);
+            static_cast<std::uint64_t>(config_.enabled_count() - 1);
       }
-      const int n = static_cast<int>(node.config.procs.size());
+      const int n = static_cast<int>(config_.procs.size());
       for (int pid = 0; pid < n; ++pid) {
-        if (!node.config.enabled(pid)) continue;
+        if (!config_.enabled(pid)) continue;
         if (ample >= 0 && pid != ample) continue;
         successors_.clear();
-        sim::enumerate_successors(*protocol_, node.config, pid, &successors_);
+        sim::enumerate_successors(*protocol_, config_, pid, &successors_);
         for (const sim::Successor& succ : successors_) {
           add(succ.config, succ.step,
-              *flag_fn_ ? (*flag_fn_)(node.flag, succ.step) : node.flag, out);
+              *flag_fn_ ? (*flag_fn_)(flag, succ.step) : flag, out);
         }
       }
       out->ends.push_back(static_cast<std::uint32_t>(out->succs.size()));
@@ -207,8 +206,8 @@ class Generator {
   void add(const sim::Config& config, const sim::Step& step,
            std::int64_t flag, Batch* out) {
     Batch::Succ succ;
-    succ.step = step;
-    succ.flag = flag;
+    succ.pid = step.pid;
+    succ.kind = step.action.kind;
     succ.begin = static_cast<std::uint32_t>(out->words.size());
     if (sym_ != nullptr) {
       sym_->canonical_encode_into(config, &sym_key_, &perm_, &canon_);
@@ -235,6 +234,7 @@ class Generator {
   const Explorer::FlagFn* flag_fn_;
   const sim::Canonicalizer* sym_;
   bool por_;
+  sim::Config config_;  // the node being expanded
   sim::CanonScratch canon_;
   std::vector<sim::Successor> successors_;
   std::vector<std::int64_t> sym_key_;
@@ -278,12 +278,10 @@ class GeneratorPool {
   }
 
   // Hands the workers the chunks of `frontier` (see Generator::expand).
-  // Only the pool may touch `nodes` and `keys` until finish_level()
-  // returns. Workers read these fields only once they see level_ change.
-  void start_level(std::vector<Node>* nodes,
-                   std::span<const std::span<const std::int64_t>> keys,
+  // `keys` must not change until finish_level() returns. Workers read
+  // these fields only once they see level_ change.
+  void start_level(std::span<const std::span<const std::int64_t>> keys,
                    std::span<const std::uint32_t> frontier) {
-    nodes_ = nodes;
     keys_ = keys;
     frontier_ = frontier;
     chunks_ = (frontier.size() + kChunk - 1) / kChunk;
@@ -344,7 +342,7 @@ class GeneratorPool {
   std::size_t generate(std::size_t g, std::size_t k) {
     const std::span<const std::uint32_t> ids = frontier_.subspan(
         k * kChunk, std::min(kChunk, frontier_.size() - k * kChunk));
-    (*gens_)[g].expand(nodes_, keys_, ids, &ring_[k % ring_.size()]);
+    (*gens_)[g].expand(keys_, ids, &ring_[k % ring_.size()]);
     ready_[k % ring_.size()].store(k + 1, std::memory_order_release);
     return ids.size();
   }
@@ -412,7 +410,6 @@ class GeneratorPool {
   std::vector<Batch> ring_;
   // ready_[slot] == c + 1: chunk c has been generated into the slot.
   std::unique_ptr<std::atomic<std::size_t>[]> ready_;
-  std::vector<Node>* nodes_ = nullptr;
   std::span<const std::span<const std::int64_t>> keys_;
   std::span<const std::uint32_t> frontier_;
   std::size_t chunks_ = 0;
@@ -429,12 +426,13 @@ class GeneratorPool {
 };
 
 // The intern table: open addressing over (hash, key, id) slots, with each
-// key's words copied once into an arena. A probe reads the stored words only
-// on a full hash match, and prefetch() lets the merge loop pull a slot into
-// cache before it is probed.
+// key's words copied once into the graph's key arena. A probe reads the
+// stored words only on a full hash match, and prefetch() lets the merge
+// loop pull a slot into cache before it is probed.
 class KeyIndex {
  public:
-  KeyIndex() : slots_(std::size_t{1} << 10) {}
+  explicit KeyIndex(WordArena* arena)
+      : slots_(std::size_t{1} << 10), arena_(arena) {}
 
   void prefetch(std::uint64_t hash) const {
     __builtin_prefetch(&slots_[hash & (slots_.size() - 1)]);
@@ -452,7 +450,7 @@ class KeyIndex {
     for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
       Slot& slot = slots_[i];
       if (slot.words == nullptr) {
-        std::int64_t* words = arena_.alloc(key.size());
+        std::int64_t* words = arena_->alloc(key.size());
         std::copy(key.begin(), key.end(), words);
         slot = Slot{hash, words, static_cast<std::uint32_t>(key.size()), id};
         if (++count_ * 2 > slots_.size()) grow();
@@ -487,84 +485,123 @@ class KeyIndex {
 
   std::vector<Slot> slots_;
   std::size_t count_ = 0;
-  WordArena arena_;
+  WordArena* arena_;
 };
+
+// Edge i of `edges` as a step choice: its index among the outcomes of its
+// pid's step, which the explorer emits consecutively in outcome order.
+int outcome_index(std::span<const Edge> edges, std::size_t i) {
+  int k = 0;
+  while (static_cast<std::size_t>(k) < i &&
+         edges[i - 1 - static_cast<std::size_t>(k)].pid == edges[i].pid) {
+    ++k;
+  }
+  return k;
+}
+
+// True iff `perm` maps every pid to itself.
+bool is_identity(std::span<const std::uint8_t> perm) {
+  for (std::size_t p = 0; p < perm.size(); ++p) {
+    if (perm[p] != p) return false;
+  }
+  return true;
+}
 
 }  // namespace
 
-std::vector<sim::Step> ConfigGraph::path_to(std::uint32_t id) const {
-  if (canonicalizer_ == nullptr) {
-    std::vector<sim::Step> steps;
-    std::uint32_t cur = id;
-    while (cur != root()) {
-      const auto& [parent, step] = parents_[cur];
-      steps.push_back(step);
-      cur = parent;
-    }
-    std::reverse(steps.begin(), steps.end());
-    return steps;
-  }
+sim::Config ConfigGraph::config(std::uint32_t id) const {
+  sim::Config out;
+  config_into(id, &out);
+  return out;
+}
 
-  // Symmetry-reduced graph: every recorded step acted in its parent's
-  // *representative* space, so the raw parent chain is generally not an
-  // execution of the protocol. Lift it: maintain σ, the renaming that maps
-  // the concrete run being rebuilt onto the stored representative of the
-  // current node (σ starts as the root's canonicalizing perm and composes
-  // each node's discovery perm on the way down); a representative step by
-  // pid r lifts to a concrete step by σ⁻¹(r) with the same outcome choice
-  // (renaming maps outcome lists elementwise in order — see sim/symmetry.h).
+void ConfigGraph::config_into(std::uint32_t id, sim::Config* out) const {
+  decode_key_into(key(id), out);
+}
+
+sim::Step ConfigGraph::edge_step(std::uint32_t from,
+                                 const sim::Config& from_config,
+                                 std::uint32_t edge) const {
+  const std::span<const Edge> out = edges(from);
+  sim::Config successor = from_config;
+  return sim::apply_step(*protocol_, &successor, out[edge].pid,
+                         outcome_index(out, edge));
+}
+
+sim::Step ConfigGraph::parent_step(std::uint32_t id) const {
+  LBSA_CHECK(id != root());
+  const Parent& parent = parents_[id];
+  return edge_step(parent.id, config(parent.id), parent.edge);
+}
+
+std::vector<Node> ConfigGraph::nodes() const {
+  std::vector<Node> out;
+  out.reserve(node_count());
+  for (std::uint32_t id = 0; id < node_count(); ++id) {
+    out.push_back(Node{config(id), flag(id), depth(id)});
+  }
+  return out;
+}
+
+std::vector<sim::Step> ConfigGraph::path_to(std::uint32_t id) const {
   std::vector<std::uint32_t> chain;  // nodes after the root, in path order
-  for (std::uint32_t cur = id; cur != root(); cur = parents_[cur].first) {
+  for (std::uint32_t cur = id; cur != root(); cur = parents_[cur].id) {
     chain.push_back(cur);
   }
   std::reverse(chain.begin(), chain.end());
 
-  const sim::Protocol& protocol = *lift_protocol_;
+  // Replay the discovering edges from the initial configuration. On a
+  // symmetry-reduced graph every edge acted in its source's
+  // *representative* space, so the raw parent chain is generally not an
+  // execution of the protocol. Lift it: maintain σ, the renaming that maps
+  // the concrete run being rebuilt onto the stored representative of the
+  // current node (σ starts as the root's discovery perm and composes each
+  // node's on the way down; it stays the identity without symmetry
+  // reduction). An edge by representative pid r lifts to a concrete step
+  // by σ⁻¹(r) with the same outcome index (renaming maps outcome lists
+  // elementwise in order — see sim/symmetry.h).
+  const sim::Protocol& protocol = *protocol_;
   const int n = protocol.process_count();
   std::vector<int> sigma(static_cast<std::size_t>(n));
-  for (int p = 0; p < n; ++p) sigma[static_cast<std::size_t>(p)] = p;
-  auto compose = [&](const std::vector<std::uint8_t>& pi) {
-    if (pi.empty()) return;  // identity
-    for (int p = 0; p < n; ++p) {
-      sigma[static_cast<std::size_t>(p)] = static_cast<int>(
-          pi[static_cast<std::size_t>(sigma[static_cast<std::size_t>(p)])]);
-    }
+  std::iota(sigma.begin(), sigma.end(), 0);
+  auto compose = [&](std::uint32_t v) {
+    const std::span<const std::uint8_t> pi = discovery_perm(v);
+    if (pi.empty()) return;
+    for (int& image : sigma) image = pi[static_cast<std::size_t>(image)];
   };
-  compose(discovery_perms_[root()]);
+  compose(root());
 
   sim::Config concrete = sim::initial_config(protocol);
   std::vector<sim::Step> steps;
   steps.reserve(chain.size());
   for (std::uint32_t v : chain) {
-    const sim::Step& rep_step = parents_[v].second;
-    int concrete_pid = -1;
-    for (int p = 0; p < n; ++p) {
-      if (sigma[static_cast<std::size_t>(p)] == rep_step.pid) {
-        concrete_pid = p;
-        break;
-      }
-    }
-    LBSA_CHECK(concrete_pid >= 0);
-    steps.push_back(sim::apply_step(protocol, &concrete, concrete_pid,
-                                    rep_step.outcome_choice));
-    compose(discovery_perms_[v]);
+    const Parent& parent = parents_[v];
+    const std::span<const Edge> out = edges(parent.id);
+    const auto concrete_pid =
+        std::find(sigma.begin(), sigma.end(), out[parent.edge].pid);
+    LBSA_CHECK(concrete_pid != sigma.end());
+    steps.push_back(sim::apply_step(
+        protocol, &concrete, static_cast<int>(concrete_pid - sigma.begin()),
+        outcome_index(out, parent.edge)));
+    compose(v);
   }
-  // Certify the lift: renaming the concrete endpoint by σ must reproduce
-  // the stored representative bit for bit.
-  sim::Config renamed = concrete;
-  sim::apply_pid_permutation(protocol, sigma, &renamed);
-  LBSA_CHECK_MSG(renamed == nodes_[static_cast<std::size_t>(id)].config,
-                 "symmetry lift failed to land on the representative");
+  // Certify the replay: renaming the concrete endpoint by σ must reproduce
+  // the stored configuration bit for bit.
+  if (!perms_.empty()) sim::apply_pid_permutation(protocol, sigma, &concrete);
+  const std::span<const std::int64_t> words = key(id);
+  LBSA_CHECK_MSG(std::ranges::equal(concrete.encode(),
+                                    words.first(words.size() - 1)),
+                 "path replay failed to land on the stored configuration");
   return steps;
 }
 
 std::uint64_t ConfigGraph::full_node_estimate() const {
-  if (canonicalizer_ == nullptr) {
-    return static_cast<std::uint64_t>(nodes_.size());
-  }
+  if (canonicalizer_ == nullptr) return node_count();
   std::uint64_t total = 0;
-  for (const Node& node : nodes_) {
-    total += canonicalizer_->orbit_size(node.config);
+  sim::Config config;
+  for (std::uint32_t id = 0; id < node_count(); ++id) {
+    config_into(id, &config);
+    total += canonicalizer_->orbit_size(config);
   }
   return total;
 }
@@ -624,10 +661,17 @@ StatusOr<ExploreEngine> parse_engine(const std::string& name) {
 StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
                                         FlagFn flag_fn,
                                         std::int64_t initial_flag) const {
+  if (options.threads > kMaxThreads) {
+    return invalid_argument("explore: threads " +
+                            std::to_string(options.threads) +
+                            " exceeds the maximum of " +
+                            std::to_string(kMaxThreads));
+  }
   const int threads =
       options.threads > 0
           ? options.threads
-          : std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+          : std::clamp(static_cast<int>(std::thread::hardware_concurrency()),
+                       1, kMaxThreads);
 
   const bool want_sym = options.reduction == Reduction::kSymmetry ||
                         options.reduction == Reduction::kBoth;
@@ -719,26 +763,6 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
             "resume: frontier node depth disagrees with levels_completed");
       }
     }
-    // path_to() replays parent steps and composes discovery perms, so both
-    // must name real processes.
-    const int n = protocol_->process_count();
-    for (std::size_t i = 1; i < cp.parent_steps.size(); ++i) {
-      const int pid = cp.parent_steps[i].pid;
-      if (pid < 0 || pid >= n) {
-        return invalid_argument("resume: parent step pid " +
-                                std::to_string(pid) + " out of range");
-      }
-    }
-    std::vector<std::uint8_t> pids(static_cast<std::size_t>(n));
-    std::iota(pids.begin(), pids.end(), std::uint8_t{0});
-    for (const std::vector<std::uint8_t>& perm : cp.discovery_perms) {
-      if (!perm.empty() &&  // empty = identity
-          !std::is_permutation(perm.begin(), perm.end(), pids.begin(),
-                               pids.end())) {
-        return invalid_argument(
-            "resume: discovery perm is not a permutation of the processes");
-      }
-    }
   }
 
   LBSA_OBS_COUNTER_ADD("explore.runs", 1);
@@ -762,54 +786,45 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
   }
 
   const sim::Protocol& protocol = *protocol_;
+  const std::size_t n = static_cast<std::size_t>(protocol.process_count());
   ConfigGraph graph;
-  KeyIndex index;
-  // Each node's stored intern key, parallel to graph.nodes_: a node's
-  // configuration is decoded from it when the node is first expanded (see
-  // Generator::expand) or, if it never is, by decode_pending().
-  std::vector<std::span<const std::int64_t>> node_keys;
-  // The level's new nodes and their keys. They join graph.nodes_ and
-  // node_keys only when the level is complete, so workers can use both
-  // meanwhile; edges_, parents_ and discovery_perms_ grow as nodes are
-  // interned.
-  std::vector<Node> fresh;
+  graph.protocol_ = protocol_;
+  graph.process_count_ = n;
+  KeyIndex index(&graph.key_arena_);
+  // The keys of the level's new nodes. They join graph.keys_ only when the
+  // level is complete, so workers can read graph.keys_ meanwhile; the other
+  // per-node arrays grow as nodes are interned.
   std::vector<std::span<const std::int64_t>> fresh_keys;
 
-  // Interns successor i of `batch`, discovered from `parent` at `depth`.
+  // Interns successor i of `batch`, discovered by `parent` at `depth`.
   // Returns the node's id and whether it is new.
-  auto intern = [&](const Batch& batch, std::size_t i, std::uint32_t parent,
+  auto intern = [&](const Batch& batch, std::size_t i,
+                    ConfigGraph::Parent parent,
                     std::uint32_t depth) -> std::pair<std::uint32_t, bool> {
     const Batch::Succ& succ = batch.succs[i];
-    const KeyIndex::Found found = index.intern(
-        batch.key(succ), succ.hash,
-        static_cast<std::uint32_t>(graph.edges_.size()));
+    const KeyIndex::Found found =
+        index.intern(batch.key(succ), succ.hash, graph.node_count());
     if (!found.inserted) return {found.id, false};
-    fresh.push_back(Node{{}, succ.flag, depth});
     fresh_keys.push_back(found.key);
-    graph.edges_.emplace_back();
-    graph.parents_.emplace_back(parent, succ.step);
+    graph.depths_.push_back(depth);
+    graph.parents_.push_back(parent);
     if (sym != nullptr) {
-      std::vector<std::uint8_t> perm;
       if (succ.perm >= 0) {
         const auto first = batch.perms.begin() + succ.perm;
-        perm.assign(first, first + protocol.process_count());
+        graph.perms_.insert(graph.perms_.end(), first,
+                            first + static_cast<std::ptrdiff_t>(n));
+      } else {
+        for (std::size_t p = 0; p < n; ++p) {
+          graph.perms_.push_back(static_cast<std::uint8_t>(p));
+        }
       }
-      graph.discovery_perms_.push_back(std::move(perm));
     }
     return {found.id, true};
   };
   auto flush_fresh = [&] {
-    std::move(fresh.begin(), fresh.end(), std::back_inserter(graph.nodes_));
-    node_keys.insert(node_keys.end(), fresh_keys.begin(), fresh_keys.end());
-    fresh.clear();
+    graph.keys_.insert(graph.keys_.end(), fresh_keys.begin(),
+                       fresh_keys.end());
     fresh_keys.clear();
-  };
-  // Decodes the configuration of every node not yet expanded.
-  auto decode_pending = [&] {
-    for (std::size_t i = 0; i < graph.nodes_.size(); ++i) {
-      sim::Config& config = graph.nodes_[i].config;
-      if (config.procs.empty()) config = decode_key(node_keys[i]);
-    }
   };
 
   // gens[i] canonicalizes with orbit cache i of the run's cache pool, if
@@ -832,33 +847,110 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
   if (options.resume != nullptr) {
     // Seed the canonical prefix directly (NOT through intern(): resumed
     // nodes must not re-bump explore.nodes — the counters describe work done
-    // this session). The checkpoint stores representatives, so plain
-    // encoding reproduces the intern keys even under symmetry reduction.
-    // A decode error means a hand-edited checkpoint (the files are
-    // checksummed): fail cleanly, not crash.
+    // this session). The checkpoint stores representatives, so each node's
+    // words plus its flag are its intern key even under symmetry reduction.
+    // The graph's structure is validated here, so a malformed checkpoint
+    // (the files are checksummed, so a hand-edited one) fails cleanly: the
+    // words decode, keys are distinct, edge lists are ordered by pid, every
+    // parent step names an edge of its parent that leads to the node, and
+    // perms and counts are consistent. Steps are not replayed (that would
+    // decode every node): an edge whose target is not the configuration its
+    // step reaches passes here and aborts on path_to's certify check.
     const ExploreCheckpoint& cp = *options.resume;
-    const std::size_t n = cp.node_words.size();
-    graph.nodes_.reserve(n);
+    const auto count = static_cast<std::uint32_t>(cp.node_words.size());
+    sim::Config decoded;
     std::vector<std::int64_t> seed_key;
-    for (std::size_t i = 0; i < n; ++i) {
-      auto decoded = sim::decode_config(cp.node_words[i]);
-      if (!decoded.is_ok()) return decoded.status();
-      sim::Config& config = decoded.value();
-      config.encode_into(&seed_key);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::span<const std::int64_t> words = cp.node_words[i];
+      if (const Status s = sim::decode_config_into(words, &decoded);
+          !s.is_ok()) {
+        return s;
+      }
+      seed_key.assign(words.begin(), words.end());
       seed_key.push_back(cp.node_flags[i]);
-      const KeyIndex::Found found = index.intern(
-          seed_key, hash_words(seed_key), static_cast<std::uint32_t>(i));
+      const KeyIndex::Found found =
+          index.intern(seed_key, hash_words(seed_key), i);
       if (!found.inserted) {
         return invalid_argument("resume: duplicate checkpoint node");
       }
-      node_keys.push_back(found.key);
-      graph.nodes_.push_back(
-          Node{std::move(config), cp.node_flags[i], cp.node_depths[i]});
-      graph.parents_.emplace_back(cp.parents[i], cp.parent_steps[i]);
+      graph.keys_.push_back(found.key);
+      graph.depths_.push_back(cp.node_depths[i]);
+
+      // The discovering edge is the parent's edge that the parent step
+      // names: its pid's outcome_choice-th outcome, leading to node i. The
+      // parent precedes node i, so its edge list was already checked to be
+      // ordered by pid, and this count agrees with outcome_index().
+      ConfigGraph::Parent parent;
+      if (i != 0) {
+        parent.id = cp.parents[i];
+        const sim::Step& step = cp.parent_steps[i];
+        const std::span<const Edge> out = cp.edges[parent.id];
+        int outcome = 0;
+        std::size_t e = 0;
+        for (; e < out.size(); ++e) {
+          if (out[e].pid == step.pid && outcome++ == step.outcome_choice) {
+            break;
+          }
+        }
+        if (e == out.size() || out[e].to != i) {
+          return invalid_argument("resume: the parent step of node " +
+                                  std::to_string(i) +
+                                  " names no edge of its parent");
+        }
+        parent.edge = static_cast<std::uint32_t>(e);
+      }
+      graph.parents_.push_back(parent);
+
+      const std::span<const Edge> out = cp.edges[i];
+      for (std::size_t e = 0; e < out.size(); ++e) {
+        if (out[e].pid < 0 || static_cast<std::size_t>(out[e].pid) >= n) {
+          return invalid_argument("resume: edge pid " +
+                                  std::to_string(out[e].pid) +
+                                  " out of range");
+        }
+        // An edge's outcome index is its position in its pid's run of
+        // edges (outcome_index()), so each pid's edges must be consecutive:
+        // pids ascend, as the explorer emits them.
+        if (e > 0 && out[e].pid < out[e - 1].pid) {
+          return invalid_argument("resume: the edges of node " +
+                                  std::to_string(i) +
+                                  " are not ordered by pid");
+        }
+      }
+      if (!out.empty()) {
+        graph.open_edges(i);
+        graph.edges_.insert(graph.edges_.end(), out.begin(), out.end());
+      }
+
+      if (sym != nullptr) {
+        // An empty perm is the identity.
+        const std::span<const std::uint8_t> perm = cp.discovery_perms[i];
+        const std::size_t row = graph.perms_.size();
+        for (std::size_t p = 0; p < n; ++p) {
+          graph.perms_.push_back(static_cast<std::uint8_t>(p));
+        }
+        if (!perm.empty()) {
+          if (!std::is_permutation(perm.begin(), perm.end(),
+                                   graph.perms_.begin() + row,
+                                   graph.perms_.end())) {
+            return invalid_argument(
+                "resume: discovery perm is not a permutation of the "
+                "processes");
+          }
+          std::copy(perm.begin(), perm.end(), graph.perms_.begin() + row);
+        }
+      }
     }
-    graph.edges_ = cp.edges;
-    graph.discovery_perms_ = cp.discovery_perms;
-    graph.transition_count_ = cp.transition_count;
+    if (cp.transition_count != graph.edges_.size()) {
+      return invalid_argument(
+          "resume: transition count disagrees with the edge lists");
+    }
+    // Frontier nodes are expanded after every node that already has edges,
+    // so their edge lists extend the CSR arrays in order.
+    if (!cp.frontier.empty() &&
+        cp.frontier.front() < graph.edge_begin_.size()) {
+      return invalid_argument("resume: frontier node already has edges");
+    }
     graph.truncated_ = cp.truncated;
     frontier = cp.frontier;
     start_depth = cp.levels_completed;
@@ -866,7 +958,7 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
     Batch root;
     gens[0].add(sim::initial_config(protocol), sim::Step{}, initial_flag,
                 &root);
-    intern(root, 0, 0, 0);
+    intern(root, 0, ConfigGraph::Parent{}, 0);
     flush_fresh();
     LBSA_OBS_COUNTER_ADD("explore.nodes", 1);
     if (root.renamed > 0) LBSA_OBS_COUNTER_ADD("explore.sym.renamed", 1);
@@ -877,7 +969,6 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
   // pending, to options.checkpoint_path.
   auto write_checkpoint = [&](std::uint32_t depth) -> Status {
     LBSA_OBS_COUNTER_ADD_V("explore.checkpoint.writes", 1);
-    decode_pending();
     ExploreCheckpoint cp;
     cp.fingerprint = fingerprint;
     cp.task_label = options.checkpoint_label;
@@ -887,18 +978,41 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
     cp.max_nodes = options.max_nodes;
     cp.allow_truncation = options.allow_truncation;
     cp.truncated = graph.truncated_;
-    cp.transition_count = graph.transition_count_;
+    cp.transition_count = graph.transition_count();
     cp.levels_completed = depth;
-    for (std::size_t i = 0; i < graph.nodes_.size(); ++i) {
-      const Node& node = graph.nodes_[i];
-      cp.node_words.push_back(node.config.encode());
-      cp.node_flags.push_back(node.flag);
-      cp.node_depths.push_back(node.depth);
-      cp.parents.push_back(graph.parents_[i].first);
-      cp.parent_steps.push_back(graph.parents_[i].second);
+    // Close every edge list for edges(), then reopen the unexpanded ones.
+    const std::size_t opened = graph.edge_begin_.size();
+    graph.open_edges(graph.node_count());
+    // Parent steps are rebuilt from the parent's configuration. Parents
+    // are non-decreasing in id order, so each is decoded once.
+    sim::Config parent_config;
+    std::uint32_t decoded = graph.root();
+    graph.config_into(decoded, &parent_config);
+    for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
+      const std::span<const std::int64_t> key = graph.key(id);
+      cp.node_words.push_back(key.first(key.size() - 1));
+      cp.node_flags.push_back(key.back());
+      cp.node_depths.push_back(graph.depth(id));
+      cp.parents.push_back(graph.parent(id));
+      sim::Step step;  // the root's stays default
+      if (id != graph.root()) {
+        const std::uint32_t parent = graph.parent(id);
+        if (parent != decoded) {
+          decoded = parent;
+          graph.config_into(decoded, &parent_config);
+        }
+        step = graph.edge_step(parent, parent_config, graph.parent_edge(id));
+      }
+      cp.parent_steps.push_back(step);
+      if (sym != nullptr) {
+        // The file stores the identity as an empty perm.
+        const std::span<const std::uint8_t> perm = graph.discovery_perm(id);
+        cp.discovery_perms.push_back(
+            is_identity(perm) ? std::span<const std::uint8_t>() : perm);
+      }
+      cp.edges.push_back(graph.edges(id));
     }
-    cp.discovery_perms = graph.discovery_perms_;
-    cp.edges = graph.edges_;
+    graph.edge_begin_.resize(opened);
     cp.frontier = frontier;
     return write_explore_checkpoint(cp, options.checkpoint_path);
   };
@@ -949,13 +1063,14 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
         }
         pool.emplace(&gens, options);
       }
-      pool->start_level(&graph.nodes_, node_keys, frontier);
+      pool->start_level(graph.keys_, frontier);
       graph.engine_used_ = ExploreEngine::kParallel;
     }
 
     // Rollback point for a mid-level stop.
-    const std::size_t level_base = graph.edges_.size();
-    const std::uint64_t level_transitions = graph.transition_count_;
+    const std::uint32_t level_nodes = graph.node_count();
+    const std::size_t level_edges = graph.edges_.size();
+    const std::size_t level_opened = graph.edge_begin_.size();
     const bool level_truncated = graph.truncated_;
     std::vector<std::uint32_t> next;
     bool stopped = false;
@@ -975,26 +1090,28 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
           break;
         }
       } else {
-        gens[0].expand(&graph.nodes_, node_keys, ids, &inline_batch);
+        gens[0].expand(graph.keys_, ids, &inline_batch);
       }
       std::uint64_t inserted = 0;
       std::size_t s = 0;
       for (std::size_t j = 0; j < ids.size(); ++j) {
-        graph.edges_[ids[j]].reserve(batch->ends[j] - s);
+        graph.open_edges(ids[j]);
+        const std::uint64_t first_edge = graph.edge_begin_[ids[j]];
         for (; s < batch->ends[j]; ++s) {
           // Probing is the merge's main cost: fetch a later probe's slot
           // while this one runs.
           if (s + kPrefetchAhead < batch->succs.size()) {
             index.prefetch(batch->succs[s + kPrefetchAhead].hash);
           }
-          Edge edge{0, batch->succs[s].step.pid,
-                    batch->succs[s].step.action.kind};
-          const auto [to, is_new] = intern(*batch, s, ids[j], depth + 1);
-          edge.to = to;
-          graph.edges_[ids[j]].push_back(edge);
+          const Batch::Succ& succ = batch->succs[s];
+          const ConfigGraph::Parent parent{
+              ids[j], static_cast<std::uint32_t>(graph.edges_.size() -
+                                                 first_edge)};
+          const auto [to, is_new] = intern(*batch, s, parent, depth + 1);
+          graph.edges_.push_back(Edge{to, succ.pid, succ.kind});
           if (!is_new) continue;
           ++inserted;
-          if (graph.edges_.size() > options.max_nodes) {
+          if (graph.node_count() > options.max_nodes) {
             if (!options.allow_truncation) {
               return resource_exhausted("explore: node budget exceeded (" +
                                         std::to_string(options.max_nodes) +
@@ -1009,7 +1126,6 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
           next.push_back(to);
         }
       }
-      graph.transition_count_ += batch->succs.size();
       if (!batch->succs.empty()) {
         LBSA_OBS_COUNTER_ADD("explore.transitions", batch->succs.size());
       }
@@ -1026,14 +1142,14 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
     if (stopped) {
       // Roll back to the level start: drop every node discovered during
       // this partial level and the edges its expansions emitted, so the
-      // result is the graph a boundary-time stop would produce.
-      graph.edges_.resize(level_base);
-      graph.parents_.resize(level_base);
-      if (sym != nullptr) graph.discovery_perms_.resize(level_base);
-      fresh.clear();
+      // result is the graph a boundary-time stop would produce. The keys
+      // they left in the arena are never referenced.
+      graph.depths_.resize(level_nodes);
+      graph.parents_.resize(level_nodes);
+      if (sym != nullptr) graph.perms_.resize(level_nodes * n);
       fresh_keys.clear();
-      for (const std::uint32_t id : frontier) graph.edges_[id].clear();
-      graph.transition_count_ = level_transitions;
+      graph.edges_.resize(level_edges);
+      graph.edge_begin_.resize(level_opened);
       graph.truncated_ = level_truncated;
       const Status written = interrupt(depth);
       if (!written.is_ok()) return written;
@@ -1042,20 +1158,19 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
     flush_fresh();
     frontier = std::move(next);
   }
-  decode_pending();
+  graph.open_edges(graph.node_count());
   if (!graph.interrupted_) {
-    graph.levels_completed_ =
-        graph.nodes_.empty() ? 0 : graph.nodes_.back().depth + 1;
+    graph.levels_completed_ = graph.depths_.back() + 1;
   }
   if (sym != nullptr) {
     for (Generator& gen : gens) add_canon_metrics(*gen.canon_scratch());
   }
-  LBSA_CHECK(graph.nodes_.size() == graph.edges_.size() &&
-             graph.nodes_.size() == graph.parents_.size());
+  LBSA_CHECK(graph.keys_.size() == graph.node_count() &&
+             graph.parents_.size() == graph.node_count() &&
+             graph.edge_begin_.size() == graph.node_count() + std::size_t{1});
   record_graph_metrics(graph);
   graph.reduction_ = options.reduction;
   graph.canonicalizer_ = std::move(sym);
-  graph.lift_protocol_ = protocol_;
   return graph;
 }
 

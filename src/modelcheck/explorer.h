@@ -17,9 +17,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "base/arena.h"
 #include "base/status.h"
 #include "modelcheck/cancel.h"
 #include "sim/config.h"
@@ -80,6 +82,12 @@ const char* reduction_name(Reduction reduction);
 // Inverse of reduction_name(); INVALID_ARGUMENT on anything else.
 StatusOr<Reduction> parse_reduction(const std::string& name);
 
+// Upper bound on every worker-thread count the library and its tools
+// accept (ExploreOptions::threads, FuzzOptions::threads, the CLIs'
+// --threads): far above any host this runs on, and far below a count that
+// would exhaust memory or thread ids before the first worker starts.
+inline constexpr int kMaxThreads = 256;
+
 struct ExploreOptions {
   // Hard cap on distinct (config, flag) nodes; exceeding it returns
   // RESOURCE_EXHAUSTED — unless allow_truncation is set, in which case a
@@ -97,6 +105,7 @@ struct ExploreOptions {
   bool allow_truncation = false;
   // Successor-generation workers for pooled levels; 0 =
   // hardware_concurrency. The graph is the same for every thread count.
+  // More than kMaxThreads is INVALID_ARGUMENT.
   int threads = 0;
   ExploreEngine engine = ExploreEngine::kAuto;
   // Which state-space reduction to apply (see Reduction above).
@@ -182,20 +191,71 @@ struct Edge {
   friend bool operator==(const Edge&, const Edge&) = default;
 };
 
-// A node: a reachable configuration (plus the optional path flag).
+// A node with its configuration decoded, as ConfigGraph::nodes() copies it
+// out.
 struct Node {
   sim::Config config;
   std::int64_t flag = 0;
   std::uint32_t depth = 0;  // BFS depth (shortest history length)
 };
 
-// The fully-materialized reachable graph.
+// The reachable graph, stored compactly: each node once, as its intern key
+// (the configuration's encoding, then the path flag) in one arena, with
+// edges in CSR form and one flat array per remaining per-node field.
+// Configurations and parent steps are rebuilt on demand, so a pass over
+// every node decodes into one scratch sim::Config (config_into) and
+// allocates nothing per node.
 class ConfigGraph {
  public:
-  const std::vector<Node>& nodes() const { return nodes_; }
-  const std::vector<std::vector<Edge>>& edges() const { return edges_; }
+  std::uint32_t node_count() const {
+    return static_cast<std::uint32_t>(depths_.size());
+  }
+  // Node id's intern key: the encoding of its configuration (under symmetry
+  // reduction, of the orbit representative), then the path flag. Stable for
+  // the graph's lifetime.
+  std::span<const std::int64_t> key(std::uint32_t id) const {
+    return keys_[id];
+  }
+  std::int64_t flag(std::uint32_t id) const { return keys_[id].back(); }
+  // BFS depth (shortest history length).
+  std::uint32_t depth(std::uint32_t id) const { return depths_[id]; }
+  // Outgoing edges in canonical order: pids ascending, then outcome order.
+  std::span<const Edge> edges(std::uint32_t id) const {
+    return {edges_.data() + edge_begin_[id],
+            edges_.data() + edge_begin_[id + 1]};
+  }
+  // Decodes node id's configuration from its key.
+  sim::Config config(std::uint32_t id) const;
+  // config(id) into *out, reusing its storage.
+  void config_into(std::uint32_t id, sim::Config* out) const;
+  // Discovering edge: node id was first reached by edges(parent(id))
+  // [parent_edge(id)]. Both are 0 for the root.
+  std::uint32_t parent(std::uint32_t id) const { return parents_[id].id; }
+  std::uint32_t parent_edge(std::uint32_t id) const {
+    return parents_[id].edge;
+  }
+  // The step of node id's discovering edge, rebuilt by replaying it from
+  // the parent's configuration (the representative's, under symmetry
+  // reduction). Not meaningful for the root.
+  sim::Step parent_step(std::uint32_t id) const;
+  // The pid permutation (perm[old_pid] = new_pid) that canonicalized node
+  // id's discovering successor into its stored representative; the
+  // identity for nodes stored as reached. Empty unless symmetry reduction
+  // was active. path_to() composes these to lift representative-space
+  // steps to concrete ones.
+  std::span<const std::uint8_t> discovery_perm(std::uint32_t id) const {
+    if (perms_.empty()) return {};
+    return {perms_.data() + std::size_t{id} * process_count_,
+            process_count_};
+  }
+  // Every node with its configuration decoded: an O(N) copy that holds the
+  // whole graph in decoded form. Kept only for perfbench's stage replay
+  // (perfbench/layers.cc); everything else reads node_count(), key(),
+  // flag(), depth() and config_into().
+  std::vector<Node> nodes() const;
+
   std::uint32_t root() const { return 0; }
-  std::uint64_t transition_count() const { return transition_count_; }
+  std::uint64_t transition_count() const { return edges_.size(); }
   // True iff exploration stopped at the node budget (allow_truncation).
   bool truncated() const { return truncated_; }
   // True iff exploration stopped early at a level boundary (cancellation,
@@ -209,16 +269,6 @@ class ConfigGraph {
   // Nodes awaiting expansion; empty unless interrupted().
   const std::vector<std::uint32_t>& pending_frontier() const {
     return pending_frontier_;
-  }
-  // Discovering-edge parent pointers, parallel to nodes(); parents()[0] is
-  // unused (the root has no parent).
-  const std::vector<std::pair<std::uint32_t, sim::Step>>& parents() const {
-    return parents_;
-  }
-  // Canonicalizing pid permutations of each node's discovering edge; empty
-  // unless symmetry reduction was active (see the private field's comment).
-  const std::vector<std::vector<std::uint8_t>>& discovery_perms() const {
-    return discovery_perms_;
   }
   // The reduction mode this graph was explored under.
   Reduction reduction() const { return reduction_; }
@@ -234,30 +284,49 @@ class ConfigGraph {
   // complete graph this is exactly the unreduced node count (each orbit
   // contributes all its members); under POR it is a lower bound, since POR
   // removes whole configurations rather than orbit mates. Without symmetry
-  // it equals nodes().size().
+  // it equals node_count().
   std::uint64_t full_node_estimate() const;
 
   // Reconstructs one shortest step sequence from the root to node id
-  // (for counterexample reporting). On a symmetry-reduced graph the
-  // recorded steps live in representative space; this lifts them back to a
-  // concrete run of the unreduced protocol — the returned steps replay from
+  // (for counterexample reporting) by replaying the discovering edges from
+  // the initial configuration. On a symmetry-reduced graph the edges live
+  // in representative space; the replay lifts them back to a concrete run
+  // of the unreduced protocol. Either way the returned steps replay from
   // initial_config() through apply_step()/ScriptedAdversary verbatim, and
-  // the lift is certified (LBSA_CHECK) to land on a renaming of node id's
-  // stored configuration.
+  // the replay is certified (LBSA_CHECK) to land on node id's stored
+  // configuration (on a renaming of it, under symmetry reduction).
   std::vector<sim::Step> path_to(std::uint32_t id) const;
 
  private:
   friend class Explorer;
-  std::vector<Node> nodes_;
-  std::vector<std::vector<Edge>> edges_;
-  // Parent pointers for path reconstruction: (parent id, step taken).
-  std::vector<std::pair<std::uint32_t, sim::Step>> parents_;
-  // Only populated under symmetry reduction (size == nodes_.size()): the
-  // pid permutation applied when canonicalizing the discovering edge's
-  // successor into nodes_[i].config (empty = identity). path_to() composes
-  // these to lift representative-space steps to concrete ones.
-  std::vector<std::vector<std::uint8_t>> discovery_perms_;
-  std::uint64_t transition_count_ = 0;
+  struct Parent {
+    std::uint32_t id = 0;
+    std::uint32_t edge = 0;  // index into edges(id)
+  };
+
+  // The step edges(from)[edge] takes from `from_config`, node from's
+  // configuration.
+  sim::Step edge_step(std::uint32_t from, const sim::Config& from_config,
+                      std::uint32_t edge) const;
+
+  // Opens node id's edge list: every node before it is complete. Nodes
+  // are expanded in ascending id order, so each list is one CSR range.
+  void open_edges(std::uint32_t id) {
+    while (edge_begin_.size() <= id) edge_begin_.push_back(edges_.size());
+  }
+
+  // Owns every key's words; keys_ points into it.
+  WordArena key_arena_;
+  std::vector<std::span<const std::int64_t>> keys_;
+  std::vector<std::uint32_t> depths_;
+  std::vector<Parent> parents_;
+  // node_count() rows of process_count_ bytes under symmetry reduction,
+  // else empty.
+  std::vector<std::uint8_t> perms_;
+  std::size_t process_count_ = 0;
+  // CSR: node id's edges are edges_[edge_begin_[id], edge_begin_[id + 1]).
+  std::vector<std::uint64_t> edge_begin_;
+  std::vector<Edge> edges_;
   bool truncated_ = false;
   bool interrupted_ = false;
   std::uint32_t levels_completed_ = 0;
@@ -265,8 +334,8 @@ class ConfigGraph {
   Reduction reduction_ = Reduction::kNone;
   ExploreEngine engine_used_ = ExploreEngine::kSerial;
   std::shared_ptr<const sim::Canonicalizer> canonicalizer_;
-  // Kept for path lifting and orbit sizing on reduced graphs.
-  std::shared_ptr<const sim::Protocol> lift_protocol_;
+  // The explored protocol, for path replay and parent steps.
+  std::shared_ptr<const sim::Protocol> protocol_;
 };
 
 class Explorer {

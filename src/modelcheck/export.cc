@@ -24,7 +24,7 @@ std::string escape(const std::string& text) {
 std::string to_dot(const sim::Protocol& protocol, const ConfigGraph& graph,
                    const ValenceAnalyzer* analyzer,
                    const DotOptions& options) {
-  const std::size_t n = graph.nodes().size();
+  const std::size_t n = graph.node_count();
   const std::size_t shown = std::min(n, options.max_nodes);
 
   std::set<std::uint32_t> critical;
@@ -60,7 +60,7 @@ std::string to_dot(const sim::Protocol& protocol, const ConfigGraph& graph,
   }
 
   for (std::uint32_t from = 0; from < shown; ++from) {
-    for (const Edge& edge : graph.edges()[from]) {
+    for (const Edge& edge : graph.edges(from)) {
       if (edge.to >= shown) continue;
       dot += "  n" + std::to_string(from) + " -> n" +
              std::to_string(edge.to);

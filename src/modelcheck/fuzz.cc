@@ -374,8 +374,8 @@ FuzzReport fuzz_blind(const std::shared_ptr<const sim::Protocol>& protocol,
 
   int threads = options.threads;
   if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
+    threads = std::clamp(static_cast<int>(std::thread::hardware_concurrency()),
+                         1, kMaxThreads);
   }
   threads = static_cast<int>(
       std::min<std::uint64_t>(static_cast<std::uint64_t>(threads), budget));
@@ -635,6 +635,12 @@ SafetyPredicate dac_safety(int distinguished_pid, std::vector<Value> inputs) {
 }
 
 Status validate_fuzz_options(const FuzzOptions& options) {
+  if (options.threads > kMaxThreads) {
+    return invalid_argument("fuzz: threads " +
+                            std::to_string(options.threads) +
+                            " exceeds the maximum of " +
+                            std::to_string(kMaxThreads));
+  }
   if (options.coverage_guided) return Status::ok();
   if (!options.checkpoint_path.empty()) {
     return invalid_argument(
@@ -664,6 +670,7 @@ FuzzReport fuzz_safety(std::shared_ptr<const sim::Protocol> protocol,
   LBSA_CHECK_MSG(options.coverage_guided || (options.checkpoint_path.empty() &&
                                              options.resume == nullptr),
                  "fuzz checkpoint/resume requires the coverage engine");
+  LBSA_CHECK_MSG(options.threads <= kMaxThreads, "fuzz: too many threads");
   if (options.resume != nullptr) {
     // Callers surface mismatches gracefully by running validate_fuzz_resume
     // themselves first (the CLIs do); reaching here with a bad checkpoint is

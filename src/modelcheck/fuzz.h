@@ -51,7 +51,8 @@ struct FuzzOptions {
 
   // Worker threads for blind fuzzing: 1 = serial, 0 = one per hardware
   // thread. The report is byte-identical for every thread count. Ignored
-  // (serial) in coverage-guided mode.
+  // (serial) in coverage-guided mode. At most kMaxThreads
+  // (modelcheck/explorer.h).
   int threads = 1;
 
   // Coverage guidance (see file comment).
@@ -139,8 +140,9 @@ struct FuzzReport {
   bool violates(const std::string& property) const;
 };
 
-// Rejects engine/knob combinations the blind engine cannot honor instead
-// of silently dropping them: checkpoint_path, resume, and stop_after_runs
+// Rejects a thread count above kMaxThreads, and engine/knob combinations
+// the blind engine cannot honor instead of silently dropping them:
+// checkpoint_path, resume, and stop_after_runs
 // all require coverage_guided (the blind engine's claim order is
 // thread-scheduling dependent, so there is no resumable run boundary).
 // INVALID_ARGUMENT names the offending knob, in the same style as the

@@ -15,11 +15,18 @@ namespace {
 // contains an internal pid-edge.
 class LongestPathAnalysis {
  public:
+  // Decodes every node once to record whether pid is running there.
   LongestPathAnalysis(const ConfigGraph& graph, int pid)
-      : graph_(graph), pid_(pid) {}
+      : graph_(graph), pid_(pid), active_(graph.node_count()) {
+    sim::Config config;
+    for (std::uint32_t v = 0; v < graph.node_count(); ++v) {
+      graph.config_into(v, &config);
+      active_[v] = config.procs[static_cast<size_t>(pid)].running();
+    }
+  }
 
   std::optional<std::uint64_t> run() {
-    const size_t n = graph_.nodes().size();
+    const size_t n = graph_.node_count();
     scc_of_.assign(n, kNone);
     index_.assign(n, kNone);
     lowlink_.assign(n, 0);
@@ -30,12 +37,15 @@ class LongestPathAnalysis {
     // Tarjan emits SCCs in reverse topological order of the condensation,
     // so iterating sccs_ in emission order processes successors first.
     // best_[s] = max pid-steps achievable starting anywhere in SCC s.
-    best_.assign(sccs_.size(), 0);
-    for (std::uint32_t s = 0; s < sccs_.size(); ++s) {
+    const auto scc_count = static_cast<std::uint32_t>(scc_end_.size());
+    best_.assign(scc_count, 0);
+    for (std::uint32_t s = 0; s < scc_count; ++s) {
       std::uint64_t best = 0;
       bool internal_pid_edge = false;
-      for (std::uint32_t v : sccs_[s]) {
-        for (const Edge& e : graph_.edges()[v]) {
+      for (std::uint32_t i = s == 0 ? 0 : scc_end_[s - 1]; i < scc_end_[s];
+           ++i) {
+        const std::uint32_t v = scc_members_[i];
+        for (const Edge& e : graph_.edges(v)) {
           const std::uint64_t weight = (e.pid == pid_) ? 1 : 0;
           if (!active(e.to)) {
             // pid terminated (or the whole run halted): path ends.
@@ -59,10 +69,7 @@ class LongestPathAnalysis {
  private:
   static constexpr std::uint32_t kNone = ~0u;
 
-  bool active(std::uint32_t v) const {
-    return graph_.nodes()[v].config.procs[static_cast<size_t>(pid_)]
-        .running();
-  }
+  bool active(std::uint32_t v) const { return active_[v] != 0; }
 
   void tarjan(std::uint32_t root) {
     struct Frame {
@@ -73,7 +80,7 @@ class LongestPathAnalysis {
     begin(root);
     while (!frames.empty()) {
       Frame& f = frames.back();
-      const auto& edges = graph_.edges()[f.v];
+      const std::span<const Edge> edges = graph_.edges(f.v);
       bool descended = false;
       while (f.edge_pos < edges.size()) {
         const Edge& e = edges[f.edge_pos++];
@@ -96,15 +103,16 @@ class LongestPathAnalysis {
             std::min(lowlink_[frames.back().v], lowlink_[v]);
       }
       if (lowlink_[v] == index_[v]) {
-        sccs_.emplace_back();
+        const auto id = static_cast<std::uint32_t>(scc_end_.size());
         std::uint32_t w;
         do {
           w = stack_.back();
           stack_.pop_back();
           on_stack_[w] = 0;
-          scc_of_[w] = static_cast<std::uint32_t>(sccs_.size() - 1);
-          sccs_.back().push_back(w);
+          scc_of_[w] = id;
+          scc_members_.push_back(w);
         } while (w != v);
+        scc_end_.push_back(static_cast<std::uint32_t>(scc_members_.size()));
       }
     }
   }
@@ -117,11 +125,15 @@ class LongestPathAnalysis {
 
   const ConfigGraph& graph_;
   int pid_;
+  std::vector<char> active_;  // per node: pid is running
   std::uint32_t next_index_ = 0;
   std::vector<std::uint32_t> index_, lowlink_, scc_of_;
   std::vector<char> on_stack_;
   std::vector<std::uint32_t> stack_;
-  std::vector<std::vector<std::uint32_t>> sccs_;
+  // SCC s's members are scc_members_[scc_end_[s - 1], scc_end_[s]), in
+  // Tarjan's emission order.
+  std::vector<std::uint32_t> scc_members_;
+  std::vector<std::uint32_t> scc_end_;
   std::vector<std::uint64_t> best_;
 };
 

@@ -39,6 +39,30 @@ std::vector<Value> decided_values(const sim::Config& config) {
   return out;
 }
 
+// Every node's process statuses, node-major: status(id, pid) is
+// statuses[id * n + pid]. Filled by the property pass, which decodes each
+// node once, so the per-process walks below read a flat byte array and
+// decode nothing.
+class StatusTable {
+ public:
+  StatusTable(std::uint32_t node_count, int process_count)
+      : n_(static_cast<std::size_t>(process_count)),
+        statuses_(node_count * n_) {}
+
+  void record(std::uint32_t id, const sim::Config& config) {
+    for (std::size_t pid = 0; pid < n_; ++pid) {
+      statuses_[id * n_ + pid] = config.procs[pid].status;
+    }
+  }
+  sim::ProcStatus status(std::uint32_t id, int pid) const {
+    return statuses_[id * n_ + static_cast<std::size_t>(pid)];
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<sim::ProcStatus> statuses_;
+};
+
 // ---------------------------------------------------------------------------
 // Solo-run termination: from a start state, process pid runs alone; over
 // every nondeterministic object outcome it must reach kDecided (or kAborted
@@ -57,70 +81,91 @@ class GraphSolo {
  public:
   using State = std::uint32_t;
 
-  // Copies pid's status out of every node in one pass, so the walk reads a
-  // flat byte array instead of each node's process vector.
-  GraphSolo(const ConfigGraph& graph, int pid)
-      : edges_(graph.edges()),
+  GraphSolo(const ConfigGraph& graph, const StatusTable& statuses, int pid)
+      : graph_(graph),
+        statuses_(statuses),
         pid_(pid),
-        status_(graph.nodes().size()),
-        memo_(graph.nodes().size(), Memo::kUnseen) {
-    for (std::size_t id = 0; id < status_.size(); ++id) {
-      status_[id] =
-          graph.nodes()[id].config.procs[static_cast<size_t>(pid)].status;
-    }
-  }
+        memo_(graph.node_count(), Memo::kUnseen) {}
 
   State start(std::uint32_t id) const { return id; }
-  sim::ProcStatus status(State id) const { return status_[id]; }
+  sim::ProcStatus status(State id) const {
+    return statuses_.status(id, pid_);
+  }
   Memo& memo(State id) { return memo_[id]; }
   void forget(State id) { memo_[id] = Memo::kUnseen; }
 
   template <typename Visit>
   bool all_successors(State id, Visit&& visit) {
-    for (const Edge& e : edges_[id]) {
+    for (const Edge& e : graph_.edges(id)) {
       if (e.pid == pid_ && !visit(e.to)) return false;
     }
     return true;
   }
 
  private:
-  const std::vector<std::vector<Edge>>& edges_;
+  const ConfigGraph& graph_;
+  const StatusTable& statuses_;
   int pid_;
-  std::vector<sim::ProcStatus> status_;
   std::vector<Memo> memo_;
 };
 
 class SimSolo {
  public:
-  using State = sim::Config;
+  // A start node, decoded only when its successors are needed, or a
+  // simulated configuration.
+  struct State {
+    std::uint32_t node = kNoNode;
+    const sim::Config* config = nullptr;
+  };
 
-  SimSolo(const sim::Protocol& protocol, const ConfigGraph& graph, int pid)
-      : protocol_(protocol), graph_(graph), pid_(pid) {}
+  SimSolo(const sim::Protocol& protocol, const ConfigGraph& graph,
+          const StatusTable& statuses, int pid)
+      : protocol_(protocol), graph_(graph), statuses_(statuses), pid_(pid) {}
 
-  const State& start(std::uint32_t id) const {
-    return graph_.nodes()[id].config;
+  State start(std::uint32_t id) const { return {id, nullptr}; }
+  sim::ProcStatus status(const State& state) const {
+    if (state.node != kNoNode) return statuses_.status(state.node, pid_);
+    return state.config->procs[static_cast<size_t>(pid_)].status;
   }
-  sim::ProcStatus status(const State& config) const {
-    return config.procs[static_cast<size_t>(pid_)].status;
-  }
-  // References into an unordered_map survive rehashing.
-  Memo& memo(const State& config) { return memo_[config.encode()]; }
-  void forget(const State& config) { memo_.erase(config.encode()); }
+  // Keyed on the encoding. A start node's is its stored key without the
+  // flag. References into an unordered_map survive rehashing.
+  Memo& memo(const State& state) { return memo_[encoding(state)]; }
+  void forget(const State& state) { memo_.erase(encoding(state)); }
 
   template <typename Visit>
-  bool all_successors(const State& config, Visit&& visit) {
+  bool all_successors(const State& state, Visit&& visit) {
+    const sim::Config* config = state.config;
+    if (state.node != kNoNode) {
+      graph_.config_into(state.node, &start_);
+      config = &start_;
+    }
     std::vector<sim::Successor> succs;
-    sim::enumerate_successors(protocol_, config, pid_, &succs);
+    sim::enumerate_successors(protocol_, *config, pid_, &succs);
     for (const sim::Successor& succ : succs) {
-      if (!visit(succ.config)) return false;
+      if (!visit(State{kNoNode, &succ.config})) return false;
     }
     return true;
   }
 
  private:
+  static constexpr std::uint32_t kNoNode = ~0u;
+
+  const std::vector<std::int64_t>& encoding(const State& state) {
+    if (state.node != kNoNode) {
+      const std::span<const std::int64_t> key = graph_.key(state.node);
+      key_.assign(key.begin(), key.end() - 1);
+    } else {
+      state.config->encode_into(&key_);
+    }
+    return key_;
+  }
+
   const sim::Protocol& protocol_;
   const ConfigGraph& graph_;
+  const StatusTable& statuses_;
   int pid_;
+  sim::Config start_;  // the start node being expanded
+  std::vector<std::int64_t> key_;
   std::unordered_map<std::vector<std::int64_t>, Memo, KeyHash> memo_;
 };
 
@@ -210,12 +255,13 @@ class SoloChecker {
 
 class WaitFreedomChecker {
  public:
-  WaitFreedomChecker(const ConfigGraph& graph, int pid)
-      : graph_(graph), pid_(pid) {}
+  WaitFreedomChecker(const ConfigGraph& graph, const StatusTable& statuses,
+                     int pid)
+      : graph_(graph), statuses_(statuses), pid_(pid) {}
 
-  // Returns a node on a violating cycle, or nodes().size() if none.
+  // Returns a node on a violating cycle, or node_count() if none.
   std::uint32_t find_violation() {
-    const size_t n = graph_.nodes().size();
+    const size_t n = graph_.node_count();
     index_.assign(n, kUnvisited);
     lowlink_.assign(n, 0);
     on_stack_.assign(n, 0);
@@ -226,7 +272,7 @@ class WaitFreedomChecker {
     // A pid-edge inside one SCC witnesses the cycle.
     for (std::uint32_t u = 0; u < n; ++u) {
       if (!in_subgraph(u)) continue;
-      for (const Edge& e : graph_.edges()[u]) {
+      for (const Edge& e : graph_.edges(u)) {
         if (e.pid != pid_ || !in_subgraph(e.to)) continue;
         // A self-loop is a cycle; otherwise the SCC needs a second node.
         if (scc_id_[u] == scc_id_[e.to] &&
@@ -242,7 +288,7 @@ class WaitFreedomChecker {
   static constexpr std::uint32_t kUnvisited = ~0u;
 
   bool in_subgraph(std::uint32_t v) const {
-    return graph_.nodes()[v].config.procs[static_cast<size_t>(pid_)].running();
+    return statuses_.status(v, pid_) == sim::ProcStatus::kRunning;
   }
 
   void tarjan(std::uint32_t root) {
@@ -254,7 +300,7 @@ class WaitFreedomChecker {
     begin_node(root);
     while (!frames.empty()) {
       Frame& f = frames.back();
-      const auto& edges = graph_.edges()[f.v];
+      const std::span<const Edge> edges = graph_.edges(f.v);
       bool descended = false;
       while (f.edge_pos < edges.size()) {
         const Edge& e = edges[f.edge_pos++];
@@ -299,6 +345,7 @@ class WaitFreedomChecker {
   }
 
   const ConfigGraph& graph_;
+  const StatusTable& statuses_;
   int pid_;
   std::uint32_t next_index_ = 0;
   std::vector<std::uint32_t> index_, lowlink_, scc_id_;
@@ -355,7 +402,7 @@ StatusOr<TaskReport> check_k_agreement_task(
   const ConfigGraph& graph = graph_or.value();
 
   TaskReport report;
-  report.node_count = graph.nodes().size();
+  report.node_count = graph.node_count();
   report.transition_count = graph.transition_count();
   report.full_node_estimate = graph.full_node_estimate();
   report.partial = graph.truncated();
@@ -363,8 +410,11 @@ StatusOr<TaskReport> check_k_agreement_task(
 
   const std::set<Value> input_set(inputs.begin(), inputs.end());
 
-  for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
-    const sim::Config& config = graph.nodes()[id].config;
+  StatusTable statuses(graph.node_count(), protocol->process_count());
+  sim::Config config;
+  for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
+    graph.config_into(id, &config);
+    statuses.record(id, config);
     const std::vector<Value> decided = decided_values(config);
     if (static_cast<int>(decided.size()) > k) {
       add_violation(&report, options, "agreement",
@@ -393,9 +443,9 @@ StatusOr<TaskReport> check_k_agreement_task(
   }
 
   for (int pid = 0; pid < protocol->process_count(); ++pid) {
-    WaitFreedomChecker checker(graph, pid);
+    WaitFreedomChecker checker(graph, statuses, pid);
     const std::uint32_t bad = checker.find_violation();
-    if (bad < graph.nodes().size()) {
+    if (bad < graph.node_count()) {
       add_violation(
           &report, options, "termination",
           "process p" + std::to_string(pid) +
@@ -444,15 +494,17 @@ StatusOr<TaskReport> check_dac_task(
   const ConfigGraph& graph = graph_or.value();
 
   TaskReport report;
-  report.node_count = graph.nodes().size();
+  report.node_count = graph.node_count();
   report.transition_count = graph.transition_count();
   report.full_node_estimate = graph.full_node_estimate();
   report.partial = graph.truncated();
   report.interrupted = graph.interrupted();
 
-  for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
-    const Node& node = graph.nodes()[id];
-    const sim::Config& config = node.config;
+  StatusTable statuses(graph.node_count(), n);
+  sim::Config config;
+  for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
+    graph.config_into(id, &config);
+    statuses.record(id, config);
     const std::vector<Value> decided = decided_values(config);
 
     // Agreement: at most one distinct decision.
@@ -495,7 +547,7 @@ StatusOr<TaskReport> check_dac_task(
 
     // Nontriviality: p aborted although no other process ever took a step.
     if (config.procs[static_cast<size_t>(distinguished_pid)].aborted() &&
-        node.flag == 0) {
+        graph.flag(id) == 0) {
       add_violation(&report, options, "nontriviality",
                     "p aborted in a run where no other process took a step",
                     format_path(*protocol, graph, id));
@@ -515,7 +567,7 @@ StatusOr<TaskReport> check_dac_task(
                     graph.canonicalizer() == nullptr &&
                     graph.reduction() != Reduction::kPor &&
                     graph.reduction() != Reduction::kBoth;
-  const auto node_count = static_cast<std::uint32_t>(graph.nodes().size());
+  const std::uint32_t node_count = graph.node_count();
   std::uint64_t walked = 0;
   std::uint64_t simulated = 0;
   for (int pid = 0; pid < n; ++pid) {
@@ -529,8 +581,9 @@ StatusOr<TaskReport> check_dac_task(
       return bad;
     };
     const std::uint32_t bad =
-        walk ? solo_failure(GraphSolo(graph, pid), &walked)
-             : solo_failure(SimSolo(*protocol, graph, pid), &simulated);
+        walk ? solo_failure(GraphSolo(graph, statuses, pid), &walked)
+             : solo_failure(SimSolo(*protocol, graph, statuses, pid),
+                            &simulated);
     if (bad < node_count) {  // one witness per process suffices
       add_violation(&report, options,
                     is_p ? "termination(a)" : "termination(b)", detail,

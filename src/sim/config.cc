@@ -56,27 +56,35 @@ int Config::enabled_count() const {
   return count;
 }
 
-StatusOr<Config> decode_config(std::span<const std::int64_t> words) {
+Status decode_config_into(std::span<const std::int64_t> words, Config* out) {
   std::size_t pos = 0;
-  auto take = [&](std::int64_t* out) -> bool {
+  auto take = [&](std::int64_t* word) -> bool {
     if (pos >= words.size()) return false;
-    *out = words[pos++];
+    *word = words[pos++];
     return true;
   };
   auto malformed = [](const std::string& what) {
-    return invalid_argument("decode_config: " + what);
+    return invalid_argument("decode_config_into: " + what);
+  };
+  // Takes the next `count` words as a run; false if fewer remain.
+  auto take_run = [&](std::int64_t count, std::vector<std::int64_t>* run) {
+    if (count < 0 || static_cast<std::size_t>(count) > words.size() - pos) {
+      return false;
+    }
+    const auto first = words.begin() + static_cast<std::ptrdiff_t>(pos);
+    run->assign(first, first + static_cast<std::ptrdiff_t>(count));
+    pos += static_cast<std::size_t>(count);
+    return true;
   };
 
-  Config config;
   std::int64_t proc_count = 0;
   if (!take(&proc_count)) return malformed("missing process count");
   if (proc_count < 0 || proc_count > 1'000'000) {
     return malformed("implausible process count " +
                      std::to_string(proc_count));
   }
-  config.procs.reserve(static_cast<std::size_t>(proc_count));
-  for (std::int64_t i = 0; i < proc_count; ++i) {
-    ProcessState ps;
+  out->procs.resize(static_cast<std::size_t>(proc_count));
+  for (ProcessState& ps : out->procs) {
     std::int64_t status = 0;
     std::int64_t local_count = 0;
     if (!take(&status) || !take(&ps.decision) || !take(&ps.pc) ||
@@ -87,16 +95,9 @@ StatusOr<Config> decode_config(std::span<const std::int64_t> words) {
       return malformed("bad process status " + std::to_string(status));
     }
     ps.status = static_cast<ProcStatus>(status);
-    if (local_count < 0 ||
-        static_cast<std::size_t>(local_count) > words.size() - pos) {
+    if (!take_run(local_count, &ps.locals)) {
       return malformed("bad locals count " + std::to_string(local_count));
     }
-    ps.locals.assign(words.begin() + static_cast<std::ptrdiff_t>(pos),
-                     words.begin() + static_cast<std::ptrdiff_t>(
-                                         pos + static_cast<std::size_t>(
-                                                   local_count)));
-    pos += static_cast<std::size_t>(local_count);
-    config.procs.push_back(std::move(ps));
   }
   std::int64_t object_count = 0;
   if (!take(&object_count)) return malformed("missing object count");
@@ -104,21 +105,16 @@ StatusOr<Config> decode_config(std::span<const std::int64_t> words) {
     return malformed("implausible object count " +
                      std::to_string(object_count));
   }
-  config.objects.reserve(static_cast<std::size_t>(object_count));
-  for (std::int64_t i = 0; i < object_count; ++i) {
+  out->objects.resize(static_cast<std::size_t>(object_count));
+  for (std::vector<std::int64_t>& object : out->objects) {
     std::int64_t size = 0;
     if (!take(&size)) return malformed("truncated object state");
-    if (size < 0 || static_cast<std::size_t>(size) > words.size() - pos) {
+    if (!take_run(size, &object)) {
       return malformed("bad object state size " + std::to_string(size));
     }
-    config.objects.emplace_back(
-        words.begin() + static_cast<std::ptrdiff_t>(pos),
-        words.begin() +
-            static_cast<std::ptrdiff_t>(pos + static_cast<std::size_t>(size)));
-    pos += static_cast<std::size_t>(size);
   }
   if (pos != words.size()) return malformed("trailing words");
-  return config;
+  return Status::ok();
 }
 
 Config initial_config(const Protocol& protocol) {

@@ -56,10 +56,13 @@ struct Config {
 Config initial_config(const Protocol& protocol);
 
 // Inverse of Config::encode(): rebuilds a Config from its canonical word
-// encoding. INVALID_ARGUMENT on malformed input (bad counts, short buffers,
-// trailing words, out-of-range status) — used by the model checker's
-// checkpoint loader, which must reject corrupt files rather than crash.
-StatusOr<Config> decode_config(std::span<const std::int64_t> words);
+// encoding into *out, reusing its vectors' storage, so a loop that decodes
+// many configurations through one Config allocates nothing once the buffers
+// have grown. INVALID_ARGUMENT on malformed input (bad counts, short
+// buffers, trailing words, out-of-range status), leaving *out a partial
+// decode — used by the model checker's checkpoint loader, which must reject
+// corrupt files rather than crash.
+Status decode_config_into(std::span<const std::int64_t> words, Config* out);
 
 // One recorded step: process pid performed `action` and (for invokes)
 // received `response` as the outcome_choice-th outcome.

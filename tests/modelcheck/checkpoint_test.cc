@@ -18,10 +18,12 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "graph_testing.h"
 #include "modelcheck/cancel.h"
 #include "modelcheck/checkpoint.h"
 #include "modelcheck/corpus.h"
@@ -51,18 +53,15 @@ ConfigGraph explore_or_die(const NamedTask& task, const ExploreOptions& opts) {
   return std::move(graph).value();
 }
 
-void expect_identical(const ConfigGraph& a, const ConfigGraph& b) {
-  ASSERT_EQ(a.nodes().size(), b.nodes().size());
-  EXPECT_EQ(a.transition_count(), b.transition_count());
-  EXPECT_EQ(a.truncated(), b.truncated());
-  for (std::uint32_t id = 0; id < a.nodes().size(); ++id) {
-    ASSERT_TRUE(a.nodes()[id].config == b.nodes()[id].config)
-        << "config mismatch at node " << id;
-    EXPECT_EQ(a.nodes()[id].flag, b.nodes()[id].flag);
-    EXPECT_EQ(a.nodes()[id].depth, b.nodes()[id].depth);
-    ASSERT_EQ(a.edges()[id], b.edges()[id]) << "edges mismatch at " << id;
-    EXPECT_EQ(a.path_to(id), b.path_to(id)) << "path mismatch at " << id;
+// `runs` with run i replaced by `run`.
+template <typename T>
+NodeRuns<T> with_run(const NodeRuns<T>& runs, std::size_t i,
+                     std::span<const T> run) {
+  NodeRuns<T> out;
+  for (std::size_t j = 0; j < runs.size(); ++j) {
+    out.push_back(j == i ? run : runs[j]);
   }
+  return out;
 }
 
 std::string temp_path(const std::string& name) {
@@ -113,7 +112,7 @@ TEST(Checkpoint, ResumeBitIdenticalAcrossEnginesThreadsAndReductions) {
         opts.resume = &cp;
         const ConfigGraph resumed = explore_or_die(task, opts);
         EXPECT_FALSE(resumed.interrupted());
-        expect_identical(uninterrupted, resumed);
+        expect_same_graph(uninterrupted, resumed);
       }
       // Parallel resume at several thread counts.
       for (int threads : {1, 2, 8}) {
@@ -125,7 +124,7 @@ TEST(Checkpoint, ResumeBitIdenticalAcrossEnginesThreadsAndReductions) {
         opts.resume = &cp;
         const ConfigGraph resumed = explore_or_die(task, opts);
         EXPECT_FALSE(resumed.interrupted());
-        expect_identical(uninterrupted, resumed);
+        expect_same_graph(uninterrupted, resumed);
       }
     }
   }
@@ -157,7 +156,7 @@ TEST(Checkpoint, MultiHopResumeBitIdentical) {
   fin.resume = &hop2.value();
   const ConfigGraph resumed = explore_or_die(task, fin);
   EXPECT_FALSE(resumed.interrupted());
-  expect_identical(uninterrupted, resumed);
+  expect_same_graph(uninterrupted, resumed);
 }
 
 TEST(Checkpoint, PeriodicCheckpointFromParallelEngineResumes) {
@@ -174,14 +173,14 @@ TEST(Checkpoint, PeriodicCheckpointFromParallelEngineResumes) {
   opts.checkpoint_every_levels = 2;
   const ConfigGraph full = explore_or_die(task, opts);
   EXPECT_FALSE(full.interrupted());
-  expect_identical(uninterrupted, full);
+  expect_same_graph(uninterrupted, full);
 
   auto cp = read_explore_checkpoint(path);
   ASSERT_TRUE(cp.is_ok()) << cp.status().to_string();
   ExploreOptions res;
   res.resume = &cp.value();
   const ConfigGraph resumed = explore_or_die(task, res);
-  expect_identical(uninterrupted, resumed);
+  expect_same_graph(uninterrupted, resumed);
 }
 
 TEST(Checkpoint, TruncatedExplorationResumes) {
@@ -203,7 +202,7 @@ TEST(Checkpoint, TruncatedExplorationResumes) {
   ExploreOptions res = base;
   res.resume = &cp.value();
   const ConfigGraph resumed = explore_or_die(task, res);
-  expect_identical(truncated, resumed);
+  expect_same_graph(truncated, resumed);
 }
 
 TEST(Checkpoint, StaleCheckpointRejectedWithNamedMismatch) {
@@ -313,22 +312,26 @@ TEST(Checkpoint, CorruptFilesRejected) {
 // pids. A well-formed file with a perm that is not a permutation of the
 // processes, or with a parent step naming a process the protocol lacks,
 // resumed fine and then crashed path_to() (heap corruption, or an abort on
-// an internal check). Resume now rejects both with INVALID_ARGUMENT.
+// an internal check). Resume now rejects both with INVALID_ARGUMENT, and
+// likewise any parent step that names no edge of its parent, since the
+// graph keeps a parent as the discovering edge's index.
 TEST(Checkpoint, ResumeRejectsBadPermsAndParentPids) {
   const NamedTask task = get_task("dac3-sym");
   const std::string path = temp_path("bad-perm.ckpt");
   const ExploreCheckpoint good =
       interrupt_and_read(task, Reduction::kSymmetry, 3, path);
   ASSERT_GT(good.discovery_perms.size(), 2u);
-  auto expect_rejected = [&](const ExploreCheckpoint& bad, const char* what) {
+  ASSERT_GT(good.parent_steps.size(), 2u);
+  auto expect_rejected = [&](const NamedTask& resumed_task,
+                             const ExploreCheckpoint& bad, const char* what) {
     SCOPED_TRACE(what);
     ASSERT_TRUE(write_explore_checkpoint(bad, path).is_ok());
     auto read = read_explore_checkpoint(path);
     ASSERT_TRUE(read.is_ok()) << read.status().to_string();
     ExploreOptions opts;
-    opts.reduction = Reduction::kSymmetry;
+    opts.reduction = bad.reduction;
     opts.resume = &read.value();
-    const auto resumed = Explorer(task.protocol).explore(opts);
+    const auto resumed = Explorer(resumed_task.protocol).explore(opts);
     EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument)
         << resumed.status().to_string();
   };
@@ -336,13 +339,55 @@ TEST(Checkpoint, ResumeRejectsBadPermsAndParentPids) {
        {std::vector<std::uint8_t>{7, 7, 7}, std::vector<std::uint8_t>{0, 0, 1},
         std::vector<std::uint8_t>{1, 0}}) {
     ExploreCheckpoint bad = good;
-    bad.discovery_perms[2] = perm;
-    expect_rejected(bad, "discovery perm");
+    bad.discovery_perms = with_run(good.discovery_perms, 2,
+                                   std::span<const std::uint8_t>(perm));
+    expect_rejected(task, bad, "discovery perm");
   }
   for (const int pid : {99, -1}) {
     ExploreCheckpoint bad = good;
     bad.parent_steps[2].pid = pid;
-    expect_rejected(bad, "parent step pid");
+    expect_rejected(task, bad, "parent step pid");
+  }
+  for (const int outcome : {99, -1}) {
+    ExploreCheckpoint bad = good;
+    bad.parent_steps[2].outcome_choice = outcome;
+    expect_rejected(task, bad, "parent step outcome");
+  }
+  {
+    // Node 2's parent exists, but none of its edges leads to node 2.
+    ExploreCheckpoint bad = good;
+    bad.parents[2] = 1;
+    bad.parent_steps[2] = bad.parent_steps[1];
+    expect_rejected(task, bad, "parent step target");
+  }
+  {
+    // One node's edges with pids interleaved (p, q, p): every parent step
+    // still counts its way to an edge that leads to its node, but an edge's
+    // outcome index is its position in its pid's run, so replay would take
+    // the wrong outcome. dac3-sym's steps each have one outcome; a 2-SA
+    // proposal has several.
+    const NamedTask branching = get_task("mutant-2sa4");
+    const ExploreCheckpoint ordered = interrupt_and_read(
+        branching, Reduction::kNone, 3, temp_path("interleaved.ckpt"));
+    ExploreCheckpoint bad = ordered;
+    bool interleaved = false;
+    for (std::size_t id = 0; id < ordered.edges.size() && !interleaved; ++id) {
+      std::vector<Edge> out(ordered.edges[id].begin(),
+                            ordered.edges[id].end());
+      for (std::size_t e = 0; e + 2 < out.size(); ++e) {
+        if (out[e].pid == out[e + 1].pid && out[e + 1].pid != out[e + 2].pid) {
+          std::swap(out[e + 1], out[e + 2]);
+          bad.edges = with_run(ordered.edges, id, std::span<const Edge>(out));
+          interleaved = true;
+          break;
+        }
+      }
+    }
+    ASSERT_TRUE(interleaved) << "no step with two outcomes before another pid";
+    expect_rejected(branching, bad, "interleaved edge pids");
+    ExploreOptions opts;
+    opts.resume = &ordered;
+    EXPECT_TRUE(Explorer(branching.protocol).explore(opts).is_ok());
   }
   // The untouched checkpoint still resumes.
   ExploreOptions opts;
@@ -367,11 +412,10 @@ TEST(Checkpoint, CancelAndDeadlineInterruptBothEngines) {
     opts.cancel = &cancel;
     const ConfigGraph partial = explore_or_die(task, opts);
     ASSERT_TRUE(partial.interrupted());
-    ASSERT_LT(partial.nodes().size(), uninterrupted.nodes().size());
+    ASSERT_LT(partial.node_count(), uninterrupted.node_count());
     // The partial graph is the exact prefix of the uninterrupted one.
-    for (std::uint32_t id = 0; id < partial.nodes().size(); ++id) {
-      ASSERT_TRUE(partial.nodes()[id].config ==
-                  uninterrupted.nodes()[id].config)
+    for (std::uint32_t id = 0; id < partial.node_count(); ++id) {
+      ASSERT_TRUE(std::ranges::equal(partial.key(id), uninterrupted.key(id)))
           << "prefix mismatch at node " << id;
     }
 
@@ -520,10 +564,10 @@ TEST(Lifecycle, MidLevelCancelBoundsWorkAndRollsBackCleanly) {
   // Transitions emitted by expanding each BFS level; pick the level whose
   // expansion emits the most — the widest window for a mid-level cancel.
   std::vector<std::uint64_t> level_calls;
-  for (std::uint32_t id = 0; id < full.nodes().size(); ++id) {
-    const std::uint32_t depth = full.nodes()[id].depth;
+  for (std::uint32_t id = 0; id < full.node_count(); ++id) {
+    const std::uint32_t depth = full.depth(id);
     if (depth >= level_calls.size()) level_calls.resize(depth + 1, 0);
-    level_calls[depth] += full.edges()[id].size();
+    level_calls[depth] += full.edges(id).size();
   }
   std::size_t widest = 0;
   for (std::size_t d = 0; d < level_calls.size(); ++d) {
@@ -578,7 +622,7 @@ TEST(Lifecycle, MidLevelCancelBoundsWorkAndRollsBackCleanly) {
     const ConfigGraph expected = explore_or_die(task, replay);
     ASSERT_TRUE(expected.interrupted());
     EXPECT_EQ(expected.levels_completed(), partial.levels_completed());
-    expect_identical(partial, expected);
+    expect_same_graph(partial, expected);
     EXPECT_EQ(partial.pending_frontier(), expected.pending_frontier());
   }
 }

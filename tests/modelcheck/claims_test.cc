@@ -40,12 +40,12 @@ std::uint64_t bit_of(const ValenceAnalyzer& analyzer, Value v) {
 
 TEST(TheoremFourTwoClaims, Claim421_NoConfigIsBothZeroAndOneValent) {
   const Analyzed a = analyze_theorem_42_instance(3);
-  for (std::uint32_t id = 0; id < a.graph.nodes().size(); ++id) {
+  for (std::uint32_t id = 0; id < a.graph.node_count(); ++id) {
     // "v-valent" = only v reachable; no configuration can be both — here:
     // the reachable-decision set is a single well-defined mask, and
     // univalence is its popcount being 1, so the claim is that the
     // *decisions actually made* in any config agree with the mask.
-    for (const sim::ProcessState& ps : a.graph.nodes()[id].config.procs) {
+    for (const sim::ProcessState& ps : a.graph.config(id).procs) {
       if (ps.decided()) {
         EXPECT_TRUE(a.analyzer->reachable_mask(id) &
                     bit_of(*a.analyzer, ps.decision));
@@ -61,8 +61,8 @@ TEST(TheoremFourTwoClaims, Claim422_ConfigsWherePAbortedAreZeroValent) {
     const Analyzed a = analyze_theorem_42_instance(n_plus_1);
     const std::uint64_t one_bit = bit_of(*a.analyzer, 1);
     int aborted_configs = 0;
-    for (std::uint32_t id = 0; id < a.graph.nodes().size(); ++id) {
-      if (!a.graph.nodes()[id].config.procs[0].aborted()) continue;
+    for (std::uint32_t id = 0; id < a.graph.node_count(); ++id) {
+      if (!a.graph.config(id).procs[0].aborted()) continue;
       ++aborted_configs;
       EXPECT_EQ(a.analyzer->reachable_mask(id) & one_bit, 0u)
           << "config " << id << " (p aborted) can still reach decision 1";
@@ -75,8 +75,9 @@ TEST(TheoremFourTwoClaims, Claim423_TerminalPConfigsAreUnivalent) {
   // Observation 4.2.3: once p has aborted or decided, the configuration is
   // univalent.
   const Analyzed a = analyze_theorem_42_instance(3);
-  for (std::uint32_t id = 0; id < a.graph.nodes().size(); ++id) {
-    const auto& p_state = a.graph.nodes()[id].config.procs[0];
+  for (std::uint32_t id = 0; id < a.graph.node_count(); ++id) {
+    const sim::Config config = a.graph.config(id);
+    const auto& p_state = config.procs[0];
     if (p_state.aborted() || p_state.decided()) {
       EXPECT_LE(a.analyzer->reachable_count(id), 1) << "config " << id;
     }
@@ -101,8 +102,8 @@ TEST(TheoremFourTwoClaims, ValenceFlipsOnlyThroughTheSharedObject) {
   // such sibling pair in the full graph.
   const Analyzed a = analyze_theorem_42_instance(3);
   int sibling_pairs = 0;
-  for (std::uint32_t id = 0; id < a.graph.nodes().size(); ++id) {
-    const auto& edges = a.graph.edges()[id];
+  for (std::uint32_t id = 0; id < a.graph.node_count(); ++id) {
+    const auto& edges = a.graph.edges(id);
     for (size_t i = 0; i < edges.size(); ++i) {
       for (size_t j = i + 1; j < edges.size(); ++j) {
         if (!a.analyzer->is_univalent(edges[i].to) ||
@@ -120,7 +121,7 @@ TEST(TheoremFourTwoClaims, ValenceFlipsOnlyThroughTheSharedObject) {
         EXPECT_EQ(edges[j].kind, sim::Action::Kind::kInvoke);
         // ...and on the same object. Algorithm 2 has a single object, so
         // this holds trivially here; the assertion is the generic shape.
-        const auto& config = a.graph.nodes()[id].config;
+        const auto& config = a.graph.config(id);
         const auto action_i = a.protocol->next_action(
             edges[i].pid, config.procs[static_cast<size_t>(edges[i].pid)]);
         const auto action_j = a.protocol->next_action(

@@ -42,7 +42,7 @@ TEST(Critical, ConsensusCriticalConfigIsOnTheConsensusObject) {
       // Every enabled process appears in the pending list.
       EXPECT_EQ(info.pending.size(),
                 static_cast<size_t>(
-                    a.graph.nodes()[info.node].config.enabled_count()));
+                    a.graph.config(info.node).enabled_count()));
     }
   }
 }
@@ -96,7 +96,7 @@ TEST(Critical, AnalyzeArbitraryNodeIncludesLocalSteps) {
   auto protocol = make_consensus_via_n_consensus({100, 101});
   Explorer explorer(protocol);
   auto graph = std::move(explorer.explore()).value();
-  const auto& edges = graph.edges()[graph.root()];
+  const auto& edges = graph.edges(graph.root());
   ASSERT_FALSE(edges.empty());
   const CriticalInfo info =
       analyze_pending_steps(*protocol, graph, edges[0].to);

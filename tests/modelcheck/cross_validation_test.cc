@@ -26,8 +26,8 @@ TEST(CrossValidation, SimulatedRunsStayInsideExploredGraph) {
   auto graph = std::move(explorer.explore()).value();
 
   std::set<std::vector<std::int64_t>> known;
-  for (const Node& node : graph.nodes()) {
-    known.insert(node.config.encode());
+  for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
+    known.insert(graph.config(id).encode());
   }
 
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
@@ -52,8 +52,8 @@ TEST(CrossValidation, NondeterministicObjectRunsStayInsideGraph) {
   Explorer explorer(protocol);
   auto graph = std::move(explorer.explore()).value();
   std::set<std::vector<std::int64_t>> known;
-  for (const Node& node : graph.nodes()) {
-    known.insert(node.config.encode());
+  for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
+    known.insert(graph.config(id).encode());
   }
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
     sim::Simulation simulation(protocol);
@@ -68,12 +68,12 @@ TEST(CrossValidation, EveryGraphPathReplaysInSimulation) {
       std::make_shared<DacFromPacProtocol>(std::vector<Value>{10, 20});
   Explorer explorer(protocol);
   auto graph = std::move(explorer.explore()).value();
-  for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
+  for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
     sim::Simulation simulation(protocol);
     for (const sim::Step& step : graph.path_to(id)) {
       simulation.step(step.pid, step.outcome_choice);
     }
-    ASSERT_EQ(simulation.config(), graph.nodes()[id].config) << "node " << id;
+    ASSERT_EQ(simulation.config(), graph.config(id)) << "node " << id;
   }
 }
 
@@ -81,8 +81,8 @@ TEST(CrossValidation, GraphEdgeCountsMatchOutcomeCounts) {
   auto protocol = make_ksa_via_two_sa({10, 20});
   Explorer explorer(protocol);
   auto graph = std::move(explorer.explore()).value();
-  for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
-    const sim::Config& config = graph.nodes()[id].config;
+  for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
+    const sim::Config& config = graph.config(id);
     std::size_t expected = 0;
     for (int pid = 0; pid < protocol->process_count(); ++pid) {
       if (config.enabled(pid)) {
@@ -90,7 +90,7 @@ TEST(CrossValidation, GraphEdgeCountsMatchOutcomeCounts) {
             sim::outcome_count(*protocol, config, pid));
       }
     }
-    EXPECT_EQ(graph.edges()[id].size(), expected) << "node " << id;
+    EXPECT_EQ(graph.edges(id).size(), expected) << "node " << id;
   }
 }
 

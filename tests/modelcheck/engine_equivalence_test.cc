@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "graph_testing.h"
 #include "modelcheck/checkpoint.h"
 #include "modelcheck/corpus.h"
 #include "modelcheck/explorer.h"
@@ -39,23 +40,6 @@ ConfigGraph explore_or_die(const NamedTask& task, const ExploreOptions& opts) {
   return std::move(graph).value();
 }
 
-void expect_identical(const ConfigGraph& a, const ConfigGraph& b) {
-  ASSERT_EQ(a.nodes().size(), b.nodes().size());
-  EXPECT_EQ(a.transition_count(), b.transition_count());
-  EXPECT_EQ(a.truncated(), b.truncated());
-  EXPECT_EQ(a.interrupted(), b.interrupted());
-  EXPECT_EQ(a.levels_completed(), b.levels_completed());
-  EXPECT_EQ(a.pending_frontier(), b.pending_frontier());
-  for (std::uint32_t id = 0; id < a.nodes().size(); ++id) {
-    ASSERT_TRUE(a.nodes()[id].config == b.nodes()[id].config)
-        << "config mismatch at node " << id;
-    EXPECT_EQ(a.nodes()[id].flag, b.nodes()[id].flag);
-    EXPECT_EQ(a.nodes()[id].depth, b.nodes()[id].depth);
-    ASSERT_EQ(a.edges()[id], b.edges()[id]) << "edges mismatch at " << id;
-    EXPECT_EQ(a.path_to(id), b.path_to(id)) << "path mismatch at " << id;
-  }
-}
-
 TEST(EngineEquivalence, AllEnginesBitIdenticalAcrossReductionsAndThreads) {
   // The orbit cache is declared a pure accelerator: the cache-off column is
   // the reference and every cache-on run must reproduce it bit for bit.
@@ -81,7 +65,7 @@ TEST(EngineEquivalence, AllEnginesBitIdenticalAcrossReductionsAndThreads) {
       ExploreOptions cached = base;
       cached.canon_cache_bytes = ExploreOptions{}.canon_cache_bytes;
       cached.canon_cache_pool = fresh_pool();
-      expect_identical(serial, explore_or_die(task, cached));
+      expect_same_graph(serial, explore_or_die(task, cached));
       for (int threads : {1, 2, 8}) {
         for (bool use_cache : kCacheModes) {
           SCOPED_TRACE("parallel t" + std::to_string(threads) +
@@ -93,7 +77,7 @@ TEST(EngineEquivalence, AllEnginesBitIdenticalAcrossReductionsAndThreads) {
           if (use_cache) opts.canon_cache_pool = fresh_pool();
           const ConfigGraph graph = explore_or_die(task, opts);
           EXPECT_EQ(graph.engine_used(), ExploreEngine::kParallel);
-          expect_identical(serial, graph);
+          expect_same_graph(serial, graph);
         }
       }
     }
@@ -118,7 +102,7 @@ TEST(EngineEquivalence, SharedWarmCachePoolKeepsGraphsIdentical) {
     opts.engine = run == 2 ? ExploreEngine::kParallel : ExploreEngine::kSerial;
     opts.threads = run == 2 ? 4 : 1;
     opts.canon_cache_pool = pool;
-    expect_identical(reference, explore_or_die(task, opts));
+    expect_same_graph(reference, explore_or_die(task, opts));
   }
 }
 
@@ -147,7 +131,7 @@ TEST(EngineEquivalence, ParallelMaxLevelsMatchesSerialPrefix) {
         const ConfigGraph parallel = explore_or_die(task, opts);
         EXPECT_TRUE(parallel.interrupted());
         EXPECT_EQ(parallel.levels_completed(), levels);
-        expect_identical(serial, parallel);
+        expect_same_graph(serial, parallel);
       }
     }
   }
@@ -199,7 +183,7 @@ TEST(EngineEquivalence, ResumeHopsBetweenSerialAndParallel) {
     hop3.resume = &cp2.value();
     const ConfigGraph final_graph = explore_or_die(task, hop3);
     EXPECT_FALSE(final_graph.interrupted());
-    expect_identical(uninterrupted, final_graph);
+    expect_same_graph(uninterrupted, final_graph);
   }
 }
 

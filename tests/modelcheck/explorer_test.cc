@@ -21,7 +21,7 @@ TEST(Explorer, SingleProcessGraphIsALine) {
   ASSERT_TRUE(graph_or.is_ok());
   const ConfigGraph& graph = graph_or.value();
   // init -> proposed -> decided: 3 nodes, 2 transitions.
-  EXPECT_EQ(graph.nodes().size(), 3u);
+  EXPECT_EQ(graph.node_count(), 3u);
   EXPECT_EQ(graph.transition_count(), 2u);
 }
 
@@ -31,22 +31,23 @@ TEST(Explorer, TwoProcessConsensusGraphIsComplete) {
   const auto graph_or = explorer.explore();
   ASSERT_TRUE(graph_or.is_ok());
   const ConfigGraph& graph = graph_or.value();
-  EXPECT_GT(graph.nodes().size(), 4u);
+  EXPECT_GT(graph.node_count(), 4u);
   // Every node has one outgoing edge per enabled process (object is
   // deterministic here).
-  for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
-    EXPECT_EQ(graph.edges()[id].size(),
-              static_cast<size_t>(graph.nodes()[id].config.enabled_count()));
+  for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
+    EXPECT_EQ(graph.edges(id).size(),
+              static_cast<size_t>(graph.config(id).enabled_count()));
   }
   // Terminal nodes exist; in each, all processes agree on the first
   // proposer's value (which of the two it is depends on the schedule).
   int terminal = 0;
-  for (const Node& node : graph.nodes()) {
-    if (!node.config.halted()) continue;
+  for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
+    const sim::Config config = graph.config(id);
+    if (!config.halted()) continue;
     ++terminal;
-    const Value winner = node.config.procs[0].decision;
+    const Value winner = config.procs[0].decision;
     EXPECT_TRUE(winner == 10 || winner == 20);
-    for (const sim::ProcessState& ps : node.config.procs) {
+    for (const sim::ProcessState& ps : config.procs) {
       EXPECT_TRUE(ps.decided());
       EXPECT_EQ(ps.decision, winner);
     }
@@ -62,9 +63,9 @@ TEST(Explorer, NondeterministicOutcomesBranch) {
   const ConfigGraph& graph = graph_or.value();
   // Some node must have more edges than enabled processes (the 2-SA branch).
   bool saw_branching = false;
-  for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
-    if (graph.edges()[id].size() >
-        static_cast<size_t>(graph.nodes()[id].config.enabled_count())) {
+  for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
+    if (graph.edges(id).size() >
+        static_cast<size_t>(graph.config(id).enabled_count())) {
       saw_branching = true;
     }
   }
@@ -93,17 +94,17 @@ TEST(Explorer, TruncationReturnsConsistentPartialGraph) {
   ASSERT_TRUE(partial.is_ok());
   const ConfigGraph& graph = partial.value();
   EXPECT_TRUE(graph.truncated());
-  EXPECT_LT(graph.nodes().size(), full.value().nodes().size());
+  EXPECT_LT(graph.node_count(), full.value().node_count());
   // All edges stay inside the partial node set, and every node replays.
-  for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
-    for (const Edge& e : graph.edges()[id]) {
-      EXPECT_LT(e.to, graph.nodes().size());
+  for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
+    for (const Edge& e : graph.edges(id)) {
+      EXPECT_LT(e.to, graph.node_count());
     }
     sim::Config config = sim::initial_config(*protocol);
     for (const sim::Step& step : graph.path_to(id)) {
       sim::apply_step(*protocol, &config, step.pid, step.outcome_choice);
     }
-    EXPECT_EQ(config, graph.nodes()[id].config);
+    EXPECT_EQ(config, graph.config(id));
   }
 }
 
@@ -122,26 +123,25 @@ TEST(Explorer, TruncatedNodesAreKeptButNeverExpanded) {
   const ConfigGraph& graph = partial.value();
   ASSERT_TRUE(graph.truncated());
   // Kept-but-unexpanded nodes overshoot the budget.
-  EXPECT_GT(graph.nodes().size(), kBudget);
+  EXPECT_GT(graph.node_count(), kBudget);
   // Unexpanded non-terminal nodes exist (empty edge list despite enabled
   // processes) — and expanded nodes always carry their complete edge list,
   // so edge lists are all-or-nothing.
   int unexpanded = 0;
-  for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
-    const Node& node = graph.nodes()[id];
-    if (graph.edges()[id].empty() && node.config.enabled_count() > 0) {
+  for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
+    const sim::Config config = graph.config(id);
+    if (graph.edges(id).empty() && config.enabled_count() > 0) {
       ++unexpanded;
-    } else if (!graph.edges()[id].empty()) {
+    } else if (!graph.edges(id).empty()) {
       // A partial expansion would break the per-node edge invariant used
       // by cross-validation (edge count == sum of outcome counts).
       std::size_t expected = 0;
-      for (int pid = 0; pid < static_cast<int>(node.config.procs.size());
-           ++pid) {
-        if (!node.config.enabled(pid)) continue;
+      for (int pid = 0; pid < static_cast<int>(config.procs.size()); ++pid) {
+        if (!config.enabled(pid)) continue;
         expected += static_cast<std::size_t>(
-            sim::outcome_count(*protocol, node.config, pid));
+            sim::outcome_count(*protocol, config, pid));
       }
-      EXPECT_EQ(graph.edges()[id].size(), expected) << "node " << id;
+      EXPECT_EQ(graph.edges(id).size(), expected) << "node " << id;
     }
   }
   EXPECT_GT(unexpanded, 0);
@@ -170,15 +170,15 @@ TEST(Explorer, PathToReconstructsShortestHistory) {
   const auto graph_or = explorer.explore();
   ASSERT_TRUE(graph_or.is_ok());
   const ConfigGraph& graph = graph_or.value();
-  for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
+  for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
     const auto path = graph.path_to(id);
-    EXPECT_EQ(path.size(), graph.nodes()[id].depth);
+    EXPECT_EQ(path.size(), graph.depth(id));
     // Replaying the path from the initial config lands on the node.
     sim::Config config = sim::initial_config(*protocol);
     for (const sim::Step& step : path) {
       sim::apply_step(*protocol, &config, step.pid, step.outcome_choice);
     }
-    EXPECT_EQ(config, graph.nodes()[id].config);
+    EXPECT_EQ(config, graph.config(id));
   }
 }
 
@@ -194,12 +194,27 @@ TEST(Explorer, FlagAugmentationSplitsNodes) {
         return step.pid == 1 ? 1 : flag;
       });
   ASSERT_TRUE(flagged.is_ok());
-  EXPECT_GE(flagged.value().nodes().size(), plain.value().nodes().size());
+  EXPECT_GE(flagged.value().node_count(), plain.value().node_count());
   bool saw_flag = false;
-  for (const Node& node : flagged.value().nodes()) {
-    if (node.flag == 1) saw_flag = true;
+  for (std::uint32_t id = 0; id < flagged.value().node_count(); ++id) {
+    if (flagged.value().flag(id) == 1) saw_flag = true;
   }
   EXPECT_TRUE(saw_flag);
+}
+
+TEST(Explorer, RejectsThreadCountAboveTheMaximum) {
+  // Rejected before any generator or worker is allocated: the serial engine
+  // never starts a thread, so a regressed check fails here rather than
+  // exhausting the host.
+  auto protocol = make_consensus_via_n_consensus({10, 20});
+  const auto graph_or = Explorer(protocol).explore(
+      {.threads = 1'000'000, .engine = ExploreEngine::kSerial});
+  EXPECT_EQ(graph_or.status().code(), StatusCode::kInvalidArgument)
+      << graph_or.status().to_string();
+  EXPECT_TRUE(Explorer(protocol)
+                  .explore({.threads = kMaxThreads,
+                            .engine = ExploreEngine::kSerial})
+                  .is_ok());
 }
 
 TEST(Explorer, DacGraphIsExactAndFinite) {
@@ -210,8 +225,8 @@ TEST(Explorer, DacGraphIsExactAndFinite) {
   Explorer explorer(protocol);
   const auto graph_or = explorer.explore();
   ASSERT_TRUE(graph_or.is_ok());
-  EXPECT_GT(graph_or.value().nodes().size(), 10u);
-  EXPECT_LT(graph_or.value().nodes().size(), 10'000u);
+  EXPECT_GT(graph_or.value().node_count(), 10u);
+  EXPECT_LT(graph_or.value().node_count(), 10'000u);
 }
 
 }  // namespace

@@ -25,7 +25,7 @@ TEST(DotExport, ContainsAllNodesAndEdges) {
   Prepared p = prepare();
   const std::string dot = to_dot(*p.protocol, p.graph, nullptr);
   EXPECT_NE(dot.find("digraph"), std::string::npos);
-  for (std::uint32_t id = 0; id < p.graph.nodes().size(); ++id) {
+  for (std::uint32_t id = 0; id < p.graph.node_count(); ++id) {
     EXPECT_NE(dot.find("n" + std::to_string(id) + " ["), std::string::npos);
   }
   // Edge count matches.

@@ -246,6 +246,21 @@ TEST(Fuzz, ValidateOptionsRejectsBlindLifecycleKnobs) {
   EXPECT_TRUE(validate_fuzz_options(blind).is_ok());
 }
 
+TEST(Fuzz, ValidateOptionsRejectsThreadCountAboveTheMaximum) {
+  // Validation starts nothing, so a regressed check cannot start a million
+  // threads here.
+  for (const bool coverage : {false, true}) {
+    FuzzOptions o;
+    o.coverage_guided = coverage;
+    o.threads = 1'000'000;
+    const Status s = validate_fuzz_options(o);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.to_string();
+    EXPECT_NE(s.message().find("threads"), std::string::npos) << s.to_string();
+    o.threads = kMaxThreads;
+    EXPECT_TRUE(validate_fuzz_options(o).is_ok());
+  }
+}
+
 TEST(Fuzz, ShrinkingCanBeDisabled) {
   const auto inputs = iota_inputs(3);
   auto protocol = std::make_shared<StrawDacFallbackProtocol>(inputs);

@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "graph_testing.h"
 #include "modelcheck/explorer.h"
 #include "protocols/dac_from_pac.h"
 #include "protocols/one_shot.h"
@@ -25,20 +26,7 @@ using protocols::make_ksa_via_two_sa;
 void expect_identical(const ConfigGraph& serial, const ConfigGraph& parallel,
                       const char* label) {
   SCOPED_TRACE(label);
-  ASSERT_EQ(serial.nodes().size(), parallel.nodes().size());
-  EXPECT_EQ(serial.transition_count(), parallel.transition_count());
-  EXPECT_EQ(serial.truncated(), parallel.truncated());
-  for (std::uint32_t id = 0; id < serial.nodes().size(); ++id) {
-    const Node& a = serial.nodes()[id];
-    const Node& b = parallel.nodes()[id];
-    ASSERT_TRUE(a.config == b.config) << "config mismatch at node " << id;
-    EXPECT_EQ(a.flag, b.flag) << "flag mismatch at node " << id;
-    EXPECT_EQ(a.depth, b.depth) << "depth mismatch at node " << id;
-    ASSERT_EQ(serial.edges()[id], parallel.edges()[id])
-        << "edge list mismatch at node " << id;
-    EXPECT_EQ(serial.path_to(id), parallel.path_to(id))
-        << "parent chain mismatch at node " << id;
-  }
+  expect_same_graph(serial, parallel);
 }
 
 void expect_all_thread_counts_match(
@@ -130,7 +118,7 @@ TEST(ParallelExplorer, TruncatedGraphIsConsistent) {
   ASSERT_TRUE(serial_or.is_ok());
   const ConfigGraph& serial = serial_or.value();
   EXPECT_TRUE(serial.truncated());
-  EXPECT_GT(serial.nodes().size(), 50u);  // kept nodes overshoot the budget
+  EXPECT_GT(serial.node_count(), 50u);  // kept nodes overshoot the budget
   for (int threads : {2, 8}) {
     SCOPED_TRACE(threads);
     const auto partial_or = explorer.explore({.max_nodes = 50,
@@ -140,16 +128,15 @@ TEST(ParallelExplorer, TruncatedGraphIsConsistent) {
     ASSERT_TRUE(partial_or.is_ok());
     const ConfigGraph& graph = partial_or.value();
     expect_identical(serial, graph, "truncated");
-    EXPECT_EQ(serial.parents(), graph.parents());
-    for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
-      for (const Edge& e : graph.edges()[id]) {
-        ASSERT_LT(e.to, graph.nodes().size());
+    for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
+      for (const Edge& e : graph.edges(id)) {
+        ASSERT_LT(e.to, graph.node_count());
       }
       sim::Config config = sim::initial_config(*protocol);
       for (const sim::Step& step : graph.path_to(id)) {
         sim::apply_step(*protocol, &config, step.pid, step.outcome_choice);
       }
-      EXPECT_EQ(config, graph.nodes()[id].config);
+      EXPECT_EQ(config, graph.config(id));
     }
   }
 }

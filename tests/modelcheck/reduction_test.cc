@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "graph_testing.h"
 #include "modelcheck/corpus.h"
 #include "modelcheck/explorer.h"
 #include "modelcheck/task_check.h"
@@ -54,19 +55,6 @@ ConfigGraph explore_or_die(const NamedTask& task, Reduction reduction,
   return std::move(graph).value();
 }
 
-void expect_identical(const ConfigGraph& a, const ConfigGraph& b) {
-  ASSERT_EQ(a.nodes().size(), b.nodes().size());
-  EXPECT_EQ(a.transition_count(), b.transition_count());
-  for (std::uint32_t id = 0; id < a.nodes().size(); ++id) {
-    ASSERT_TRUE(a.nodes()[id].config == b.nodes()[id].config)
-        << "config mismatch at node " << id;
-    EXPECT_EQ(a.nodes()[id].flag, b.nodes()[id].flag);
-    EXPECT_EQ(a.nodes()[id].depth, b.nodes()[id].depth);
-    ASSERT_EQ(a.edges()[id], b.edges()[id]) << "edges mismatch at " << id;
-    EXPECT_EQ(a.path_to(id), b.path_to(id)) << "path mismatch at " << id;
-  }
-}
-
 TEST(Reduction, ParseAndNames) {
   for (Reduction r : kAllModes) {
     const auto parsed = parse_reduction(reduction_name(r));
@@ -89,7 +77,7 @@ TEST(Reduction, ReducedGraphsBitIdenticalAcrossEnginesAndThreads) {
         SCOPED_TRACE(threads);
         const ConfigGraph parallel = explore_or_die(
             task, reduction, ExploreEngine::kParallel, threads);
-        expect_identical(serial, parallel);
+        expect_same_graph(serial, parallel);
       }
     }
   }
@@ -101,19 +89,19 @@ TEST(Reduction, SymmetryOrbitSumsRecoverFullNodeCount) {
     const NamedTask task = get_task(name);
     const ConfigGraph full = explore_or_die(task, Reduction::kNone);
     const ConfigGraph reduced = explore_or_die(task, Reduction::kSymmetry);
-    EXPECT_LE(reduced.nodes().size(), full.nodes().size());
+    EXPECT_LE(reduced.node_count(), full.node_count());
     // Node for node, the representatives' orbits partition the full graph.
-    EXPECT_EQ(reduced.full_node_estimate(), full.nodes().size());
+    EXPECT_EQ(reduced.full_node_estimate(), full.node_count());
     if (const auto& canon = reduced.canonicalizer(); canon != nullptr) {
       std::uint64_t sum = 0;
-      for (const Node& node : reduced.nodes()) {
-        sum += canon->orbit_size(node.config);
+      for (std::uint32_t id = 0; id < reduced.node_count(); ++id) {
+        sum += canon->orbit_size(reduced.config(id));
       }
-      EXPECT_EQ(sum, full.nodes().size());
+      EXPECT_EQ(sum, full.node_count());
       EXPECT_GT(canon->group_size(), 1u);
     } else {
       // Trivial declared symmetry: the "reduction" is the identity.
-      EXPECT_EQ(reduced.nodes().size(), full.nodes().size());
+      EXPECT_EQ(reduced.node_count(), full.node_count());
     }
   }
 }
@@ -157,7 +145,7 @@ TEST(Reduction, ValenceUniverseAndRootReachableSetPreserved) {
       const ValenceAnalyzer analyzer(reduced);
       std::uint64_t weighted = 0;
       for (std::uint32_t id : analyzer.multivalent_nodes()) {
-        weighted += canon->orbit_size(reduced.nodes()[id].config);
+        weighted += canon->orbit_size(reduced.config(id));
       }
       EXPECT_EQ(weighted, base.multivalent_nodes().size());
     }
@@ -222,6 +210,50 @@ TEST(Reduction, TaskVerdictsIdenticalAcrossAllModesOnEveryCorpusTask) {
   }
 }
 
+// Replays path_to(id) for every node of `graph` from the initial
+// configuration with apply_step. Each returned Step must be exactly the
+// step apply_step takes (pid, action, response, outcome_choice), and the
+// run must end, after depth(id) steps, on node id's stored configuration
+// up to the symmetry group. Likewise each parent_step(id), applied to the
+// parent's stored configuration, must lead to node id. The graph stores
+// neither steps nor outcome indices, so a wrong rebuild fails here through
+// apply_step alone.
+void expect_paths_replay(const NamedTask& task, const ConfigGraph& graph) {
+  const sim::Protocol& protocol = *task.protocol;
+  auto canonical = [&](sim::Config config) {
+    if (const auto& canon = graph.canonicalizer(); canon != nullptr) {
+      canon->canonicalize(&config);
+    }
+    return config;
+  };
+  for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
+    // The parent step first: path_to() certifies its own endpoint and
+    // aborts on a bad replay, so a broken rebuild should fail here.
+    if (id != graph.root()) {
+      sim::Config parent = graph.config(graph.parent(id));
+      const sim::Step step = graph.parent_step(id);
+      ASSERT_EQ(
+          sim::apply_step(protocol, &parent, step.pid, step.outcome_choice),
+          step)
+          << "parent step of node " << id << " is not the step it replays";
+      ASSERT_TRUE(canonical(parent) == graph.config(id))
+          << "parent step of node " << id << " does not lead to it";
+    }
+    const std::vector<sim::Step> path = graph.path_to(id);
+    ASSERT_EQ(path.size(), graph.depth(id)) << "node " << id;
+    sim::Config config = sim::initial_config(protocol);
+    for (const sim::Step& step : path) {
+      ASSERT_EQ(sim::apply_step(protocol, &config, step.pid,
+                                step.outcome_choice),
+                step)
+          << "path step to node " << id << " is not the step it replays";
+    }
+    ASSERT_TRUE(canonical(config) == graph.config(id))
+        << "lifted path for node " << id
+        << " does not replay into the representative's orbit";
+  }
+}
+
 TEST(Reduction, LiftedPathsReplayToConcreteExecutions) {
   // path_to on a reduced graph must return a schedule of the UNREDUCED
   // protocol: replaying it step by step from the initial configuration
@@ -231,20 +263,20 @@ TEST(Reduction, LiftedPathsReplayToConcreteExecutions) {
     const NamedTask task = get_task(name);
     for (Reduction reduction : {Reduction::kSymmetry, Reduction::kBoth}) {
       SCOPED_TRACE(reduction_name(reduction));
-      const ConfigGraph graph = explore_or_die(task, reduction);
-      for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
-        sim::Config config = sim::initial_config(*task.protocol);
-        for (const sim::Step& step : graph.path_to(id)) {
-          sim::apply_step(*task.protocol, &config, step.pid,
-                          step.outcome_choice);
-        }
-        if (const auto& canon = graph.canonicalizer(); canon != nullptr) {
-          canon->canonicalize(&config);
-        }
-        ASSERT_TRUE(config == graph.nodes()[id].config)
-            << "lifted path for node " << id
-            << " does not replay into the representative's orbit";
-      }
+      expect_paths_replay(task, explore_or_die(task, reduction));
+    }
+  }
+}
+
+TEST(Reduction, RebuiltStepsReplayUnderEveryMode) {
+  // Every node's rebuilt path and parent step, on a nondeterministic-object
+  // mutant and a symmetric DAC, under every reduction.
+  for (const char* name : {"mutant-2sa4", "dac4-sym"}) {
+    SCOPED_TRACE(name);
+    const NamedTask task = get_task(name);
+    for (Reduction reduction : kAllModes) {
+      SCOPED_TRACE(reduction_name(reduction));
+      expect_paths_replay(task, explore_or_die(task, reduction));
     }
   }
 }
@@ -273,9 +305,9 @@ TEST(Reduction, MutantCounterexamplesLiftAndReplayUnderEveryMode) {
       SCOPED_TRACE(reduction_name(reduction));
       const ConfigGraph graph = explore_or_die(task, reduction);
       bool convicted = false;
-      for (std::uint32_t id = 0; id < graph.nodes().size() && !convicted;
+      for (std::uint32_t id = 0; id < graph.node_count() && !convicted;
            ++id) {
-        const auto [property, detail] = task.judge(graph.nodes()[id].config);
+        const auto [property, detail] = task.judge(graph.config(id));
         if (property.empty()) continue;
         convicted = true;
         sim::Config concrete = sim::initial_config(*task.protocol);

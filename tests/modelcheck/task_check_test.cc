@@ -359,27 +359,27 @@ TEST(TaskCheck, UnreducedGraphEdgesAreExactlyTheSoloSuccessors) {
 
     std::vector<sim::Successor> succs;
     std::vector<Edge> pid_edges;
-    for (std::uint32_t u = 0; u < graph.nodes().size(); ++u) {
-      const Node& node = graph.nodes()[u];
+    for (std::uint32_t u = 0; u < graph.node_count(); ++u) {
+      const sim::Config config = graph.config(u);
       for (int pid = 0; pid < task.protocol->process_count(); ++pid) {
         pid_edges.clear();
-        for (const Edge& e : graph.edges()[u]) {
+        for (const Edge& e : graph.edges(u)) {
           if (e.pid == pid) pid_edges.push_back(e);
         }
         succs.clear();
-        if (node.config.enabled(pid)) {
-          sim::enumerate_successors(*task.protocol, node.config, pid, &succs);
+        if (config.enabled(pid)) {
+          sim::enumerate_successors(*task.protocol, config, pid, &succs);
         }
         ASSERT_EQ(pid_edges.size(), succs.size())
             << "node " << u << " pid " << pid;
         for (std::size_t i = 0; i < succs.size(); ++i) {
-          const Node& target = graph.nodes()[pid_edges[i].to];
-          ASSERT_TRUE(target.config == succs[i].config)
+          const std::uint32_t target = pid_edges[i].to;
+          ASSERT_TRUE(graph.config(target) == succs[i].config)
               << "node " << u << " pid " << pid << " edge " << i;
           ASSERT_EQ(pid_edges[i].kind, succs[i].step.action.kind)
               << "node " << u << " pid " << pid << " edge " << i;
           if (flag_fn) {
-            ASSERT_EQ(target.flag, flag_fn(node.flag, succs[i].step))
+            ASSERT_EQ(graph.flag(target), flag_fn(graph.flag(u), succs[i].step))
                 << "node " << u << " pid " << pid << " edge " << i;
           }
         }

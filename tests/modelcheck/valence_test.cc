@@ -32,7 +32,7 @@ TEST(ValenceAnalyzer, ConsensusViaObjectInitialConfigIsBivalent) {
   // Both decision values are observed.
   ASSERT_EQ(analyzer.universe().size(), 2u);
   // Every successor of the root is univalent: the first propose decides.
-  for (const Edge& e : graph.edges()[graph.root()]) {
+  for (const Edge& e : graph.edges(graph.root())) {
     EXPECT_TRUE(analyzer.is_univalent(e.to));
   }
   // So the root is a critical configuration.
@@ -44,7 +44,7 @@ TEST(ValenceAnalyzer, ConsensusViaObjectInitialConfigIsBivalent) {
 TEST(ValenceAnalyzer, UnivalentValueMatchesWinner) {
   const ConfigGraph graph = explore(make_consensus_via_n_consensus({0, 1}));
   ValenceAnalyzer analyzer(graph);
-  for (const Edge& e : graph.edges()[graph.root()]) {
+  for (const Edge& e : graph.edges(graph.root())) {
     const std::uint32_t succ = e.to;
     ASSERT_TRUE(analyzer.is_univalent(succ));
     // The winner is the pid that proposed first (pid == its input here).
@@ -72,15 +72,15 @@ TEST(ValenceAnalyzer, FlpRaceLivelockCycleIsUnivalent) {
 
   // Iterative DFS cycle detection (colors: 0 = white, 1 = on stack,
   // 2 = done).
-  const size_t n = graph.nodes().size();
+  const size_t n = graph.node_count();
   std::vector<char> color(n, 0);
   std::uint32_t cycle_node = static_cast<std::uint32_t>(n);
   std::vector<std::pair<std::uint32_t, size_t>> stack{{graph.root(), 0}};
   color[graph.root()] = 1;
   while (!stack.empty() && cycle_node == n) {
     auto& [v, pos] = stack.back();
-    if (pos < graph.edges()[v].size()) {
-      const std::uint32_t to = graph.edges()[v][pos++].to;
+    if (pos < graph.edges(v).size()) {
+      const std::uint32_t to = graph.edges(v)[pos++].to;
       if (color[to] == 0) {
         color[to] = 1;
         stack.push_back({to, 0});
@@ -94,7 +94,7 @@ TEST(ValenceAnalyzer, FlpRaceLivelockCycleIsUnivalent) {
   }
   ASSERT_LT(cycle_node, n) << "expected a livelock cycle";
   EXPECT_TRUE(analyzer.is_univalent(cycle_node));
-  EXPECT_FALSE(graph.nodes()[cycle_node].config.halted());
+  EXPECT_FALSE(graph.config(cycle_node).halted());
 }
 
 TEST(ValenceAnalyzer, KsaGraphObservesBothValues) {
@@ -109,8 +109,8 @@ TEST(ValenceAnalyzer, KsaGraphObservesBothValues) {
 TEST(ValenceAnalyzer, TerminalNodesAreUnivalentOrDecisionFree) {
   const ConfigGraph graph = explore(make_consensus_via_n_consensus({0, 1}));
   ValenceAnalyzer analyzer(graph);
-  for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
-    if (graph.nodes()[id].config.halted()) {
+  for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
+    if (graph.config(id).halted()) {
       EXPECT_LE(analyzer.reachable_count(id), 1);
     }
   }
@@ -122,7 +122,7 @@ TEST(ValenceAnalyzer, MultivalentNodesListMatchesPredicate) {
   const auto nodes = analyzer.multivalent_nodes();
   for (std::uint32_t id : nodes) EXPECT_TRUE(analyzer.is_multivalent(id));
   size_t count = 0;
-  for (std::uint32_t id = 0; id < graph.nodes().size(); ++id) {
+  for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
     if (analyzer.is_multivalent(id)) ++count;
   }
   EXPECT_EQ(nodes.size(), count);

@@ -11,6 +11,7 @@
 // Timing-sensitive results (throughput, scaling) intentionally live outside
 // this report: BENCH_modelcheck.json (tools/run_report.sh) and perfbench/.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -487,8 +488,8 @@ void e10_meta() {
           lbsa::modelcheck::worst_case_own_steps(graph.value(), pid);
       steps += bound.has_value() ? std::to_string(*bound) : "∞";
     }
-    std::printf("| %s | %zu | %llu | %zu | %s |\n", row.label,
-                graph.value().nodes().size(),
+    std::printf("| %s | %u | %llu | %zu | %s |\n", row.label,
+                graph.value().node_count(),
                 static_cast<unsigned long long>(
                     graph.value().transition_count()),
                 analyzer.critical_nodes().size(), steps.c_str());
@@ -509,12 +510,12 @@ void e10_meta() {
     if (identical) {
       const auto& a = serial.value();
       const auto& b = parallel.value();
-      identical = a.nodes().size() == b.nodes().size() &&
+      identical = a.node_count() == b.node_count() &&
                   a.transition_count() == b.transition_count();
-      for (std::uint32_t id = 0; identical && id < a.nodes().size(); ++id) {
-        identical = a.nodes()[id].config == b.nodes()[id].config &&
-                    a.nodes()[id].depth == b.nodes()[id].depth &&
-                    a.edges()[id] == b.edges()[id] &&
+      for (std::uint32_t id = 0; identical && id < a.node_count(); ++id) {
+        identical = std::ranges::equal(a.key(id), b.key(id)) &&
+                    a.depth(id) == b.depth(id) &&
+                    std::ranges::equal(a.edges(id), b.edges(id)) &&
                     a.path_to(id) == b.path_to(id);
       }
     }

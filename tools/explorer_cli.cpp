@@ -2,7 +2,7 @@
 // graph and report its shape, with optional observability artifacts.
 //
 //   ./explorer_cli --list
-//   ./explorer_cli <task> [--threads N]
+//   ./explorer_cli <task> [--threads N]       (N <= 256)
 //                  [--engine auto|serial|parallel]
 //                  [--max-nodes N] [--allow-truncation]
 //                  [--reduction none|symmetry|por|both]
@@ -34,6 +34,9 @@
 //   2  usage error
 //   3  complete but truncated at --max-nodes (absence verdicts unsound)
 //   4  interrupted at a level boundary; resumable if --checkpoint was given
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <chrono>
 #include <climits>
 #include <csignal>
@@ -118,7 +121,7 @@ int main(int argc, char** argv) {
       continue;
     } else if (!std::strcmp(argv[i], "--threads")) {
       options.threads = static_cast<int>(obs::parse_count_flag(
-          "--threads", next_arg("--threads"), 0, INT_MAX));
+          "--threads", next_arg("--threads"), 0, modelcheck::kMaxThreads));
     } else if (!std::strcmp(argv[i], "--max-nodes")) {
       options.max_nodes = obs::parse_count_flag(
           "--max-nodes", next_arg("--max-nodes"), 0, UINT64_MAX);
@@ -197,13 +200,16 @@ int main(int argc, char** argv) {
   // only covers visited orbits, so the reduction ratio would understate the
   // reduction (or divide nonsense) — omit it rather than mislead.
   const bool complete = !graph.truncated() && !graph.interrupted();
+  // Decodes every node under symmetry reduction: computed once.
+  const std::uint64_t full_estimate =
+      complete ? graph.full_node_estimate() : 0;
 
   std::uint32_t max_depth = 0;
-  for (const modelcheck::Node& node : graph.nodes()) {
-    if (node.depth > max_depth) max_depth = node.depth;
+  for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
+    max_depth = std::max(max_depth, graph.depth(id));
   }
-  std::printf("%s: %zu nodes, %llu transitions, depth %u%s%s\n",
-              task.name.c_str(), graph.nodes().size(),
+  std::printf("%s: %u nodes, %llu transitions, depth %u%s%s\n",
+              task.name.c_str(), graph.node_count(),
               static_cast<unsigned long long>(graph.transition_count()),
               max_depth, graph.truncated() ? " (truncated)" : "",
               graph.interrupted() ? " (interrupted)" : "");
@@ -217,13 +223,12 @@ int main(int argc, char** argv) {
                 resume_hint.c_str());
   }
   if (options.reduction != modelcheck::Reduction::kNone && complete &&
-      !graph.nodes().empty()) {
-    const std::uint64_t full_estimate = graph.full_node_estimate();
+      graph.node_count() > 0) {
     std::printf("  reduction=%s: >=%llu full-graph nodes, ratio %.2fx\n",
                 modelcheck::reduction_name(graph.reduction()),
                 static_cast<unsigned long long>(full_estimate),
                 static_cast<double>(full_estimate) /
-                    static_cast<double>(graph.nodes().size()));
+                    static_cast<double>(graph.node_count()));
   }
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -233,8 +238,13 @@ int main(int argc, char** argv) {
   // (beyond the existing volatile wall_seconds field).
   std::printf("  elapsed %.6f s, %.0f nodes/s\n", elapsed,
               elapsed > 0.0
-                  ? static_cast<double>(graph.nodes().size()) / elapsed
+                  ? static_cast<double>(graph.node_count()) / elapsed
                   : 0.0);
+  // The process's peak resident set so far (ru_maxrss is in KB on Linux),
+  // on its own line so parsers of the elapsed line are unaffected.
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  std::printf("  peak RSS %ld MB\n", usage.ru_maxrss / 1024);
 
   obs::RunReport report;
   report.task = task.name;
@@ -260,7 +270,7 @@ int main(int argc, char** argv) {
     obs::JsonWriter w;
     w.begin_object();
     w.key("nodes");
-    w.value_uint(graph.nodes().size());
+    w.value_uint(graph.node_count());
     w.key("transitions");
     w.value_uint(graph.transition_count());
     w.key("max_depth");
@@ -279,13 +289,12 @@ int main(int argc, char** argv) {
     w.value_string(modelcheck::engine_name(graph.engine_used()));
     // Only on complete graphs (see `complete` above): the schema validator
     // rejects a ratio sitting next to truncated/interrupted = true.
-    if (complete && !graph.nodes().empty()) {
-      const std::uint64_t full_estimate = graph.full_node_estimate();
+    if (complete && graph.node_count() > 0) {
       w.key("nodes_full_estimate");
       w.value_uint(full_estimate);
       w.key("reduction_ratio");
       w.value_double(static_cast<double>(full_estimate) /
-                     static_cast<double>(graph.nodes().size()));
+                     static_cast<double>(graph.node_count()));
     }
     w.end_object();
     report.sections.emplace_back("explorer", std::move(w).str());

@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
           obs::parse_count_flag("--seed", next_arg("--seed"), 0, UINT64_MAX);
     } else if (!std::strcmp(argv[i], "--threads")) {
       options.threads = static_cast<int>(obs::parse_count_flag(
-          "--threads", next_arg("--threads"), 0, INT_MAX));
+          "--threads", next_arg("--threads"), 0, modelcheck::kMaxThreads));
     } else if (!std::strcmp(argv[i], "--max-violations")) {
       options.max_violations = static_cast<int>(obs::parse_count_flag(
           "--max-violations", next_arg("--max-violations"), 1, INT_MAX));

@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
       options.engine = engine.value();
     } else if (!std::strcmp(argv[i], "--threads")) {
       options.threads = static_cast<int>(obs::parse_count_flag(
-          "--threads", next_arg("--threads"), 0, INT_MAX));
+          "--threads", next_arg("--threads"), 0, modelcheck::kMaxThreads));
     } else if (!std::strcmp(argv[i], "--max-nodes")) {
       options.max_nodes = obs::parse_count_flag(
           "--max-nodes", next_arg("--max-nodes"), 0, UINT64_MAX);

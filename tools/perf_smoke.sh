@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# perf_smoke.sh — coarse parallel-vs-serial throughput gate for CI.
+# perf_smoke.sh — coarse throughput and memory gates for CI.
 #
 # Runs explorer_cli on dac5 (the smallest task big enough that exploration
 # time dominates engine setup) with the serial engine and with the parallel
@@ -20,6 +20,14 @@
 # reduction"). Serial and single-threaded on both sides, so this gate runs
 # on single-core hosts too. It protects the pruned canonical search and
 # orbit cache from regressing back to "reduction costs more than it saves".
+#
+# A third gate bounds memory: explorer_cli on dac6 at 4 threads must peak at
+# no more than 160 MB of resident memory, as its "peak RSS" line reports
+# (getrusage). The explored graph stores each node once, as its intern key,
+# with edges in CSR form; a regression to per-node decoded configurations
+# roughly doubles the peak (354 MB). One run suffices: 22 runs pinned to 1,
+# 2 and 4 cores of a 4-vCPU VM (GCC 12) all peaked at 143-145 MB. It also
+# runs on single-core hosts.
 #
 # Usage: tools/perf_smoke.sh [build-dir]
 #   MIN_RATIO             parallel gate threshold (default 1.0)
@@ -107,3 +115,17 @@ if awk -v s="$SYM_S" -v n="$NONE_S" 'BEGIN { exit !(s >= n) }'; then
   exit 1
 fi
 echo "ok: symmetry reduction beats reduction=none on wall-clock"
+
+# --- memory gate --------------------------------------------------------------
+RSS_MB="$("$EXPLORER" dac6 --threads 4 \
+          | sed -nE 's/^ *peak RSS ([0-9]+) MB$/\1/p')"
+if [[ -z "$RSS_MB" ]]; then
+  echo "error: explorer_cli printed no peak RSS line" >&2
+  exit 1
+fi
+echo "memory (dac6, t4): peak RSS ${RSS_MB} MB (bound 160 MB)"
+if (( RSS_MB > 160 )); then
+  echo "error: peak RSS ${RSS_MB} MB exceeds 160 MB" >&2
+  exit 1
+fi
+echo "ok: peak RSS within 160 MB"

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # strict_flags_e2e.sh — numeric flags of explorer_cli, fuzz_shrink_cli,
 # hierarchy_sweep_cli, soak and schedule_replayer parse strictly: a value
-# that is not wholly a number in range exits 2 with an error naming the
-# flag, before any work runs. So do an engine name explorer_cli does not
+# that is not wholly a number in range (a --threads above 256 included)
+# exits 2 with an error naming the flag, before any work runs. So do an engine name explorer_cli does not
 # know, a flag a tool does not have, and a flag missing its value. A
 # schedule_replayer --record that cannot be written exits 1. The same flags
 # with well-formed values still run to a verdict.
@@ -58,6 +58,12 @@ expect_usage_error --stop-after-runs fuzz_shrink_cli dac3 --coverage \
     --stop-after-runs 1.5
 expect_usage_error --checkpoint-every fuzz_shrink_cli dac3 --coverage \
     --checkpoint-every ten
+
+# Thread counts above the library's maximum (256) are usage errors, caught
+# before any thread starts.
+expect_usage_error --threads explorer_cli dac3 --threads 257
+expect_usage_error --threads fuzz_shrink_cli dac3 --threads 257
+expect_usage_error --threads hierarchy_sweep_cli --threads 257
 
 expect_usage_error --max-levels explorer_cli dac3 --max-levels ten \
     --threads four
