@@ -422,6 +422,7 @@ Status write_explore_checkpoint(const ExploreCheckpoint& checkpoint,
       w.u32(e.to);
       w.i64(e.pid);
       w.i64(static_cast<std::int64_t>(e.kind));
+      w.u32(e.to_pid);
     }
   }
   w.u64(checkpoint.frontier.size());
@@ -471,7 +472,7 @@ StatusOr<ExploreCheckpoint> read_explore_checkpoint(const std::string& path) {
     cp.parent_steps.push_back(r.step());
     if (has_perms) r.bytes("discovery perm", &cp.discovery_perms);
     const std::size_t edge_count =
-        r.count("edge", /*min_words_per_element=*/3);
+        r.count("edge", /*min_words_per_element=*/4);
     for (std::size_t j = 0; j < edge_count && r.status().is_ok(); ++j) {
       Edge e;
       e.to = r.u32("edge target");
@@ -482,6 +483,11 @@ StatusOr<ExploreCheckpoint> read_explore_checkpoint(const std::string& path) {
         r.fail("edge action kind out of range");
       }
       e.kind = static_cast<sim::Action::Kind>(kind);
+      const std::int64_t to_pid = r.i64();
+      if (to_pid < 0 || to_pid > std::numeric_limits<std::uint16_t>::max()) {
+        r.fail("edge to_pid out of range");
+      }
+      e.to_pid = static_cast<std::uint16_t>(to_pid);
       if (e.to >= n) r.fail("edge target beyond node count");
       cp.edges.items.push_back(e);
     }

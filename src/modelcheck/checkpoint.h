@@ -44,7 +44,9 @@
 namespace lbsa::modelcheck {
 
 // Bump when the serialized layout changes; readers reject other versions.
-inline constexpr std::uint32_t kCheckpointSchemaVersion = 1;
+// Schema 2 writes each edge as [to, pid, kind, to_pid]; schema 1 lacked
+// to_pid.
+inline constexpr std::uint32_t kCheckpointSchemaVersion = 2;
 
 // One run of T per node, stored flat: run i is
 // items[offsets[i], offsets[i + 1]).

@@ -143,6 +143,11 @@ struct Batch {
   std::span<const std::int64_t> key(const Succ& succ) const {
     return {words.data() + succ.begin, succ.size};
   }
+  // The stepping process's pid in the stored successor (Edge::to_pid).
+  std::uint16_t to_pid(const Succ& succ) const {
+    if (succ.perm < 0) return static_cast<std::uint16_t>(succ.pid);
+    return perms[static_cast<std::size_t>(succ.perm + succ.pid)];
+  }
   void clear() {
     succs.clear();
     ends.clear();
@@ -851,11 +856,13 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
     // words plus its flag are its intern key even under symmetry reduction.
     // The graph's structure is validated here, so a malformed checkpoint
     // (the files are checksummed, so a hand-edited one) fails cleanly: the
-    // words decode, keys are distinct, edge lists are ordered by pid, every
-    // parent step names an edge of its parent that leads to the node, and
-    // perms and counts are consistent. Steps are not replayed (that would
-    // decode every node): an edge whose target is not the configuration its
-    // step reaches passes here and aborts on path_to's certify check.
+    // words decode, keys are distinct, edge lists are ordered by pid, each
+    // edge's to_pid is a renaming of its pid, every parent step names an
+    // edge of its parent that leads to the node, and perms and counts are
+    // consistent. Steps are not replayed (that would decode every node): an
+    // edge whose target is not the configuration its step reaches passes
+    // here and aborts on path_to's certify check, and a to_pid naming the
+    // wrong member of its pid's orbit passes unnoticed.
     const ExploreCheckpoint& cp = *options.resume;
     const auto count = static_cast<std::uint32_t>(cp.node_words.size());
     sim::Config decoded;
@@ -915,6 +922,25 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
           return invalid_argument("resume: the edges of node " +
                                   std::to_string(i) +
                                   " are not ordered by pid");
+        }
+        // The solo-termination walk follows an edge to (to, to_pid): a
+        // renaming can only map pid within its orbit, and without one
+        // to_pid is pid.
+        const std::size_t pid = static_cast<std::size_t>(out[e].pid);
+        const std::size_t to_pid = out[e].to_pid;
+        if (to_pid >= n) {
+          return invalid_argument("resume: edge to_pid " +
+                                  std::to_string(to_pid) + " out of range");
+        }
+        const bool renamed_in_orbit =
+            sym == nullptr ? to_pid == pid
+                           : sym->spec().orbit_of[to_pid] ==
+                                 sym->spec().orbit_of[pid];
+        if (!renamed_in_orbit) {
+          return invalid_argument("resume: edge to_pid " +
+                                  std::to_string(to_pid) +
+                                  " is not a renaming of its pid " +
+                                  std::to_string(pid));
         }
       }
       if (!out.empty()) {
@@ -1108,7 +1134,8 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
               ids[j], static_cast<std::uint32_t>(graph.edges_.size() -
                                                  first_edge)};
           const auto [to, is_new] = intern(*batch, s, parent, depth + 1);
-          graph.edges_.push_back(Edge{to, succ.pid, succ.kind});
+          graph.edges_.push_back(
+              Edge{to, succ.pid, succ.kind, batch->to_pid(succ)});
           if (!is_new) continue;
           ++inserted;
           if (graph.node_count() > options.max_nodes) {

@@ -187,9 +187,14 @@ struct Edge {
   std::uint32_t to = 0;   // target node id
   std::int32_t pid = -1;  // process that stepped
   sim::Action::Kind kind = sim::Action::Kind::kInvoke;
+  // The stepping process's pid in the target's stored configuration: σ(pid)
+  // for the permutation σ that canonicalized the successor under symmetry
+  // reduction, else pid. Lets a walk follow one process across a quotient.
+  std::uint16_t to_pid = 0;
 
   friend bool operator==(const Edge&, const Edge&) = default;
 };
+static_assert(sizeof(Edge) == 12, "the graph stores one Edge per transition");
 
 // A node with its configuration decoded, as ConfigGraph::nodes() copies it
 // out.

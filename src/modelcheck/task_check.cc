@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -66,47 +67,79 @@ class StatusTable {
 // ---------------------------------------------------------------------------
 // Solo-run termination: from a start state, process pid runs alone; over
 // every nondeterministic object outcome it must reach kDecided (or kAborted
-// when allow_abort) without revisiting a state. Memoized per pid across all
-// start states. One DFS serves two successor sources:
-//   * GraphSolo walks the explored graph: states are node ids and pid's
-//     successors are the node's pid-labelled edges. Sound only on a graph
-//     that holds every solo successor (see check_dac_task).
+// when allow_abort) without revisiting a state. Memoized across all start
+// states. One iterative DFS serves two successor sources:
+//   * GraphSolo walks the explored graph: a state is a (node, pid) pair and
+//     its successors are the node's edges by that pid, each leading to
+//     (e.to, e.to_pid). On a symmetry quotient the stepping process may
+//     carry another name in the target's representative, and to_pid is that
+//     name. Sound only on a graph that holds every solo successor (see
+//     check_dac_task).
 //   * SimSolo re-simulates: states are configurations, successors come from
 //     enumerate_successors, and the memo is keyed on the encoding.
+// A source's successors of the state at DFS depth d are read through a
+// cursor: expand(d, state) prepares them and returns the cursor, and
+// next(d, &cursor, &out) yields them in order.
 // ---------------------------------------------------------------------------
 
 enum class Memo : std::uint8_t { kUnseen = 0, kInProgress, kGood };
 
 class GraphSolo {
  public:
-  using State = std::uint32_t;
+  struct State {
+    std::uint32_t node = 0;
+    int pid = 0;
+  };
 
-  GraphSolo(const ConfigGraph& graph, const StatusTable& statuses, int pid)
+  // `memo` holds one byte per (pid, node), pid-major, and is shared by
+  // every start pid. A walk from start pid q meets only pids of q's orbit,
+  // and a failed DFS forgets its path, so the sharing reuses nothing but
+  // states already proven good (and, without symmetry, nothing at all).
+  GraphSolo(const ConfigGraph& graph, const StatusTable& statuses,
+            Memo* memo, int pid)
       : graph_(graph),
         statuses_(statuses),
-        pid_(pid),
-        memo_(graph.node_count(), Memo::kUnseen) {}
+        memo_(memo),
+        node_count_(graph.node_count()),
+        pid_(pid) {}
 
-  State start(std::uint32_t id) const { return id; }
-  sim::ProcStatus status(State id) const {
-    return statuses_.status(id, pid_);
+  State start(std::uint32_t id) const { return {id, pid_}; }
+  sim::ProcStatus status(const State& state) const {
+    return statuses_.status(state.node, state.pid);
   }
-  Memo& memo(State id) { return memo_[id]; }
-  void forget(State id) { memo_[id] = Memo::kUnseen; }
+  Memo& memo(const State& state) {
+    return memo_[static_cast<std::size_t>(state.pid) * node_count_ +
+                 state.node];
+  }
 
-  template <typename Visit>
-  bool all_successors(State id, Visit&& visit) {
-    for (const Edge& e : graph_.edges(id)) {
-      if (e.pid == pid_ && !visit(e.to)) return false;
-    }
+  // The node's edges by the state's pid: one run, since edges ascend by
+  // pid.
+  struct Cursor {
+    const Edge* next;
+    const Edge* end;
+  };
+  Cursor expand(std::size_t /*depth*/, const State& state) const {
+    const std::span<const Edge> edges = graph_.edges(state.node);
+    const Edge* first = edges.data();
+    const Edge* last = first + edges.size();
+    while (first != last && first->pid < state.pid) ++first;
+    const Edge* end = first;
+    while (end != last && end->pid == state.pid) ++end;
+    return {first, end};
+  }
+  bool next(std::size_t /*depth*/, Cursor* cursor, State* out) const {
+    if (cursor->next == cursor->end) return false;
+    const Edge& e = *cursor->next++;
+    *out = {e.to, e.to_pid};
     return true;
   }
 
  private:
   const ConfigGraph& graph_;
   const StatusTable& statuses_;
+  Memo* memo_;
+  std::size_t node_count_;
   int pid_;
-  std::vector<Memo> memo_;
 };
 
 class SimSolo {
@@ -130,20 +163,27 @@ class SimSolo {
   // Keyed on the encoding. A start node's is its stored key without the
   // flag. References into an unordered_map survive rehashing.
   Memo& memo(const State& state) { return memo_[encoding(state)]; }
-  void forget(const State& state) { memo_.erase(encoding(state)); }
 
-  template <typename Visit>
-  bool all_successors(const State& state, Visit&& visit) {
+  // Simulates the state's successors into depth's buffer; the cursor
+  // indexes it. A buffer keeps its capacity across states, and its
+  // configurations stay put while deeper buffers are added, so the states
+  // a DFS stack points at survive.
+  using Cursor = std::size_t;
+  Cursor expand(std::size_t depth, const State& state) {
+    if (succs_.size() <= depth) succs_.resize(depth + 1);
     const sim::Config* config = state.config;
     if (state.node != kNoNode) {
       graph_.config_into(state.node, &start_);
       config = &start_;
     }
-    std::vector<sim::Successor> succs;
-    sim::enumerate_successors(protocol_, *config, pid_, &succs);
-    for (const sim::Successor& succ : succs) {
-      if (!visit(State{kNoNode, &succ.config})) return false;
-    }
+    succs_[depth].clear();
+    sim::enumerate_successors(protocol_, *config, pid_, &succs_[depth]);
+    return 0;
+  }
+  bool next(std::size_t depth, Cursor* cursor, State* out) const {
+    const std::vector<sim::Successor>& succs = succs_[depth];
+    if (*cursor == succs.size()) return false;
+    *out = State{kNoNode, &succs[(*cursor)++].config};
     return true;
   }
 
@@ -165,6 +205,7 @@ class SimSolo {
   const StatusTable& statuses_;
   int pid_;
   sim::Config start_;  // the start node being expanded
+  std::vector<std::vector<sim::Successor>> succs_;  // per DFS depth
   std::vector<std::int64_t> key_;
   std::unordered_map<std::vector<std::int64_t>, Memo, KeyHash> memo_;
 };
@@ -199,43 +240,69 @@ class SoloChecker {
   std::uint64_t visits() const { return visits_; }
 
  private:
-  bool dfs(const State& state, std::string* detail) {
+  enum class Visit { kGood, kBad, kExpand };
+
+  // A state on the DFS stack: its memo entry and the cursor over its
+  // successors.
+  struct Frame {
+    Memo* memo;
+    typename Source::Cursor cursor;
+  };
+
+  // Depth-first over every solo continuation from `start`, in successor
+  // order. Iterative: a solo run may be solo_node_bound steps long.
+  bool dfs(const State& start, std::string* detail) {
+    const Visit first = visit(start, detail);
+    if (first != Visit::kExpand) return first == Visit::kGood;
+    while (!stack_.empty()) {
+      Frame& top = stack_.back();
+      State next;
+      if (!source_.next(stack_.size() - 1, &top.cursor, &next)) {
+        *top.memo = Memo::kGood;
+        stack_.pop_back();
+      } else if (visit(next, detail) == Visit::kBad) {
+        // Forget the failing path so other paths re-examine it.
+        for (const Frame& frame : stack_) *frame.memo = Memo::kUnseen;
+        stack_.clear();
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // Judges `state` on arrival: kGood or kBad (filling *detail) if that
+  // settles it, else kExpand after pushing it onto the stack.
+  Visit visit(const State& state, std::string* detail) {
     switch (source_.status(state)) {
       case sim::ProcStatus::kDecided:
-        return true;
+        return Visit::kGood;
       case sim::ProcStatus::kAborted:
-        if (allow_abort_) return true;
+        if (allow_abort_) return Visit::kGood;
         *detail = "process p" + std::to_string(pid_) +
                   " aborted in a solo run where only decide is allowed";
-        return false;
+        return Visit::kBad;
       case sim::ProcStatus::kCrashed:
         *detail = "process p" + std::to_string(pid_) + " crashed mid-check";
-        return false;
+        return Visit::kBad;
       case sim::ProcStatus::kRunning:
         break;
     }
     if (++nodes_visited_ > node_bound_) {
       *detail = "solo-run node budget exceeded for p" + std::to_string(pid_);
-      return false;
+      return Visit::kBad;
     }
 
     Memo& memo = source_.memo(state);
-    if (memo == Memo::kGood) return true;
+    if (memo == Memo::kGood) return Visit::kGood;
     if (memo == Memo::kInProgress) {
       // Revisiting an in-progress state: pid can cycle solo forever.
       *detail = "process p" + std::to_string(pid_) +
                 " can take infinitely many solo steps without terminating";
-      return false;
+      return Visit::kBad;
     }
     memo = Memo::kInProgress;
-    if (!source_.all_successors(
-            state, [&](const State& next) { return dfs(next, detail); })) {
-      // Forget the entry so other paths re-examine it.
-      source_.forget(state);
-      return false;
-    }
-    memo = Memo::kGood;
-    return true;
+    stack_.push_back(Frame{&memo, source_.expand(stack_.size(), state)});
+    return Visit::kExpand;
   }
 
   Source source_;
@@ -244,6 +311,7 @@ class SoloChecker {
   std::uint64_t node_bound_;
   std::uint64_t nodes_visited_ = 0;
   std::uint64_t visits_ = 0;
+  std::vector<Frame> stack_;
 };
 
 // ---------------------------------------------------------------------------
@@ -558,16 +626,21 @@ StatusOr<TaskReport> check_dac_task(
   // Termination (a): from every reachable configuration, p running solo
   // decides or aborts. Termination (b): every q != p running solo decides.
   // Every engine emits each enabled pid's enumerate_successors outcomes, in
-  // order, as that node's pid-labelled edges. So a complete graph without
-  // POR and without a symmetry quotient already holds every solo successor,
-  // and the solo DFS walks it. Elsewhere solo edges are missing (POR prunes
-  // them, quotient edges drop the pid renaming, and a truncated or
+  // order, as that node's pid-labelled edges, and each edge records the
+  // stepping process's name in its target (to_pid). So a complete graph
+  // without POR holds every solo successor, on a symmetry quotient up to
+  // that renaming, and the solo DFS walks it. The walk may rename the solo
+  // process only within its orbit, and p's orbit is the singleton {p}
+  // (checked above), so a walk never changes which clause applies.
+  // Elsewhere solo edges are missing (POR prunes them, and a truncated or
   // interrupted frontier is unexpanded), and the solo runs are re-simulated.
   const bool walk = !graph.truncated() && !graph.interrupted() &&
-                    graph.canonicalizer() == nullptr &&
                     graph.reduction() != Reduction::kPor &&
                     graph.reduction() != Reduction::kBoth;
   const std::uint32_t node_count = graph.node_count();
+  std::vector<Memo> walk_memo(
+      walk ? std::size_t{node_count} * static_cast<std::size_t>(n) : 0,
+      Memo::kUnseen);
   std::uint64_t walked = 0;
   std::uint64_t simulated = 0;
   for (int pid = 0; pid < n; ++pid) {
@@ -581,7 +654,8 @@ StatusOr<TaskReport> check_dac_task(
       return bad;
     };
     const std::uint32_t bad =
-        walk ? solo_failure(GraphSolo(graph, statuses, pid), &walked)
+        walk ? solo_failure(GraphSolo(graph, statuses, walk_memo.data(), pid),
+                            &walked)
              : solo_failure(SimSolo(*protocol, graph, statuses, pid),
                             &simulated);
     if (bad < node_count) {  // one witness per process suffices

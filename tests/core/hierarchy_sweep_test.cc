@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "obs/report.h"
 
 namespace lbsa::core {
@@ -45,6 +46,29 @@ TEST(HierarchySweep, CrossCheckReductionsAgree) {
     ASSERT_TRUE(row_or.is_ok()) << row_or.status().to_string();
     EXPECT_TRUE(row_or.value().ok());
   }
+}
+
+TEST(HierarchySweep, DacChecksWalkTheQuotientGraph) {
+#if defined(LBSA_OBS_DISABLED)
+  GTEST_SKIP() << "counters are compiled out under LBSA_OBS_DISABLED";
+#endif
+  // Each row's DAC check runs on a complete symmetry quotient, so its solo
+  // runs are walked along the graph's edges, never re-simulated.
+  obs::Registry::global().reset_values();
+  obs::set_metrics_enabled(true);
+  auto row_or = run_hierarchy_row(5, 5);
+  obs::set_metrics_enabled(false);
+  ASSERT_TRUE(row_or.is_ok()) << row_or.status().to_string();
+  EXPECT_TRUE(row_or.value().ok());
+  EXPECT_LT(row_or.value().dac.nodes, row_or.value().dac.nodes_full);
+  std::uint64_t walked = 0;
+  std::uint64_t simulated = 0;
+  for (const auto& row : obs::Registry::global().snapshot().counters) {
+    if (row.name == "task_check.solo.walked") walked = row.value;
+    if (row.name == "task_check.solo.simulated") simulated = row.value;
+  }
+  EXPECT_GT(walked, 0u);
+  EXPECT_EQ(simulated, 0u);
 }
 
 TEST(HierarchySweep, SweepCoversTheGridInOrder) {

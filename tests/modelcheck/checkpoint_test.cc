@@ -8,8 +8,8 @@
 //     resumed produces a byte-identical final report,
 //   * stale checkpoints (wrong task, reduction, budget, seed) are rejected
 //     with FAILED_PRECONDITION naming the mismatch, and corrupt files (bad
-//     magic, bit rot, truncation, future schema) with INVALID_ARGUMENT —
-//     never a silently wrong graph,
+//     magic, bit rot, truncation, an old or future schema) with
+//     INVALID_ARGUMENT — never a silently wrong graph,
 //   * cancellation and deadlines interrupt cleanly: the partial graph is the
 //     exact prefix of the uninterrupted exploration.
 #include <gtest/gtest.h>
@@ -29,6 +29,7 @@
 #include "modelcheck/corpus.h"
 #include "modelcheck/explorer.h"
 #include "modelcheck/fuzz.h"
+#include "sim/symmetry.h"
 
 namespace lbsa::modelcheck {
 namespace {
@@ -304,6 +305,84 @@ TEST(Checkpoint, CorruptFilesRejected) {
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
     EXPECT_NE(status.message().find("version"), std::string::npos)
         << status.to_string();
+  }
+  // Schema 1, whose edges carry no to_pid: rejected by its version, not
+  // misread as schema 2.
+  {
+    std::string bad = good;
+    bad[8] = 1;
+    spit(path, bad);
+    const auto status = read_explore_checkpoint(path).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("schema version 1"), std::string::npos)
+        << status.to_string();
+  }
+}
+
+// An edge's to_pid names the stepping process in the target's stored
+// configuration, and the solo-termination walk follows it. Resume accepts
+// only a pid of the process count, equal to the edge's pid without
+// symmetry reduction, and in the pid's orbit with it.
+TEST(Checkpoint, ResumeRejectsEdgeToPidsThatAreNoRenaming) {
+  auto expect_rejected = [](const NamedTask& task,
+                            const ExploreCheckpoint& good, std::uint16_t pid,
+                            std::uint16_t to_pid, const char* what) {
+    SCOPED_TRACE(what);
+    // The first edge by `pid`, retargeted to `to_pid`.
+    ExploreCheckpoint bad = good;
+    bool found = false;
+    for (std::size_t id = 0; id < good.edges.size() && !found; ++id) {
+      std::vector<Edge> out(good.edges[id].begin(), good.edges[id].end());
+      for (Edge& e : out) {
+        if (e.pid != pid) continue;
+        e.to_pid = to_pid;
+        bad.edges = with_run(good.edges, id, std::span<const Edge>(out));
+        found = true;
+        break;
+      }
+    }
+    ASSERT_TRUE(found) << "no edge by p" << pid;
+    const std::string path = temp_path("bad-to-pid.ckpt");
+    ASSERT_TRUE(write_explore_checkpoint(bad, path).is_ok());
+    auto read = read_explore_checkpoint(path);
+    ASSERT_TRUE(read.is_ok()) << read.status().to_string();
+    ExploreOptions opts;
+    opts.reduction = bad.reduction;
+    opts.resume = &read.value();
+    const auto resumed = Explorer(task.protocol).explore(opts);
+    EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument)
+        << resumed.status().to_string();
+    EXPECT_NE(resumed.status().message().find("to_pid"), std::string::npos)
+        << resumed.status().to_string();
+  };
+
+  const NamedTask dac3 = get_task("dac3-sym");
+  const ExploreCheckpoint plain = interrupt_and_read(
+      dac3, Reduction::kNone, 2, temp_path("plain-to-pid.ckpt"));
+  ASSERT_TRUE(plain.discovery_perms.empty());
+  expect_rejected(dac3, plain, 1, 3, "to_pid >= n");
+  expect_rejected(dac3, plain, 1, 2, "renamed without symmetry reduction");
+
+  // dac4-sym: p0 is distinguished, p1..p3 one orbit.
+  const NamedTask dac4 = get_task("dac4-sym");
+  const sim::SymmetrySpec spec = dac4.protocol->symmetry();
+  ASSERT_TRUE(spec.is_singleton(0));
+  ASSERT_TRUE(spec.orbit_of[1] == spec.orbit_of[2] &&
+              spec.orbit_of[2] == spec.orbit_of[3]);
+  const ExploreCheckpoint quotient = interrupt_and_read(
+      dac4, Reduction::kSymmetry, 2, temp_path("quotient-to-pid.ckpt"));
+  ASSERT_FALSE(quotient.discovery_perms.empty());
+  expect_rejected(dac4, quotient, 1, 4, "to_pid >= n, quotient");
+  expect_rejected(dac4, quotient, 1, 0, "to_pid outside pid's orbit");
+  expect_rejected(dac4, quotient, 0, 2, "p0 renamed into another orbit");
+
+  // Unmodified, both resume.
+  for (const auto& [task, cp] : {std::pair{&dac3, &plain},
+                                 std::pair{&dac4, &quotient}}) {
+    ExploreOptions opts;
+    opts.reduction = cp->reduction;
+    opts.resume = cp;
+    EXPECT_TRUE(Explorer(task->protocol).explore(opts).is_ok());
   }
 }
 

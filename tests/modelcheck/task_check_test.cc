@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,7 +22,9 @@
 #include "protocols/straw_dac.h"
 #include "protocols/straw_dac_oprime.h"
 #include "protocols/straw_nm_consensus.h"
+#include "sim/symmetry.h"
 #include "spec/ksa_type.h"
+#include "spec/register_type.h"
 
 namespace lbsa::modelcheck {
 namespace {
@@ -195,8 +198,8 @@ std::vector<std::pair<std::string, std::string>> findings(
 TEST(TaskCheck, StrawDacAnnounceViolatesTermination) {
   // The ⊥-receiver spinning on the announce register violates solo
   // termination — for p it is Termination(a), for q Termination(b). The
-  // unreduced graph is walked and the reduced ones are re-simulated; both
-  // must find the same cycle for every process.
+  // unreduced and symmetry-reduced graphs are walked and the POR ones are
+  // re-simulated; all must find the same cycle for every process.
   const auto inputs = iota_inputs(3);
   auto protocol = std::make_shared<StrawDacAnnounceProtocol>(inputs);
   const std::string cycle =
@@ -219,7 +222,7 @@ TEST(TaskCheck, StrawDacAnnounceViolatesTermination) {
 }
 
 TEST(TaskCheck, SoloNodeBoundIsEnforcedWhenWalkingAndSimulating) {
-  // dac3-sym under reduction none is walked; under symmetry and POR its
+  // dac3-sym under reduction none and symmetry is walked; under POR its
   // solo runs are re-simulated. A one-node budget trips in every mode,
   // for every process, at the root.
   auto task = make_named_task("dac3-sym");
@@ -245,6 +248,81 @@ TEST(TaskCheck, SoloNodeBoundIsEnforcedWhenWalkingAndSimulating) {
       EXPECT_TRUE(v.trace.empty()) << "the root is the first start node";
     }
   }
+}
+
+// Each process re-reads one register forever, counting its reads: every
+// solo run is infinite, and each step reaches a configuration it has not
+// seen, so no cycle ends the search before the budget does.
+class CountingReaderProtocol final : public sim::ProtocolBase {
+ public:
+  CountingReaderProtocol()
+      : ProtocolBase("counting-reader", 2,
+                     {std::make_shared<spec::RegisterType>()}) {}
+
+  std::vector<std::int64_t> initial_locals(int /*pid*/) const override {
+    return {0};  // [reads]
+  }
+  sim::Action next_action(int /*pid*/,
+                          const sim::ProcessState& /*state*/) const override {
+    return sim::Action::invoke(0, spec::make_read());
+  }
+  void on_response(int /*pid*/, sim::ProcessState* state,
+                   Value /*response*/) const override {
+    ++state->locals[0];
+  }
+};
+
+TEST(TaskCheck, SoloRunAsLongAsTheDefaultBoundDoesNotOverflowTheStack) {
+  // Regression: the solo DFS recursed once per solo step, so a solo run
+  // solo_node_bound (100,000) steps deep overflowed an 8 MB stack. A
+  // truncated graph is re-simulated, and every solo run here is infinite.
+  TaskCheckOptions options;
+  options.explore.allow_truncation = true;
+  options.explore.max_nodes = 50;
+  auto report_or = check_dac_task(std::make_shared<CountingReaderProtocol>(),
+                                  0, {100, 200}, options);
+  ASSERT_TRUE(report_or.is_ok()) << report_or.status().to_string();
+  EXPECT_TRUE(report_or.value().partial);
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"termination(a)", "solo-run node budget exceeded for p0"},
+      {"termination(b)", "solo-run node budget exceeded for p1"},
+  };
+  EXPECT_EQ(findings(report_or.value()), want)
+      << report_or.value().to_string();
+}
+
+TEST(TaskCheck, QuotientWalkKeepsTheSimulatedFindings) {
+  // Symmetry-reduced graphs are walked since edges record to_pid; they used
+  // to be re-simulated. These are the findings the simulation made on two
+  // broken protocols with non-trivial groups (p1..p3, resp. p1..p2, form
+  // one orbit). Solo runs start only from representatives, and from none of
+  // them does p2's fail in the announce straw-man.
+  TaskCheckOptions options;
+  options.explore.reduction = Reduction::kSymmetry;
+  const std::vector<Value> announce_inputs = {100, 200, 200, 200};
+  auto announce_or = check_dac_task(
+      std::make_shared<StrawDacAnnounceProtocol>(announce_inputs), 0,
+      announce_inputs, options);
+  ASSERT_TRUE(announce_or.is_ok()) << announce_or.status().to_string();
+  const std::string cycle =
+      " can take infinitely many solo steps without terminating";
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"termination(a)", "process p0" + cycle},
+      {"termination(b)", "process p1" + cycle},
+      {"termination(b)", "process p3" + cycle},
+  };
+  EXPECT_EQ(findings(announce_or.value()), want)
+      << announce_or.value().to_string();
+
+  const std::vector<Value> fallback_inputs = {100, 200, 200};
+  auto fallback_or = check_dac_task(
+      std::make_shared<StrawDacFallbackProtocol>(fallback_inputs), 0,
+      fallback_inputs, options);
+  ASSERT_TRUE(fallback_or.is_ok()) << fallback_or.status().to_string();
+  const std::vector<std::pair<std::string, std::string>> agreement_only(
+      5, {"agreement", "two distinct decisions"});
+  EXPECT_EQ(findings(fallback_or.value()), agreement_only)
+      << fallback_or.value().to_string();
 }
 
 TEST(TaskCheck, StrawDacViaOPrimeViolatesAgreement) {
@@ -378,6 +456,8 @@ TEST(TaskCheck, UnreducedGraphEdgesAreExactlyTheSoloSuccessors) {
               << "node " << u << " pid " << pid << " edge " << i;
           ASSERT_EQ(pid_edges[i].kind, succs[i].step.action.kind)
               << "node " << u << " pid " << pid << " edge " << i;
+          ASSERT_EQ(pid_edges[i].to_pid, pid)
+              << "node " << u << " pid " << pid << " edge " << i;
           if (flag_fn) {
             ASSERT_EQ(graph.flag(target), flag_fn(graph.flag(u), succs[i].step))
                 << "node " << u << " pid " << pid << " edge " << i;
@@ -385,6 +465,82 @@ TEST(TaskCheck, UnreducedGraphEdgesAreExactlyTheSoloSuccessors) {
         }
       }
     }
+  }
+}
+
+TEST(TaskCheck, QuotientEdgesAreTheSoloSuccessorsUpToRenaming) {
+  // The walk of a symmetry quotient follows pid's edges from node u to
+  // (e.to, e.to_pid). Check that against the step function and a brute
+  // force over the declared group, sharing nothing with the canonicalizer:
+  // every running pid's edges pair in order with
+  // enumerate_successors(config(u), pid), and some group element g maps
+  // each successor onto config(e.to) with g[pid] == e.to_pid.
+  for (const std::string& name : named_task_names()) {
+    auto task_or = make_named_task(name);
+    ASSERT_TRUE(task_or.is_ok());
+    const NamedTask& task = task_or.value();
+    const sim::SymmetrySpec spec = task.protocol->symmetry();
+    if (spec.trivial()) continue;
+    SCOPED_TRACE(name);
+    ExploreOptions options;
+    options.reduction = Reduction::kSymmetry;
+    // DAC tasks are explored as check_dac_task explores them.
+    const int p = task.distinguished_pid;
+    Explorer::FlagFn flag_fn;
+    if (p >= 0) {
+      ASSERT_TRUE(spec.is_singleton(p));
+      flag_fn = [p](std::int64_t flag, const sim::Step& step) {
+        return step.pid != p ? std::int64_t{1} : flag;
+      };
+      options.flag_fn_symmetric = true;
+    }
+    auto graph_or = Explorer(task.protocol).explore(options, flag_fn);
+    ASSERT_TRUE(graph_or.is_ok()) << graph_or.status().to_string();
+    const ConfigGraph& graph = graph_or.value();
+    ASSERT_NE(graph.canonicalizer(), nullptr);
+    ASSERT_FALSE(graph.truncated() || graph.interrupted());
+
+    const std::vector<std::vector<int>> group = sim::symmetry_group(spec);
+    std::vector<sim::Successor> succs;
+    std::vector<Edge> pid_edges;
+    std::uint64_t renamed = 0;
+    for (std::uint32_t u = 0; u < graph.node_count(); ++u) {
+      const sim::Config config = graph.config(u);
+      for (int pid = 0; pid < task.protocol->process_count(); ++pid) {
+        pid_edges.clear();
+        for (const Edge& e : graph.edges(u)) {
+          if (e.pid == pid) pid_edges.push_back(e);
+        }
+        succs.clear();
+        if (config.enabled(pid)) {
+          sim::enumerate_successors(*task.protocol, config, pid, &succs);
+        }
+        ASSERT_EQ(pid_edges.size(), succs.size())
+            << "node " << u << " pid " << pid;
+        for (std::size_t i = 0; i < succs.size(); ++i) {
+          const Edge& e = pid_edges[i];
+          const sim::Config target = graph.config(e.to);
+          const bool renames_onto_target =
+              std::any_of(group.begin(), group.end(), [&](const auto& g) {
+                if (g[static_cast<std::size_t>(pid)] != e.to_pid) return false;
+                sim::Config renamed_succ = succs[i].config;
+                sim::apply_pid_permutation(*task.protocol, g, &renamed_succ);
+                return renamed_succ == target;
+              });
+          ASSERT_TRUE(renames_onto_target)
+              << "node " << u << " pid " << pid << " edge " << i
+              << " to_pid " << e.to_pid;
+          ASSERT_EQ(e.kind, succs[i].step.action.kind)
+              << "node " << u << " pid " << pid << " edge " << i;
+          if (flag_fn) {
+            ASSERT_EQ(graph.flag(e.to), flag_fn(graph.flag(u), succs[i].step))
+                << "node " << u << " pid " << pid << " edge " << i;
+          }
+          if (e.to_pid != pid) ++renamed;
+        }
+      }
+    }
+    EXPECT_GT(renamed, 0u) << "no edge renames its process";
   }
 }
 
@@ -402,18 +558,27 @@ TEST(TaskCheck, SoloCountersShowWhichPathRan) {
 #endif
   // If the dispatch fell back to simulating everywhere, verdicts would not
   // change; these counts would.
+  // Complete graphs without POR are walked, symmetry quotients included;
+  // POR and truncated graphs are re-simulated.
   struct Case {
     const char* task;
     Reduction reduction;
+    std::uint64_t max_nodes;  // 0: no budget, the graph is complete
     bool walks;
   };
-  for (const Case& c : {Case{"dac5", Reduction::kNone, true},
-                        Case{"dac5-sym", Reduction::kSymmetry, false}}) {
-    SCOPED_TRACE(c.task);
+  for (const Case& c : {Case{"dac5", Reduction::kNone, 0, true},
+                        Case{"dac5-sym", Reduction::kSymmetry, 0, true},
+                        Case{"dac5-sym", Reduction::kBoth, 0, false},
+                        Case{"dac4-sym", Reduction::kNone, 50, false}}) {
+    SCOPED_TRACE(std::string(c.task) + " " + reduction_name(c.reduction));
     auto task = make_named_task(c.task);
     ASSERT_TRUE(task.is_ok());
     TaskCheckOptions options;
     options.explore.reduction = c.reduction;
+    if (c.max_nodes > 0) {
+      options.explore.max_nodes = c.max_nodes;
+      options.explore.allow_truncation = true;
+    }
     obs::Registry::global().reset_values();
     obs::set_metrics_enabled(true);
     auto report_or =
@@ -422,6 +587,7 @@ TEST(TaskCheck, SoloCountersShowWhichPathRan) {
     obs::set_metrics_enabled(false);
     ASSERT_TRUE(report_or.is_ok()) << report_or.status().to_string();
     EXPECT_TRUE(report_or.value().ok()) << report_or.value().to_string();
+    EXPECT_EQ(report_or.value().partial, c.max_nodes > 0);
     const std::uint64_t walked = counter_value("task_check.solo.walked");
     const std::uint64_t simulated =
         counter_value("task_check.solo.simulated");
