@@ -222,13 +222,13 @@ class WordReader {
 // path, or two threads of one process) each stage a private file, so
 // neither can truncate or rename the other's half-written bytes — the last
 // rename wins with a complete file either way.
-Status write_words_atomic(std::uint64_t magic,
+Status write_words_atomic(std::uint64_t magic, std::uint32_t version,
                           const std::vector<std::int64_t>& payload,
                           const std::string& path) {
   std::vector<std::int64_t> file;
   file.reserve(payload.size() + 4);
   file.push_back(as_word(magic));
-  file.push_back(static_cast<std::int64_t>(kCheckpointSchemaVersion));
+  file.push_back(static_cast<std::int64_t>(version));
   file.push_back(static_cast<std::int64_t>(payload.size()));
   file.push_back(as_word(hash_words(payload)));
   file.insert(file.end(), payload.begin(), payload.end());
@@ -257,7 +257,10 @@ Status write_words_atomic(std::uint64_t magic,
   return Status::ok();
 }
 
+// Accepts schema versions [oldest, newest].
 StatusOr<std::vector<std::int64_t>> read_words(std::uint64_t magic,
+                                               std::uint32_t oldest,
+                                               std::uint32_t newest,
                                                const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return not_found("cannot open checkpoint: " + path);
@@ -289,12 +292,17 @@ StatusOr<std::vector<std::int64_t>> read_words(std::uint64_t magic,
     return invalid_argument("not a checkpoint of this kind (bad magic): " +
                             path);
   }
-  if (header[1] != static_cast<std::int64_t>(kCheckpointSchemaVersion)) {
+  if (header[1] < static_cast<std::int64_t>(oldest) ||
+      header[1] > static_cast<std::int64_t>(newest)) {
     std::fclose(f);
-    return invalid_argument(
-        "checkpoint schema version " + std::to_string(header[1]) +
-        " unsupported (expected " +
-        std::to_string(kCheckpointSchemaVersion) + "): " + path);
+    const std::string expected =
+        oldest == newest ? std::to_string(newest)
+                         : std::to_string(oldest) + " to " +
+                               std::to_string(newest);
+    return invalid_argument("checkpoint schema version " +
+                            std::to_string(header[1]) +
+                            " unsupported (expected " + expected + "): " +
+                            path);
   }
   if (header[2] < 0 ||
       static_cast<std::size_t>(header[2]) != file_words - 4) {
@@ -428,11 +436,14 @@ Status write_explore_checkpoint(const ExploreCheckpoint& checkpoint,
   w.u64(checkpoint.frontier.size());
   for (std::uint32_t id : checkpoint.frontier) w.u32(id);
 
-  return write_words_atomic(kExploreMagic, w.words(), path);
+  return write_words_atomic(kExploreMagic, kExploreCheckpointSchemaVersion,
+                            w.words(), path);
 }
 
 StatusOr<ExploreCheckpoint> read_explore_checkpoint(const std::string& path) {
-  auto payload = read_words(kExploreMagic, path);
+  auto payload =
+      read_words(kExploreMagic, kExploreCheckpointSchemaVersion,
+                 kExploreCheckpointSchemaVersion, path);
   if (!payload.is_ok()) return payload.status();
   WordReader r(payload.value());
 
@@ -537,11 +548,13 @@ Status write_fuzz_checkpoint(const FuzzCheckpoint& checkpoint,
     w.str(v.schedule);
     w.u64(v.raw_steps);
   }
-  return write_words_atomic(kFuzzMagic, w.words(), path);
+  return write_words_atomic(kFuzzMagic, kFuzzCheckpointSchemaVersion,
+                            w.words(), path);
 }
 
 StatusOr<FuzzCheckpoint> read_fuzz_checkpoint(const std::string& path) {
-  auto payload = read_words(kFuzzMagic, path);
+  auto payload = read_words(kFuzzMagic, kOldestFuzzCheckpointSchemaVersion,
+                            kFuzzCheckpointSchemaVersion, path);
   if (!payload.is_ok()) return payload.status();
   WordReader r(payload.value());
 

@@ -43,10 +43,15 @@
 
 namespace lbsa::modelcheck {
 
-// Bump when the serialized layout changes; readers reject other versions.
-// Schema 2 writes each edge as [to, pid, kind, to_pid]; schema 1 lacked
-// to_pid.
-inline constexpr std::uint32_t kCheckpointSchemaVersion = 2;
+// Each kind carries its own schema version: bump it when that kind's
+// serialized layout changes; readers reject versions they cannot read.
+// Explore schema 2 writes each edge as [to, pid, kind, to_pid]; schema 1
+// lacked to_pid.
+inline constexpr std::uint32_t kExploreCheckpointSchemaVersion = 2;
+// The fuzz layout has never changed. Its files say 1 or 2, from when both
+// kinds shared one number, and the reader accepts either.
+inline constexpr std::uint32_t kFuzzCheckpointSchemaVersion = 2;
+inline constexpr std::uint32_t kOldestFuzzCheckpointSchemaVersion = 1;
 
 // One run of T per node, stored flat: run i is
 // items[offsets[i], offsets[i + 1]).
@@ -170,7 +175,8 @@ Status write_fuzz_checkpoint(const FuzzCheckpoint& checkpoint,
                              const std::string& path);
 
 // INVALID_ARGUMENT on corruption (bad magic/size/checksum/payload) or a
-// schema-version mismatch; NOT_FOUND if the file cannot be opened.
+// schema version the reader cannot read; NOT_FOUND if the file cannot be
+// opened.
 // Fingerprint checks happen at the point of use (explore()/fuzz), where the
 // expected value is known, and yield FAILED_PRECONDITION.
 StatusOr<ExploreCheckpoint> read_explore_checkpoint(const std::string& path);

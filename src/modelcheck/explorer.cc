@@ -604,9 +604,10 @@ std::uint64_t ConfigGraph::full_node_estimate() const {
   if (canonicalizer_ == nullptr) return node_count();
   std::uint64_t total = 0;
   sim::Config config;
+  sim::CanonScratch scratch;
   for (std::uint32_t id = 0; id < node_count(); ++id) {
     config_into(id, &config);
-    total += canonicalizer_->orbit_size(config);
+    total += canonicalizer_->orbit_size(config, &scratch);
   }
   return total;
 }
@@ -776,8 +777,8 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
   // Install a private orbit-cache pool when symmetry is on and the caller
   // did not share one. The pool only accelerates canonical_encode_into — it
   // never shapes the graph — so it deliberately stays outside the
-  // fingerprint. Small groups are exempt: below ~64 elements the pruned
-  // scan is already cheaper than hashing the raw encoding plus the
+  // fingerprint. Small groups are exempt: below ~64 elements the tie-class
+  // search is already cheaper than hashing the raw encoding plus the
   // hit-verify memcmp, so a cache is pure overhead (measured on dac5-sym,
   // group 24). Callers that pass an explicit pool — the hierarchy sweep,
   // the equivalence tests — are always honored.

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -59,30 +58,13 @@ class Protocol {
   // Which processes are interchangeable under pid renaming (see
   // sim/symmetry.h for the exact contract). The default declares none, which
   // is always sound; protocols that override it enable symmetry reduction in
-  // the model checker. Must be a pure function (same spec every call).
+  // the model checker. Must be a pure function (same spec every call). A
+  // renaming moves process states unchanged, so a symmetric protocol keeps
+  // pid-derived data (labels, process names) out of its locals, in objects
+  // whose spec::ObjectType::rename_pids rewrites it.
   virtual SymmetrySpec symmetry() const {
     return SymmetrySpec::none(process_count());
   }
-
-  // Rewrites pid-valued words inside a process's locals under the renaming
-  // perm (perm[old_pid] = new_pid). The default assumes locals never store
-  // pids; protocols whose locals do (labels, process names) must override so
-  // renaming commutes with the automaton — and must also override
-  // locals_store_pids() to return true. Only relevant with a non-trivial
-  // symmetry().
-  virtual void rename_locals(std::span<const int> perm,
-                             std::vector<std::int64_t>* locals) const {
-    (void)perm;
-    (void)locals;
-  }
-
-  // True iff rename_locals is a real rewrite (locals store pids). Paired
-  // with rename_locals: overriding one without the other breaks the
-  // canonical search, which skips per-permutation locals renaming — and
-  // disables its already-canonical fast path — only when this is false.
-  // The oracle cross-check in tests/sim/symmetry_test.cc catches a
-  // violated pairing for every tested protocol.
-  virtual bool locals_store_pids() const { return false; }
 };
 
 // Convenience base carrying the common plumbing (name, object list, count).

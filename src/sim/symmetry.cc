@@ -22,6 +22,24 @@ std::uint64_t hash_string(std::uint64_t h, const std::string& s) {
   return h;
 }
 
+// Pids bucketed by orbit id, buckets in first-seen order, members
+// ascending: the order symmetry_group enumerates in.
+std::vector<std::vector<int>> orbit_buckets(const SymmetrySpec& spec) {
+  std::vector<int> seen_ids;
+  std::vector<std::vector<int>> buckets;
+  for (int p = 0; p < spec.process_count(); ++p) {
+    const int id = spec.orbit_of[static_cast<std::size_t>(p)];
+    const auto it = std::find(seen_ids.begin(), seen_ids.end(), id);
+    if (it == seen_ids.end()) {
+      seen_ids.push_back(id);
+      buckets.push_back({p});
+    } else {
+      buckets[static_cast<std::size_t>(it - seen_ids.begin())].push_back(p);
+    }
+  }
+  return buckets;
+}
+
 }  // namespace
 
 SymmetrySpec SymmetrySpec::none(int n) {
@@ -83,24 +101,7 @@ bool SymmetrySpec::is_singleton(int pid) const {
 
 std::vector<std::vector<int>> symmetry_group(const SymmetrySpec& spec) {
   const int n = spec.process_count();
-  // Bucket pids by orbit id, in first-seen order; members stay ascending.
-  std::vector<int> seen_ids;
-  std::vector<std::vector<int>> buckets;
-  for (int p = 0; p < n; ++p) {
-    const int id = spec.orbit_of[static_cast<std::size_t>(p)];
-    std::size_t bucket = seen_ids.size();
-    for (std::size_t i = 0; i < seen_ids.size(); ++i) {
-      if (seen_ids[i] == id) {
-        bucket = i;
-        break;
-      }
-    }
-    if (bucket == seen_ids.size()) {
-      seen_ids.push_back(id);
-      buckets.emplace_back();
-    }
-    buckets[bucket].push_back(p);
-  }
+  const std::vector<std::vector<int>> buckets = orbit_buckets(spec);
 
   // Non-singleton orbit sizes, for the too-large diagnostic: the group
   // order is the product of their factorials, so the message names exactly
@@ -176,9 +177,7 @@ void apply_pid_permutation(const Protocol& protocol, std::span<const int> perm,
   LBSA_CHECK(perm.size() == n);
   std::vector<ProcessState> renamed(n);
   for (std::size_t p = 0; p < n; ++p) {
-    ProcessState moved = std::move(config->procs[p]);
-    protocol.rename_locals(perm, &moved.locals);
-    renamed[static_cast<std::size_t>(perm[p])] = std::move(moved);
+    renamed[static_cast<std::size_t>(perm[p])] = std::move(config->procs[p]);
   }
   config->procs = std::move(renamed);
   const auto& types = protocol.objects();
@@ -310,42 +309,15 @@ Canonicalizer::Canonicalizer(std::shared_ptr<const Protocol> protocol,
                  "SymmetrySpec size != protocol process count");
   group_ = symmetry_group(spec_);
   const int n = spec_.process_count();
-  // Inverse permutations: group_inv_[g][slot] = the pid whose state lands
-  // in `slot` under group_[g] — the order a permuted encoding walks the
-  // original processes in, which is what the incremental search iterates.
-  group_inv_.resize(group_.size());
-  for (std::size_t g = 0; g < group_.size(); ++g) {
-    group_inv_[g].resize(static_cast<std::size_t>(n));
-    for (int p = 0; p < n; ++p) {
-      group_inv_[g][static_cast<std::size_t>(group_[g][static_cast<std::size_t>(p)])] = p;
-    }
+  orbit_begin_.push_back(0);
+  for (const std::vector<int>& bucket : orbit_buckets(spec_)) {
+    if (bucket.size() < 2) continue;
+    orbit_members_.insert(orbit_members_.end(), bucket.begin(), bucket.end());
+    orbit_begin_.push_back(orbit_members_.size());
   }
-  // Non-singleton orbits as ascending pid lists (already-canonical check).
-  std::vector<int> seen_ids;
-  std::vector<std::vector<int>> buckets;
-  for (int p = 0; p < n; ++p) {
-    const int id = spec_.orbit_of[static_cast<std::size_t>(p)];
-    std::size_t bucket = seen_ids.size();
-    for (std::size_t i = 0; i < seen_ids.size(); ++i) {
-      if (seen_ids[i] == id) {
-        bucket = i;
-        break;
-      }
-    }
-    if (bucket == seen_ids.size()) {
-      seen_ids.push_back(id);
-      buckets.emplace_back();
-    }
-    buckets[bucket].push_back(p);
-  }
-  for (std::vector<int>& bucket : buckets) {
-    if (bucket.size() >= 2) nontrivial_orbits_.push_back(std::move(bucket));
-  }
-  locals_pid_free_ = !protocol_->locals_store_pids();
   const auto& types = protocol_->objects();
-  object_renames_pids_.reserve(types.size());
-  for (const auto& type : types) {
-    object_renames_pids_.push_back(type->renames_pids());
+  for (std::size_t i = 0; i < types.size(); ++i) {
+    if (types[i]->renames_pids()) renaming_objects_.push_back(i);
   }
   // Universe fingerprint for CanonCache sharing: protocol name, process
   // count, orbit partition, and object shapes (type names + initial
@@ -391,124 +363,11 @@ Canonicalizer::Canonicalizer(std::shared_ptr<const Protocol> protocol,
   }
 }
 
-int Canonicalizer::compare_permuted_(const Config& config, std::size_t g,
-                                     std::span<const std::int64_t> best,
-                                     bool best_is_identity,
-                                     CanonScratch* scratch) const {
-  const std::vector<int>& perm = group_[g];
-  const std::vector<int>& inv = group_inv_[g];
-  const std::int64_t* b = best.data();
-  // Word 0 (procs.size()) is renaming-invariant; start past it. The same
-  // holds for the objects.size() word below. Matching prefixes keep both
-  // walks structurally aligned: a length divergence in a process segment
-  // shows up at its nlocals word (position 3) and in an object segment at
-  // its size word, so every compare below reads `b` in bounds.
-  std::size_t pos = 1;
-  const std::size_t n = config.procs.size();
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    const ProcessState& ps =
-        config.procs[static_cast<std::size_t>(inv[slot])];
-    if (best_is_identity && locals_pid_free_ &&
-        inv[slot] == static_cast<int>(slot)) {
-      // `best` is the identity encoding and this permutation does not move
-      // this slot, so (with pid-free locals) the permuted block here is
-      // word-for-word the block already in `best` — skip it. This is the
-      // common big win: a pinned distinguished process's (often largest)
-      // block is never re-compared against itself.
-      pos += 4 + ps.locals.size();
-      continue;
-    }
-    std::int64_t w = static_cast<std::int64_t>(ps.status);
-    if (w != b[pos]) return w < b[pos] ? -1 : 1;
-    ++pos;
-    if (ps.decision != b[pos]) return ps.decision < b[pos] ? -1 : 1;
-    ++pos;
-    if (ps.pc != b[pos]) return ps.pc < b[pos] ? -1 : 1;
-    ++pos;
-    std::span<const std::int64_t> locals = ps.locals;
-    if (!locals_pid_free_) {
-      scratch->loc_scratch_.assign(ps.locals.begin(), ps.locals.end());
-      protocol_->rename_locals(perm, &scratch->loc_scratch_);
-      locals = scratch->loc_scratch_;
-    }
-    w = static_cast<std::int64_t>(locals.size());
-    if (w != b[pos]) return w < b[pos] ? -1 : 1;
-    ++pos;
-    for (std::int64_t lw : locals) {
-      if (lw != b[pos]) return lw < b[pos] ? -1 : 1;
-      ++pos;
-    }
-  }
-  ++pos;  // objects.size(), renaming-invariant
-  const auto& types = protocol_->objects();
-  for (std::size_t i = 0; i < config.objects.size(); ++i) {
-    std::span<const std::int64_t> state = config.objects[i];
-    if (best_is_identity && !object_renames_pids_[i]) {
-      // Same skip as for unmoved process slots: a pid-free object's words
-      // are renaming-invariant, so against the identity encoding they
-      // compare equal by construction.
-      pos += 1 + state.size();
-      continue;
-    }
-    if (object_renames_pids_[i]) {
-      scratch->obj_scratch_.assign(state.begin(), state.end());
-      types[i]->rename_pids(perm, &scratch->obj_scratch_);
-      state = scratch->obj_scratch_;
-    }
-    std::int64_t w = static_cast<std::int64_t>(state.size());
-    if (w != b[pos]) return w < b[pos] ? -1 : 1;
-    ++pos;
-    for (std::int64_t sw : state) {
-      if (sw != b[pos]) return sw < b[pos] ? -1 : 1;
-      ++pos;
-    }
-  }
-  return 0;
-}
-
-void Canonicalizer::encode_permuted_(const Config& config, std::size_t g,
-                                     std::vector<std::int64_t>* out,
-                                     CanonScratch* scratch) const {
-  const std::vector<int>& perm = group_[g];
-  const std::vector<int>& inv = group_inv_[g];
-  out->clear();
-  out->reserve(config.encoded_size());
-  const std::size_t n = config.procs.size();
-  out->push_back(static_cast<std::int64_t>(n));
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    const ProcessState& ps =
-        config.procs[static_cast<std::size_t>(inv[slot])];
-    out->push_back(static_cast<std::int64_t>(ps.status));
-    out->push_back(ps.decision);
-    out->push_back(ps.pc);
-    std::span<const std::int64_t> locals = ps.locals;
-    if (!locals_pid_free_) {
-      scratch->loc_scratch_.assign(ps.locals.begin(), ps.locals.end());
-      protocol_->rename_locals(perm, &scratch->loc_scratch_);
-      locals = scratch->loc_scratch_;
-    }
-    out->push_back(static_cast<std::int64_t>(locals.size()));
-    out->insert(out->end(), locals.begin(), locals.end());
-  }
-  out->push_back(static_cast<std::int64_t>(config.objects.size()));
-  const auto& types = protocol_->objects();
-  for (std::size_t i = 0; i < config.objects.size(); ++i) {
-    std::span<const std::int64_t> state = config.objects[i];
-    if (object_renames_pids_[i]) {
-      scratch->obj_scratch_.assign(state.begin(), state.end());
-      types[i]->rename_pids(perm, &scratch->obj_scratch_);
-      state = scratch->obj_scratch_;
-    }
-    out->push_back(static_cast<std::int64_t>(state.size()));
-    out->insert(out->end(), state.begin(), state.end());
-  }
-}
-
 namespace {
 
 // Three-way compare of two per-process encoding blocks in encoding order
-// (status, decision, pc, nlocals, locals...). Only meaningful when locals
-// are pid-free (no renaming can change either block's words).
+// (status, decision, pc, nlocals, locals...). The length word precedes the
+// locals, so the first differing block decides between two encodings.
 int proc_block_cmp(const ProcessState& a, const ProcessState& b) {
   const std::int64_t sa = static_cast<std::int64_t>(a.status);
   const std::int64_t sb = static_cast<std::int64_t>(b.status);
@@ -524,81 +383,188 @@ int proc_block_cmp(const ProcessState& a, const ProcessState& b) {
   return *mismatch.first < *mismatch.second ? -1 : 1;
 }
 
-}  // namespace
-
-bool Canonicalizer::identity_minimal_(const Config& config) const {
-  // With pid-free locals, a permuted encoding first differs from the
-  // identity encoding at the first *moved* slot p, which (slots before it
-  // being fixed, renamings staying inside orbits) receives an orbit mate
-  // q > p. If per-process encodings are strictly increasing within every
-  // orbit, that difference is strictly greater — for every non-identity
-  // group element — so the identity encoding is the unique minimum.
-  // Strictness matters: equal orbit mates would push the tiebreak into the
-  // object words, which this check never looks at.
-  for (const std::vector<int>& orbit : nontrivial_orbits_) {
-    for (std::size_t j = 1; j < orbit.size(); ++j) {
-      const ProcessState& a =
-          config.procs[static_cast<std::size_t>(orbit[j - 1])];
-      const ProcessState& b =
-          config.procs[static_cast<std::size_t>(orbit[j])];
-      if (proc_block_cmp(a, b) >= 0) return false;  // equal is not strict
-    }
+bool is_identity(std::span<const int> perm) {
+  for (std::size_t p = 0; p < perm.size(); ++p) {
+    if (perm[p] != static_cast<int>(p)) return false;
   }
   return true;
 }
 
-int Canonicalizer::compare_permuted_identity_(const Config& config,
-                                              std::size_t g,
-                                              CanonScratch* scratch) const {
-  const int n = spec_.process_count();
-  const std::vector<int>& inv = group_inv_[g];
-  // scratch->pair_cmp_ is reset to kUnknown once per canonicalization (see
-  // canonical_encode_into); entries are shared by all rivals of that call.
-  constexpr std::int8_t kUnknown = 2;
-  std::vector<std::int8_t>& memo = scratch->pair_cmp_;
-  for (int slot = 0; slot < n; ++slot) {
-    const int src = inv[static_cast<std::size_t>(slot)];
-    if (src == slot) continue;
-    const std::size_t idx =
-        static_cast<std::size_t>(src) * static_cast<std::size_t>(n) +
-        static_cast<std::size_t>(slot);
-    std::int8_t c = memo[idx];
-    if (c == kUnknown) {
-      c = static_cast<std::int8_t>(
-          proc_block_cmp(config.procs[static_cast<std::size_t>(src)],
-                         config.procs[static_cast<std::size_t>(slot)]));
-      memo[idx] = c;
-      const std::size_t rev =
-          static_cast<std::size_t>(slot) * static_cast<std::size_t>(n) +
-          static_cast<std::size_t>(src);
-      memo[rev] = static_cast<std::int8_t>(-c);
+}  // namespace
+
+std::uint64_t Canonicalizer::tie_classes_(const Config& config,
+                                          CanonScratch* s) const {
+  const std::size_t n = config.procs.size();
+  const auto block = [&config](int pid) -> const ProcessState& {
+    return config.procs[static_cast<std::size_t>(pid)];
+  };
+  std::vector<int>& sorted = s->sorted_;
+  sorted = orbit_members_;
+  s->run_lo_.resize(n);
+  s->run_hi_.resize(n);
+  s->perm_.resize(n);
+  for (std::size_t p = 0; p < n; ++p) s->perm_[p] = static_cast<int>(p);
+  // Whether renaming a <-> b changes the pid-storing objects. The first
+  // call renders the unrenamed objects into s->best_objs_ for reference.
+  bool have_reference = false;
+  const auto swap_visible = [&](int a, int b) {
+    if (!have_reference) {
+      rename_objects_(config, s->perm_, s, &s->best_objs_);
+      have_reference = true;
     }
-    if (c != 0) return c;
+    std::vector<int>& perm = s->perm_;
+    std::swap(perm[static_cast<std::size_t>(a)],
+              perm[static_cast<std::size_t>(b)]);
+    rename_objects_(config, perm, s, &s->objs_);
+    std::swap(perm[static_cast<std::size_t>(a)],
+              perm[static_cast<std::size_t>(b)]);
+    return s->objs_ != s->best_objs_;
+  };
+  std::uint64_t untied_share = 1;
+  for (std::size_t o = 0; o + 1 < orbit_begin_.size(); ++o) {
+    const std::size_t begin = orbit_begin_[o];
+    const std::size_t end = orbit_begin_[o + 1];
+    // Insertion sort: stable, allocation-free, and orbits are small.
+    for (std::size_t k = begin + 1; k < end; ++k) {
+      const int pid = sorted[k];
+      std::size_t j = k;
+      for (; j > begin && proc_block_cmp(block(sorted[j - 1]), block(pid)) > 0;
+           --j) {
+        sorted[j] = sorted[j - 1];
+      }
+      sorted[j] = pid;
+    }
+    for (std::size_t lo = begin; lo < end;) {
+      std::size_t hi = lo + 1;
+      while (hi < end &&
+             proc_block_cmp(block(sorted[lo]), block(sorted[hi])) == 0) {
+        ++hi;
+      }
+      // A class whose renamings all leave the pid-storing objects as they
+      // are cannot tell its candidates apart, and the first of them in
+      // group order keeps its pids ascending: untie it. Transpositions of
+      // adjacent members generate its symmetric group, so checking those
+      // suffices.
+      bool invisible = true;
+      if (!renaming_objects_.empty()) {
+        for (std::size_t k = lo; invisible && k + 1 < hi; ++k) {
+          invisible = !swap_visible(sorted[k], sorted[k + 1]);
+        }
+      }
+      for (std::size_t k = lo; k < hi; ++k) {
+        const auto pid = static_cast<std::size_t>(sorted[k]);
+        s->run_lo_[pid] = invisible ? k : lo;
+        s->run_hi_[pid] = invisible ? k + 1 : hi;
+        if (invisible) untied_share *= k - lo + 1;
+      }
+      lo = hi;
+    }
   }
-  // Every moved slot's blocks tie, so the encodings agree through the whole
-  // process section (equal blocks ⇒ equal lengths ⇒ aligned positions) and
-  // the renaming objects decide. Pid-free objects are renaming-invariant
-  // and compare equal against the identity encoding by construction.
-  const std::vector<int>& perm = group_[g];
+  s->tied_.clear();
+  for (int pid : orbit_members_) {
+    const auto p = static_cast<std::size_t>(pid);
+    if (s->run_hi_[p] - s->run_lo_[p] > 1) s->tied_.push_back(pid);
+  }
+  return untied_share;
+}
+
+template <typename Visit>
+void Canonicalizer::for_each_tied_perm_(CanonScratch* s,
+                                        std::span<const int> targets,
+                                        std::size_t depth,
+                                        Visit& visit) const {
+  if (depth == s->tied_.size()) {
+    visit();
+    return;
+  }
+  // symmetry_group lists its elements in lexicographic order of
+  // (perm[m] for m in orbit_members_), so assigning the tied pids in that
+  // order, smallest free position first, walks the coset in group order.
+  const auto pid = static_cast<std::size_t>(s->tied_[depth]);
+  for (std::size_t k = s->run_lo_[pid]; k < s->run_hi_[pid]; ++k) {
+    if (s->taken_[k] != 0) continue;
+    s->taken_[k] = 1;
+    s->perm_[pid] = targets[k];
+    for_each_tied_perm_(s, targets, depth + 1, visit);
+    s->taken_[k] = 0;
+  }
+}
+
+void Canonicalizer::rename_objects_(const Config& config,
+                                    std::span<const int> perm,
+                                    CanonScratch* s,
+                                    std::vector<std::int64_t>* out) const {
+  const auto& types = protocol_->objects();
+  out->clear();
+  for (std::size_t i : renaming_objects_) {
+    s->obj_ = config.objects[i];
+    types[i]->rename_pids(perm, &s->obj_);
+    out->push_back(static_cast<std::int64_t>(s->obj_.size()));
+    out->insert(out->end(), s->obj_.begin(), s->obj_.end());
+  }
+}
+
+bool Canonicalizer::search_(const Config& config, CanonScratch* s) const {
+  tie_classes_(config, s);
+  // The first candidate sends each orbit's k-th smallest block to the
+  // orbit's k-th slot, equal blocks in pid order: the stable sort. It is the
+  // answer unless a tie is left to the pid-storing objects.
+  for (std::size_t k = 0; k < orbit_members_.size(); ++k) {
+    s->perm_[static_cast<std::size_t>(s->sorted_[k])] = orbit_members_[k];
+  }
+  if (s->tied_.empty()) {
+    s->best_perm_ = s->perm_;
+    return is_identity(s->best_perm_);
+  }
+  // Every candidate encodes the same process section; the renamed
+  // pid-storing objects decide, and the first strict minimum in group
+  // order wins, as in the brute-force scan.
+  s->taken_.assign(orbit_members_.size(), 0);
+  bool first = true;
+  auto visit = [&] {
+    if (first) {
+      first = false;
+      s->best_perm_ = s->perm_;
+      rename_objects_(config, s->perm_, s, &s->best_objs_);
+      return;
+    }
+    rename_objects_(config, s->perm_, s, &s->objs_);
+    if (s->objs_ < s->best_objs_) {
+      std::swap(s->objs_, s->best_objs_);
+      s->best_perm_ = s->perm_;
+    } else {
+      ++s->prunes;
+    }
+  };
+  for_each_tied_perm_(s, orbit_members_, 0, visit);
+  return is_identity(s->best_perm_);
+}
+
+void Canonicalizer::encode_permuted_(const Config& config, CanonScratch* s,
+                                     std::vector<std::int64_t>* out) const {
+  // s->perm_ becomes the inverse: slot -> the pid whose block lands there.
+  const std::size_t n = config.procs.size();
+  for (std::size_t p = 0; p < n; ++p) {
+    s->perm_[static_cast<std::size_t>(s->best_perm_[p])] = static_cast<int>(p);
+  }
+  out->resize(config.encoded_size());
+  std::int64_t* w = out->data();
+  *w++ = static_cast<std::int64_t>(n);
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    w = config.procs[static_cast<std::size_t>(s->perm_[slot])].encode_to(w);
+  }
+  *w++ = static_cast<std::int64_t>(config.objects.size());
   const auto& types = protocol_->objects();
   for (std::size_t i = 0; i < config.objects.size(); ++i) {
-    if (!object_renames_pids_[i]) continue;
-    const std::vector<std::int64_t>& state = config.objects[i];
-    scratch->obj_scratch_.assign(state.begin(), state.end());
-    types[i]->rename_pids(perm, &scratch->obj_scratch_);
-    const std::vector<std::int64_t>& renamed = scratch->obj_scratch_;
-    // The encoding prefixes each object with its word count, so a length
-    // divergence decides at that size word.
-    if (renamed.size() != state.size()) {
-      return renamed.size() < state.size() ? -1 : 1;
+    std::span<const std::int64_t> state = config.objects[i];
+    if (types[i]->renames_pids()) {
+      s->obj_.assign(state.begin(), state.end());
+      types[i]->rename_pids(s->best_perm_, &s->obj_);
+      state = s->obj_;
     }
-    const auto mismatch =
-        std::mismatch(renamed.begin(), renamed.end(), state.begin());
-    if (mismatch.first != renamed.end()) {
-      return *mismatch.first < *mismatch.second ? -1 : 1;
-    }
+    *w++ = static_cast<std::int64_t>(state.size());
+    w = std::copy(state.begin(), state.end(), w);
   }
-  return 0;
 }
 
 void Canonicalizer::canonical_encode_into(const Config& config,
@@ -610,62 +576,38 @@ void Canonicalizer::canonical_encode_into(const Config& config,
     if (perm != nullptr) perm->clear();
     return;
   }
-  CanonScratch local;
-  CanonScratch* s = scratch != nullptr ? scratch : &local;
-  // *out starts as the identity encoding and serves as the running best;
-  // the raw key is copied aside only when a cache needs it to outlive the
-  // search.
-  config.encode_into(out);
+  if (scratch == nullptr) {
+    CanonScratch local;
+    canonical_encode_into(config, out, perm, &local);
+    return;
+  }
+  CanonScratch* s = scratch;
   CanonCache* cache = s->cache();
   Hash128 fp;
   if (cache != nullptr) {
-    fp = hash_words_128(*out);
-    s->raw_ = *out;
+    config.encode_into(&s->raw_);
+    fp = hash_words_128(s->raw_);
     if (cache->lookup(fp, s->raw_, out, perm)) {
       ++s->cache_hits;
       return;
     }
     ++s->cache_misses;
   }
-  if (perm != nullptr) perm->clear();
-  if (locals_pid_free_ && identity_minimal_(config)) {
+  std::vector<std::uint8_t>* perm_out =
+      perm != nullptr ? perm : &s->perm_bytes_;
+  perm_out->clear();
+  if (search_(config, s)) {
     ++s->fast_path;
-    if (cache != nullptr) cache->insert(fp, s->raw_, *out, {});
-    return;
-  }
-  std::size_t best_g = 0;
-  if (locals_pid_free_) {
-    // Reset the pairwise proc-block memo for this canonicalization (2 marks
-    // "not yet compared"; compares yield -1/0/1).
-    const std::size_t n = static_cast<std::size_t>(spec_.process_count());
-    s->pair_cmp_.assign(n * n, 2);
-  }
-  for (std::size_t g = 1; g < group_.size(); ++g) {
-    const int cmp =
-        best_g == 0 && locals_pid_free_
-            ? compare_permuted_identity_(config, g, s)
-            : compare_permuted_(config, g, *out,
-                                /*best_is_identity=*/best_g == 0, s);
-    if (cmp > 0) {
-      ++s->prunes;
-    } else if (cmp < 0) {
-      // Rare: materialize the new best. Ties (cmp == 0) keep the earlier
-      // winner, preserving the brute-force first-group-element semantics.
-      encode_permuted_(config, g, out, s);
-      best_g = g;
+    if (cache != nullptr) {
+      *out = s->raw_;
+    } else {
+      config.encode_into(out);
     }
+  } else {
+    encode_permuted_(config, s, out);
+    perm_out->assign(s->best_perm_.begin(), s->best_perm_.end());
   }
-  std::vector<std::uint8_t> perm_local;
-  std::vector<std::uint8_t>* perm_out = perm;
-  if (best_g != 0) {
-    if (perm_out == nullptr) perm_out = &perm_local;
-    perm_out->assign(group_[best_g].begin(), group_[best_g].end());
-  }
-  if (cache != nullptr) {
-    cache->insert(fp, s->raw_, *out,
-                  best_g != 0 ? std::span<const std::uint8_t>(*perm_out)
-                              : std::span<const std::uint8_t>());
-  }
+  if (cache != nullptr) cache->insert(fp, s->raw_, *out, *perm_out);
 }
 
 void Canonicalizer::canonicalize(Config* config,
@@ -702,23 +644,31 @@ void Canonicalizer::brute_force_canonical_encode_into(
   }
 }
 
-std::uint64_t Canonicalizer::orbit_size(const Config& config) const {
+std::uint64_t Canonicalizer::orbit_size(const Config& config,
+                                        CanonScratch* scratch) const {
   if (group_.size() <= 1) return 1;
-  // Orbit–stabilizer: |orbit| = |G| / |Stab|, and the stabilizer members
-  // are exactly the group elements whose image encodes equal to the
-  // identity image — detected by the same early-exit comparator the
-  // canonical search uses (a non-member typically disagrees within a few
-  // words).
-  CanonScratch scratch;
-  config.encode_into(&scratch.raw_);
-  std::uint64_t stabilizer = 1;  // identity
-  for (std::size_t g = 1; g < group_.size(); ++g) {
-    if (compare_permuted_(config, g, scratch.raw_, /*best_is_identity=*/true,
-                          &scratch) == 0) {
-      ++stabilizer;
-    }
+  if (scratch == nullptr) {
+    CanonScratch local;
+    return orbit_size(config, &local);
   }
-  return group_.size() / stabilizer;
+  CanonScratch* s = scratch;
+  // Orbit–stabilizer: |orbit| = |G| / |Stab|. A renaming that fixes config
+  // sends every pid to an equal block, so Stab lies inside the product of
+  // the tie classes' symmetric groups. The classes the objects cannot see
+  // contribute all of theirs; the renamings of the others are counted.
+  std::uint64_t stabilizer = tie_classes_(config, s);
+  if (s->tied_.empty()) return group_.size() / stabilizer;
+  // s->perm_ is the identity here; targets = sorted_ keeps each pid in its
+  // class.
+  rename_objects_(config, s->perm_, s, &s->best_objs_);
+  s->taken_.assign(orbit_members_.size(), 0);
+  std::uint64_t fixing = 0;
+  auto visit = [&] {
+    rename_objects_(config, s->perm_, s, &s->objs_);
+    if (s->objs_ == s->best_objs_) ++fixing;
+  };
+  for_each_tied_perm_(s, s->sorted_, 0, visit);
+  return group_.size() / (stabilizer * fixing);
 }
 
 }  // namespace lbsa::sim

@@ -12,17 +12,20 @@
 // Contract for a protocol declaring a non-trivial SymmetrySpec:
 //   1. pids in one orbit have identical initial locals (checked eagerly by
 //      the Canonicalizer constructor);
-//   2. next_action / on_response commute with renaming: renaming the pid
-//      and rewriting pid-valued words (Protocol::rename_locals,
-//      spec::ObjectType::rename_pids) maps steps to steps, outcome lists
-//      elementwise in order — exercised end to end by the cross-validation
-//      suite in tests/modelcheck/reduction_test.cc.
+//   2. locals are pid-free: pid-derived data (labels, process names) lives
+//      in objects, whose spec::ObjectType::rename_pids rewrites it;
+//   3. next_action / on_response commute with renaming: renaming the pid
+//      and rewriting the objects' pid-valued words maps steps to steps,
+//      outcome lists elementwise in order — exercised end to end by the
+//      cross-validation suite in tests/modelcheck/reduction_test.cc.
 //
-// The canonical search itself is branch-and-bound (docs/checking.md,
-// "State-space reduction"): instead of materializing |G| full encodings per
-// configuration, each candidate permutation's encoding is compared
-// word-by-word against the best-so-far and abandoned at the first word that
-// exceeds it. An optional per-worker CanonCache short-circuits repeat
+// The canonical search never scans the group (docs/checking.md,
+// "Canonicalization cost"). With pid-free locals a renaming only moves
+// whole process blocks between the slots of one orbit, and the process
+// section precedes the objects in the encoding, so the minimum puts each
+// orbit's blocks in ascending order. Only renamings among *equal* blocks
+// (tie classes) remain, and only the pid-storing objects can tell them
+// apart. An optional per-worker CanonCache short-circuits repeat
 // configurations entirely. Both are exact: the representative is always the
 // true lexicographic minimum and the recorded permutation is the first
 // group element achieving it, bit-identical to the brute-force reference
@@ -76,9 +79,8 @@ struct SymmetrySpec {
 std::vector<std::vector<int>> symmetry_group(const SymmetrySpec& spec);
 
 // Renames processes in place: process p's automaton state moves to slot
-// perm[p], pid-valued words inside locals are rewritten via
-// Protocol::rename_locals, and pid-valued words inside each object state via
-// spec::ObjectType::rename_pids.
+// perm[p], and pid-valued words inside each object state are rewritten via
+// spec::ObjectType::rename_pids (locals are pid-free, see above).
 void apply_pid_permutation(const Protocol& protocol, std::span<const int> perm,
                            Config* config);
 
@@ -173,16 +175,16 @@ class CanonCachePool {
   std::vector<std::shared_ptr<CanonCache>> caches_;
 };
 
-// Per-worker reusable state for the canonical search: scratch buffers the
-// hot loop reuses so steady-state canonicalization allocates nothing, an
-// optional CanonCache, and tallies the engines publish as the
+// Per-worker reusable state for the canonical search and orbit counting:
+// scratch buffers reused so steady-state canonicalization allocates
+// nothing, an optional CanonCache, and tallies the explorer publishes as the
 // `explore.canon.*` obs counters. NOT thread-safe: one per worker.
 struct CanonScratch {
-  // Tallies since construction (the engines drain these into obs counters).
+  // Tallies since construction (the explorer drains these into counters).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t prunes = 0;     // candidate perms abandoned mid-encoding
-  std::uint64_t fast_path = 0;  // configs proven identity-minimal cheaply
+  std::uint64_t prunes = 0;     // tied candidates that lost to an earlier one
+  std::uint64_t fast_path = 0;  // identity results: no renamed encoding built
 
   // Attach / detach the orbit cache (null = search every time).
   void attach_cache(std::shared_ptr<CanonCache> cache) {
@@ -193,10 +195,23 @@ struct CanonScratch {
  private:
   friend class Canonicalizer;
   std::shared_ptr<CanonCache> cache_;
-  std::vector<std::int64_t> raw_;          // identity encoding of the input
-  std::vector<std::int64_t> loc_scratch_;  // renamed locals buffer
-  std::vector<std::int64_t> obj_scratch_;  // renamed object-state buffer
-  std::vector<std::int8_t> pair_cmp_;      // memoized proc-block compares
+  std::vector<std::int64_t> raw_;  // identity encoding of the input
+  // Tie classes (Canonicalizer::tie_classes_): each nontrivial orbit's
+  // members stably sorted by process block, laid out like
+  // Canonicalizer::orbit_members_; per pid the positions [run_lo_, run_hi_)
+  // of its tie class; the pids of the classes still tied, in group order.
+  std::vector<int> sorted_;
+  std::vector<std::size_t> run_lo_;
+  std::vector<std::size_t> run_hi_;
+  std::vector<int> tied_;
+  std::vector<std::uint8_t> taken_;  // positions the enumeration holds
+  std::vector<int> perm_;            // the candidate renaming
+  std::vector<int> best_perm_;
+  std::vector<std::uint8_t> perm_bytes_;
+  // Renamed pid-storing objects as [size, words...] runs, and one object.
+  std::vector<std::int64_t> objs_;
+  std::vector<std::int64_t> best_objs_;
+  std::vector<std::int64_t> obj_;
 };
 
 // Precomputed canonicalization engine for one (protocol, spec) pair. All
@@ -236,61 +251,58 @@ class Canonicalizer {
                     std::vector<std::uint8_t>* perm = nullptr,
                     CanonScratch* scratch = nullptr) const;
 
-  // The pre-rewrite reference implementation: applies every group element
-  // to a copy and keeps the lexicographic minimum of the full encodings.
-  // Kept as the test oracle the branch-and-bound path must match
-  // bit-for-bit (tests/sim/symmetry_test.cc). Not used by the explorer.
+  // The reference implementation: applies every group element to a copy
+  // and keeps the lexicographic minimum of the full encodings. Kept as the
+  // test oracle the tie-class search must match bit-for-bit
+  // (tests/sim/symmetry_test.cc). Not used by the explorer.
   void brute_force_canonical_encode_into(
       const Config& config, std::vector<std::int64_t>* out,
       std::vector<std::uint8_t>* perm = nullptr) const;
 
   // Number of distinct configurations in config's orbit (divides the group
   // order). Summed over quotient nodes this reproduces the full node count.
-  // Computed as |G| / |stabilizer| with early-exit equality checks, so it
-  // shares the incremental comparator with the canonical search.
-  std::uint64_t orbit_size(const Config& config) const;
+  // Computed as |G| / |stabilizer|; a stabilizing renaming keeps every
+  // block in its tie class, so only those renamings are counted. Pass one
+  // scratch across many calls to keep them allocation-free.
+  std::uint64_t orbit_size(const Config& config,
+                           CanonScratch* scratch = nullptr) const;
 
  private:
-  // Three-way comparison of encode(group_[g] · config) against `best`,
-  // built incrementally and abandoned at the first deciding word. When the
-  // caller knows `best` is still the identity encoding, renaming-invariant
-  // segments (slots group_[g] fixes, pid-free objects) compare equal by
-  // construction and are skipped outright.
-  int compare_permuted_(const Config& config, std::size_t g,
-                        std::span<const std::int64_t> best,
-                        bool best_is_identity, CanonScratch* scratch) const;
-  // Fast-lane variant for the common state of the search — `best` is still
-  // the identity encoding and locals are pid-free. The verdict for group
-  // element g then follows from block-level facts alone: the first moved
-  // slot whose (source, destination) process blocks differ decides, and a
-  // full process-part tie falls through to renaming-object words. The
-  // block compares are memoized in scratch->pair_cmp_ across all |G|-1
-  // rivals of one canonicalization. Exactly equivalent to
-  // compare_permuted_(config, g, identity, true, scratch).
-  int compare_permuted_identity_(const Config& config, std::size_t g,
-                                 CanonScratch* scratch) const;
-  // Materializes encode(group_[g] · config) into *out (only called for the
-  // rare candidates that beat the best-so-far).
-  void encode_permuted_(const Config& config, std::size_t g,
-                        std::vector<std::int64_t>* out,
-                        CanonScratch* scratch) const;
-  // True iff config is provably identity-minimal without touching the
-  // group: within every orbit the per-process encodings are strictly
-  // increasing by slot. Only sound when locals are pid-free.
-  bool identity_minimal_(const Config& config) const;
+  // Fills scratch's tie classes for config: each nontrivial orbit's
+  // members stably sorted by process block into s->sorted_, every pid's run
+  // of equal blocks, and in s->tied_ the pids whose class the pid-storing
+  // objects can tell apart, in group order. Every other class is untied
+  // (a run of one per pid). Leaves s->perm_ the identity and returns the
+  // product of the untied classes' size factorials.
+  std::uint64_t tie_classes_(const Config& config, CanonScratch* s) const;
+  // Calls visit() once per renaming that sends every tied pid p to
+  // targets[k] for a distinct k in its run, in symmetry_group order (tied
+  // pids in order, each trying its free positions ascending). s->perm_
+  // holds the renaming; the caller presets the untied pids.
+  template <typename Visit>
+  void for_each_tied_perm_(CanonScratch* s, std::span<const int> targets,
+                           std::size_t depth, Visit& visit) const;
+  // Writes [size, words...] of every pid-storing object renamed by perm.
+  void rename_objects_(const Config& config, std::span<const int> perm,
+                       CanonScratch* s, std::vector<std::int64_t>* out) const;
+  // Runs the tie-class search: true iff the identity achieves the minimum,
+  // else s->best_perm_ holds the first group element that does.
+  bool search_(const Config& config, CanonScratch* s) const;
+  // Materializes encode(s->best_perm_ · config) into *out.
+  void encode_permuted_(const Config& config, CanonScratch* s,
+                        std::vector<std::int64_t>* out) const;
 
   std::shared_ptr<const Protocol> protocol_;
   SymmetrySpec spec_;
   std::vector<std::vector<int>> group_;
-  // group_inv_[g][slot] = the original pid that lands in `slot` under
-  // group_[g] — the order the permuted encoding walks processes in.
-  std::vector<std::vector<int>> group_inv_;
-  // Orbits with >= 2 members, as ascending pid lists (fast-path input).
-  std::vector<std::vector<int>> nontrivial_orbits_;
-  // Per-object: does the type rewrite pids (ObjectType::renames_pids)?
-  // Pid-free objects compare against their unrenamed state, zero copies.
-  std::vector<bool> object_renames_pids_;
-  bool locals_pid_free_ = true;
+  // The members of every orbit with >= 2 pids, ascending within an orbit
+  // and orbits in symmetry_group's order; orbit o spans
+  // [orbit_begin_[o], orbit_begin_[o + 1]).
+  std::vector<int> orbit_members_;
+  std::vector<std::size_t> orbit_begin_;
+  // Objects whose type rewrites pids (ObjectType::renames_pids); every
+  // other object is renaming-invariant and never decides.
+  std::vector<std::size_t> renaming_objects_;
   std::uint64_t universe_salt_ = 0;
 };
 

@@ -79,14 +79,7 @@ void NmPacType::rename_pids(std::span<const int> perm,
   const size_t pac_size = PacType::state_size(pac_.n());
   LBSA_CHECK(state->size() == pac_size + 2);
   LBSA_CHECK(static_cast<int>(perm.size()) <= pac_.n());
-  std::vector<int> padded(perm.begin(), perm.end());
-  for (int p = static_cast<int>(padded.size()); p < pac_.n(); ++p) {
-    padded.push_back(p);
-  }
-  std::vector<std::int64_t> pac_state(
-      state->begin(), state->begin() + static_cast<std::ptrdiff_t>(pac_size));
-  pac_.rename_pids(padded, &pac_state);
-  std::copy(pac_state.begin(), pac_state.end(), state->begin());
+  pac_.rename_state(perm, std::span<std::int64_t>(*state).first(pac_size));
 }
 
 std::string NmPacType::state_to_string(

@@ -32,8 +32,8 @@ class NmPacType final : public ObjectType {
   // The P-part stores pid-derived words (the label register L and the
   // label-indexed V slots); the C-part ([count, winner]) holds only values.
   // Protocols on the consensus port may run with fewer than n processes, so
-  // the permutation is padded with fixed points up to n before delegating to
-  // the n-PAC renamer.
+  // a short permutation is accepted: PacType::rename_state keeps the pids
+  // past its end fixed.
   void rename_pids(std::span<const int> perm,
                    std::vector<std::int64_t>* state) const override;
   bool renames_pids() const override { return true; }

@@ -117,7 +117,8 @@ class ObjectType {
   // state stores no pids — true for every value-indexed object here except
   // n-PAC, whose label words are pid-derived. Used by the model checker's
   // symmetry reduction (sim/symmetry.h); must satisfy
-  // rename(apply(s, op)) == apply(rename(s), rename(op)) outcome-wise.
+  // rename(apply(s, op)) == apply(rename(s), rename(op)) outcome-wise, and
+  // renaming by g and then by h must equal renaming by h∘g.
   virtual void rename_pids(std::span<const int> perm,
                            std::vector<std::int64_t>* state) const {
     (void)perm;
@@ -126,10 +127,9 @@ class ObjectType {
 
   // True iff rename_pids is a real rewrite (the state stores pids). Paired
   // with rename_pids: types overriding one must override the other. The
-  // canonical search compares pid-free object states in place (no copy, no
-  // virtual call per permutation) when this is false; the oracle
-  // cross-check in tests/sim/symmetry_test.cc catches a violated pairing
-  // for every tested type.
+  // canonical search renames and compares only the objects for which this
+  // is true; the oracle cross-check in tests/sim/symmetry_test.cc catches a
+  // violated pairing for every tested type.
   virtual bool renames_pids() const { return false; }
 
   // Diagnostics.

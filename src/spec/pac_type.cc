@@ -1,5 +1,7 @@
 #include "spec/pac_type.h"
 
+#include <utility>
+
 #include "base/check.h"
 
 namespace lbsa::spec {
@@ -96,17 +98,38 @@ void PacType::rename_pids(std::span<const int> perm,
                           std::vector<std::int64_t>* state) const {
   LBSA_CHECK(state->size() == state_size(n_));
   LBSA_CHECK(static_cast<int>(perm.size()) == n_);
-  std::vector<std::int64_t>& s = *state;
-  // L holds a 1-based label derived from a pid (or NIL / garbage-free ⊥
-  // states never reach here); rename it if it is a live label.
-  if (s[1] >= 1 && s[1] <= n_) {
-    s[1] = perm[static_cast<std::size_t>(s[1] - 1)] + 1;
+  rename_state(perm, *state);
+}
+
+void PacType::rename_state(std::span<const int> perm,
+                           std::span<std::int64_t> state) const {
+  LBSA_CHECK(state.size() == state_size(n_));
+  LBSA_CHECK(static_cast<int>(perm.size()) <= n_);
+  for (int q : perm) LBSA_CHECK(q >= 0 && q < n_);
+  const auto target = [perm](int p) {
+    return static_cast<std::size_t>(p) < perm.size()
+               ? perm[static_cast<std::size_t>(p)]
+               : p;
+  };
+  // L holds a 1-based label derived from a pid (or NIL); rename it if it is
+  // a live label.
+  if (state[1] >= 1 && state[1] <= n_) {
+    state[1] = target(static_cast<int>(state[1] - 1)) + 1;
   }
-  // Permute the label-indexed V slots: new V[perm[p]+1] = old V[p+1].
-  std::vector<std::int64_t> v(s.begin() + 3, s.end());
-  for (int p = 0; p < n_; ++p) {
-    s[3 + static_cast<std::size_t>(perm[static_cast<std::size_t>(p)])] =
-        v[static_cast<std::size_t>(p)];
+  // Permute the label-indexed V slots, new V[perm[p]+1] = old V[p+1], one
+  // cycle at a time from its smallest member. The walk that finds that
+  // member is bounded by n, so a non-permutation cannot hang it.
+  std::int64_t* v = state.data() + 3;
+  for (int start = 0; start < n_; ++start) {
+    int q = target(start);
+    for (int steps = 0; q > start && steps < n_; ++steps) q = target(q);
+    if (q != start) continue;
+    std::int64_t carry = v[start];
+    int p = start;
+    do {
+      p = target(p);
+      std::swap(carry, v[p]);
+    } while (p != start);
   }
 }
 

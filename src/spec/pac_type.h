@@ -44,6 +44,12 @@ class PacType final : public ObjectType {
   void rename_pids(std::span<const int> perm,
                    std::vector<std::int64_t>* state) const override;
   bool renames_pids() const override { return true; }
+  // The renamer behind every PAC-bearing type: rewrites an n-PAC state in
+  // place, allocation-free. perm may be shorter than n; pids past its end
+  // are fixed points (a consensus-port protocol runs fewer than n
+  // processes).
+  void rename_state(std::span<const int> perm,
+                    std::span<std::int64_t> state) const;
   std::string state_to_string(std::span<const std::int64_t> state) const override;
 
   // State layout: [upset, L, val, V[1], ..., V[n]] (labels are 1-based as in

@@ -1,9 +1,14 @@
 // The machine-checked (n,m)-PAC hierarchy sweep (core/hierarchy_sweep.h):
-// row verdicts against the catalog, artifact schema round-trips, and the
-// byte-identity of the rows document across engines and thread counts.
+// row verdicts against the catalog, artifact schema round-trips, the
+// byte-identity of the rows document across engines and thread counts, and
+// the committed HIERARCHY.json against a fresh sweep.
 #include "core/hierarchy_sweep.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -110,6 +115,29 @@ TEST(HierarchySweep, RowsJsonByteIdenticalAcrossEnginesAndThreads) {
   auto xc = run_hierarchy_sweep(checked);
   ASSERT_TRUE(xc.is_ok());
   EXPECT_EQ(hierarchy_rows_json(xc.value()), base_json);
+}
+
+// LBSA_HIERARCHY_ARTIFACT is injected by tests/core/CMakeLists.txt and
+// points at the committed HIERARCHY.json in the source tree.
+TEST(HierarchySweep, RowsMatchCommittedArtifact) {
+  std::ifstream in(LBSA_HIERARCHY_ARTIFACT, std::ios::binary);
+  ASSERT_TRUE(in) << "cannot open " << LBSA_HIERARCHY_ARTIFACT;
+  const std::string committed((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+  // The provenance member, last in the artifact, describes the host and
+  // the invocation; everything before it is the rows document.
+  const std::size_t at = committed.rfind(",\"provenance\":");
+  ASSERT_NE(at, std::string::npos) << "HIERARCHY.json has no provenance";
+  const std::string committed_rows = committed.substr(0, at) + "}";
+
+  SweepOptions options;
+  options.n_max = 6;
+  options.threads = 4;
+  auto result_or = run_hierarchy_sweep(options);
+  ASSERT_TRUE(result_or.is_ok()) << result_or.status().to_string();
+  EXPECT_EQ(hierarchy_rows_json(result_or.value()), committed_rows)
+      << "HIERARCHY.json is stale: regenerate it with "
+         "tools/hierarchy_report.sh";
 }
 
 TEST(HierarchySweep, ArtifactValidatesAndTamperingIsRejected) {

@@ -299,7 +299,7 @@ TEST(Checkpoint, CorruptFilesRejected) {
   // Future schema version: the error names it so the user knows to upgrade.
   {
     std::string bad = good;
-    bad[8] = static_cast<char>(kCheckpointSchemaVersion + 1);
+    bad[8] = static_cast<char>(kExploreCheckpointSchemaVersion + 1);
     spit(path, bad);
     const auto status = read_explore_checkpoint(path).status();
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
@@ -562,6 +562,77 @@ TEST(FuzzCheckpoint, ResumedCampaignReportByteIdentical) {
                 full.violations[i].shrunk_schedule);
     }
   }
+}
+
+// Every field of a fuzz report in one string, so two reports compare byte
+// for byte.
+std::string report_text(const FuzzReport& r) {
+  std::string out = std::to_string(r.runs_executed) + " " +
+                    std::to_string(r.runs_terminated) + " " +
+                    std::to_string(r.seed) + " " + r.engine + " " +
+                    std::to_string(r.threads) + " " +
+                    std::to_string(r.distinct_fingerprints) + " " +
+                    std::to_string(r.interesting_runs) + " " +
+                    std::to_string(r.mutated_runs) + " " +
+                    std::to_string(r.shrink_replays) + " " +
+                    (r.interrupted ? "interrupted" : "complete") + " [" +
+                    r.checkpoint_error + "]\n";
+  for (const FuzzViolation& v : r.violations) {
+    out += v.property + "|" + v.detail + "|" + std::to_string(v.run_seed) +
+           "|" + v.schedule + "|" + v.shrunk_schedule + "|" +
+           std::to_string(v.raw_steps) + "|" +
+           std::to_string(v.shrunk_steps) + "\n";
+  }
+  return out;
+}
+
+TEST(FuzzCheckpoint, SchemaOneFileResumesByteIdentical) {
+  // Fuzz files said schema version 1 until explore checkpoints moved to
+  // schema 2. The fuzz layout never changed, so such a file still resumes,
+  // to the uninterrupted run's report.
+  const NamedTask task = get_task("dac3");
+  FuzzOptions base;
+  base.coverage_guided = true;
+  base.runs = 300;
+  base.seed = 9;
+  const FuzzReport full = fuzz_named_task(task, base);
+
+  FuzzOptions part = base;
+  part.stop_after_runs = 100;
+  part.checkpoint_path = temp_path("v1-fuzz.ckpt");
+  ASSERT_TRUE(fuzz_named_task(task, part).interrupted);
+  std::string bytes;
+  {
+    std::ifstream in(part.checkpoint_path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(bytes.size(), 32u);
+  ASSERT_EQ(bytes[8], static_cast<char>(kFuzzCheckpointSchemaVersion));
+  // Byte 8 is the low byte of the little-endian version word; the header
+  // lies outside the payload hash.
+  const auto with_version = [&](char version) {
+    std::string patched = bytes;
+    patched[8] = version;
+    std::ofstream out(part.checkpoint_path, std::ios::binary | std::ios::trunc);
+    out.write(patched.data(), static_cast<std::streamsize>(patched.size()));
+  };
+
+  with_version(1);
+  auto cp = read_fuzz_checkpoint(part.checkpoint_path);
+  ASSERT_TRUE(cp.is_ok()) << cp.status().to_string();
+  FuzzOptions res = base;
+  res.resume = &cp.value();
+  ASSERT_TRUE(validate_fuzz_resume(*task.protocol, res, cp.value()).is_ok());
+  EXPECT_EQ(report_text(fuzz_named_task(task, res)), report_text(full));
+
+  with_version(3);
+  const auto future = read_fuzz_checkpoint(part.checkpoint_path);
+  ASSERT_FALSE(future.is_ok());
+  EXPECT_EQ(future.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(future.status().message().find("schema version 3"),
+            std::string::npos)
+      << future.status().to_string();
 }
 
 TEST(FuzzCheckpoint, StaleFuzzCheckpointRejected) {

@@ -6,11 +6,14 @@
 //     invariance), on RNG-hammered reachable configurations,
 //   * the canonical encoding is the exact minimum over the enumerated
 //     group, and encode() round-trips through it,
-//   * orbit sizes divide the group order (orbit-stabilizer).
+//   * the tie-class search returns the brute-force oracle's key and
+//     discovery perm, and orbit_size the number of distinct group images.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "base/hashing.h"
@@ -66,7 +69,8 @@ TEST(SymmetrySpec, FullGroupIsSymmetricGroup) {
   EXPECT_FALSE(spec.trivial());
   const auto group = symmetry_group(spec);
   EXPECT_EQ(group.size(), 6u);  // |S_3|
-  // Identity first — the canonicalizer's fast path depends on it.
+  // Identity first: the brute-force oracle starts from it, and ties go to
+  // the earliest element.
   EXPECT_EQ(group[0], (std::vector<int>{0, 1, 2}));
   // All elements distinct permutations.
   auto sorted = group;
@@ -131,7 +135,34 @@ std::vector<CanonCase> canon_cases() {
       {"consensus-nmpac32-equal",
        std::make_shared<ConsensusFromNmPacProtocol>(
            3, 2, std::vector<Value>{100, 100})},
+      // Interleaved orbits {0,2,4} and {1,3}: slots of one orbit are not
+      // contiguous, with pid-free objects only (strawdac) and with a
+      // pid-storing (n,m)-PAC object (consensus port).
+      {"strawdac5-interleaved",
+       std::make_shared<StrawDacFallbackProtocol>(
+           std::vector<Value>{100, 200, 100, 200, 100})},
+      {"consensus-nmpac55-interleaved",
+       std::make_shared<ConsensusFromNmPacProtocol>(
+           5, 5, std::vector<Value>{100, 200, 100, 200, 100})},
+      // |G| = 120: pid 0 pinned, pids 1..5 interchangeable, labels in the
+      // P-part deciding between tied blocks.
+      {"dac-nmpac63-equal", std::make_shared<DacFromNmPacProtocol>(
+                                std::vector<Value>(6, 100), 3)},
   };
+}
+
+// The orbit by definition: the number of distinct encodings among the
+// group's images of config.
+std::uint64_t brute_force_orbit_size(const Protocol& protocol,
+                                     const std::vector<std::vector<int>>& group,
+                                     const Config& config) {
+  std::set<std::vector<std::int64_t>> images;
+  for (const auto& g : group) {
+    Config image = config;
+    apply_pid_permutation(protocol, g, &image);
+    images.insert(image.encode());
+  }
+  return images.size();
 }
 
 TEST(Canonicalizer, IdempotentAndPermutationInvariant) {
@@ -206,6 +237,23 @@ TEST(Canonicalizer, OrbitSizeDividesGroupOrder) {
   }
 }
 
+TEST(Canonicalizer, OrbitSizeMatchesBruteForceOrbit) {
+  for (const CanonCase& c : canon_cases()) {
+    SCOPED_TRACE(c.name);
+    const Canonicalizer canon(c.protocol, c.protocol->symmetry());
+    const auto group = symmetry_group(canon.spec());
+    CanonScratch scratch;  // reused across calls, as full_node_estimate does
+    Xoshiro256 rng(13);
+    for (int trial = 0; trial < 40; ++trial) {
+      const Config config = random_reachable_config(*c.protocol, 20, &rng);
+      const std::uint64_t expected =
+          brute_force_orbit_size(*c.protocol, group, config);
+      EXPECT_EQ(canon.orbit_size(config, &scratch), expected);
+      EXPECT_EQ(canon.orbit_size(config), expected);
+    }
+  }
+}
+
 TEST(Canonicalizer, InitialConfigIsItsOwnOrbitRepresentative) {
   for (const CanonCase& c : canon_cases()) {
     SCOPED_TRACE(c.name);
@@ -270,13 +318,13 @@ TEST(Symmetry, NmPacRenamePadsShortPermutations) {
   EXPECT_EQ(renamed, expected);
 }
 
-// --- Pruned / cached canonical search vs the brute-force oracle ----------
+// --- Tie-class / cached canonical search vs the brute-force oracle --------
 
-// The production path (branch-and-bound, fast path, orbit cache) must match
-// the retained brute-force reference bit for bit — key AND discovery perm.
-// This is also the pairing-contract net for locals_store_pids /
-// renames_pids: a type that rewrites pids while claiming it doesn't would
-// make the pruned comparator diverge from the oracle here.
+// The production path (tie-class search, orbit cache) must match the
+// retained brute-force reference bit for bit — key AND discovery perm.
+// This is also the pairing-contract net for rename_pids / renames_pids: a
+// type that rewrites pids while claiming it doesn't would make the search,
+// which renames only the renames_pids() objects, diverge from the oracle.
 TEST(Canonicalizer, PrunedAndCachedSearchMatchesBruteForceOracle) {
   for (const CanonCase& c : canon_cases()) {
     SCOPED_TRACE(c.name);
@@ -322,6 +370,60 @@ TEST(Canonicalizer, IdempotentWithCacheEnabled) {
       EXPECT_TRUE(perm.empty()) << "representative got renamed again";
     }
   }
+}
+
+// Every node of the first BFS levels of the unreduced dac-nmPAC 6 graph
+// (|G| = 120), explored here without the model checker: key, perm and
+// orbit size match the brute-force definitions, cold and through a cache.
+TEST(Canonicalizer, BoundedDacNmPac6GraphMatchesBruteForceOracle) {
+  const auto protocol =
+      std::make_shared<DacFromNmPacProtocol>(std::vector<Value>(6, 100), 3);
+  const Canonicalizer canon(protocol, protocol->symmetry());
+  ASSERT_EQ(canon.group_size(), 120u);
+  const auto group = symmetry_group(canon.spec());
+  CanonScratch cached;
+  cached.attach_cache(std::make_shared<CanonCache>(std::size_t{1} << 20));
+  CanonScratch cold;
+
+  constexpr std::size_t kNodeBound = 2000;
+  std::set<std::vector<std::int64_t>> seen;
+  std::deque<Config> frontier;
+  const Config initial = initial_config(*protocol);
+  seen.insert(initial.encode());
+  frontier.push_back(initial);
+  std::vector<Successor> successors;
+  std::vector<std::int64_t> key, oracle;
+  std::vector<std::uint8_t> perm, oracle_perm;
+  std::size_t checked = 0;
+  std::size_t renamed = 0;
+  while (!frontier.empty()) {
+    const Config config = std::move(frontier.front());
+    frontier.pop_front();
+    canon.brute_force_canonical_encode_into(config, &oracle, &oracle_perm);
+    for (CanonScratch* scratch : {&cold, &cached}) {
+      canon.canonical_encode_into(config, &key, &perm, scratch);
+      ASSERT_EQ(key, oracle) << "node " << checked;
+      ASSERT_EQ(perm, oracle_perm) << "node " << checked;
+    }
+    ASSERT_EQ(canon.orbit_size(config, &cold),
+              brute_force_orbit_size(*protocol, group, config))
+        << "node " << checked;
+    ++checked;
+    if (!oracle_perm.empty()) ++renamed;
+    for (int pid = 0; pid < protocol->process_count(); ++pid) {
+      if (!config.enabled(pid)) continue;
+      successors.clear();
+      enumerate_successors(*protocol, config, pid, &successors);
+      for (Successor& s : successors) {
+        if (seen.size() < kNodeBound && seen.insert(s.config.encode()).second) {
+          frontier.push_back(std::move(s.config));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, kNodeBound);
+  EXPECT_GT(renamed, 0u);
+  EXPECT_GT(cold.prunes, 0u);  // some tie reached the object tie-break
 }
 
 // A cache far too small for the working set epoch-resets instead of

@@ -7,12 +7,13 @@
 #      run — serial and parallel, with and without reduction.
 #   2. fuzzer: coverage campaign interrupted at a run boundary
 #      (--stop-after-runs), exit 4, then --resume to a byte-identical
-#      final report.
+#      final report, from the checkpoint as written and relabelled as a
+#      schema-1 file.
 #   3. SIGINT smoke: a real ^C against a running explorer produces either a
 #      clean finish (0) or a resumable interrupt (4) — never a crash — and
 #      an interrupt leaves a loadable checkpoint behind.
-#   4. Stale, corrupt and old-schema checkpoints exit 1 with a diagnostic,
-#      not a wrong graph.
+#   4. Stale, corrupt and old-schema explore checkpoints exit 1 with a
+#      diagnostic, not a wrong graph.
 #
 # Every interrupted run also carries the full observability flag set
 # (--metrics-json --trace-out): an exit-4 run must finalize and atomically
@@ -88,7 +89,15 @@ rc=0
     || fail "fuzz resume failed"
 diff "$TMP/fbase.txt" "$TMP/fres.txt" > /dev/null \
     || fail "resumed fuzz report differs from uninterrupted run"
-echo "ok: resumed fuzz report byte-identical"
+# Fuzz files said schema version 1 until explore checkpoints moved to
+# schema 2; the fuzz layout never changed, so they still resume. Byte 8 is
+# the low byte of the little-endian version word, outside the payload hash.
+printf '\001' | dd of="$TMP/f.ckpt" bs=1 seek=8 conv=notrunc status=none
+"$FUZZER" "${FUZZ_ARGS[@]}" --resume "$TMP/f.ckpt" > "$TMP/fres1.txt" \
+    || fail "schema-1 fuzz resume failed"
+diff "$TMP/fbase.txt" "$TMP/fres1.txt" > /dev/null \
+    || fail "schema-1 resumed fuzz report differs from uninterrupted run"
+echo "ok: resumed fuzz report byte-identical (schema 2 and schema 1 files)"
 
 echo "== SIGINT smoke =="
 # dac6 (~250k nodes, a second or two) runs long enough that a ^C shortly

@@ -18,8 +18,10 @@
 # task explored serially with --reduction symmetry must finish strictly
 # faster than with --reduction none (docs/checking.md, "State-space
 # reduction"). Serial and single-threaded on both sides, so this gate runs
-# on single-core hosts too. It protects the pruned canonical search and
-# orbit cache from regressing back to "reduction costs more than it saves".
+# on single-core hosts too. It protects the tie-class canonical search
+# (which never scans the group) from regressing back to "reduction costs
+# more than it saves"; dac5-sym's group of 24 is below the size at which
+# explore() installs an orbit cache of its own.
 #
 # A third gate bounds memory: explorer_cli on dac6 at 4 threads must peak at
 # no more than 160 MB of resident memory, as its "peak RSS" line reports
