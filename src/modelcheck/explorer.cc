@@ -178,7 +178,8 @@ class Generator {
       : protocol_(&protocol), flag_fn_(&flag_fn), sym_(sym), por_(por) {}
 
   // Expands the nodes `ids`, whose intern keys are keys[id], into *out
-  // (cleared first). Each node is decoded into one reused Config.
+  // (cleared first). Each node is decoded into one reused Config, and each
+  // outcome is committed into one reused successor Config.
   void expand(std::span<const std::span<const std::int64_t>> keys,
               std::span<const std::uint32_t> ids, Batch* out) {
     out->clear();
@@ -196,11 +197,13 @@ class Generator {
       for (int pid = 0; pid < n; ++pid) {
         if (!config_.enabled(pid)) continue;
         if (ample >= 0 && pid != ample) continue;
-        successors_.clear();
-        sim::enumerate_successors(*protocol_, config_, pid, &successors_);
-        for (const sim::Successor& succ : successors_) {
-          add(succ.config, succ.step,
-              *flag_fn_ ? (*flag_fn_)(flag, succ.step) : flag, out);
+        sim::prepare_step(*protocol_, config_, pid, &prepared_);
+        for (int choice = 0; choice < prepared_.outcome_count(); ++choice) {
+          successor_ = config_;
+          const sim::Step step =
+              sim::commit_step(*protocol_, &successor_, choice, &prepared_);
+          add(successor_, step, *flag_fn_ ? (*flag_fn_)(flag, step) : flag,
+              out);
         }
       }
       out->ends.push_back(static_cast<std::uint32_t>(out->succs.size()));
@@ -239,9 +242,10 @@ class Generator {
   const Explorer::FlagFn* flag_fn_;
   const sim::Canonicalizer* sym_;
   bool por_;
-  sim::Config config_;  // the node being expanded
+  sim::Config config_;     // the node being expanded
+  sim::Config successor_;  // config_ after one outcome
+  sim::PreparedStep prepared_;
   sim::CanonScratch canon_;
-  std::vector<sim::Successor> successors_;
   std::vector<std::int64_t> sym_key_;
   std::vector<std::uint8_t> perm_;
 };

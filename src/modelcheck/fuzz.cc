@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <optional>
 #include <set>
 #include <thread>
 #include <unordered_set>
@@ -13,7 +14,6 @@
 #include "base/rng.h"
 #include "modelcheck/checkpoint.h"
 #include "obs/obs.h"
-#include "sim/simulation.h"
 #include "sim/trace.h"
 
 namespace lbsa::modelcheck {
@@ -39,12 +39,10 @@ class BurstAdversary final : public sim::Adversary {
     if (last_ >= 0 && config.enabled(last_) && !rng_.next_bool(0.125)) {
       return last_;
     }
-    std::vector<int> enabled;
-    for (int pid = 0; pid < static_cast<int>(config.procs.size()); ++pid) {
-      if (config.enabled(pid)) enabled.push_back(pid);
-    }
-    if (enabled.empty()) return kStop;
-    last_ = enabled[rng_.next_below(enabled.size())];
+    const int enabled = config.enabled_count();
+    if (enabled == 0) return kStop;
+    last_ = config.nth_enabled(static_cast<int>(
+        rng_.next_below(static_cast<std::uint64_t>(enabled))));
     return last_;
   }
 
@@ -70,81 +68,46 @@ struct RunOutput {
   std::vector<std::uint64_t> fingerprints;  // first-K distinct, in order
 };
 
-// One fresh adversary-driven run, recording the executed schedule, the
-// per-step configuration fingerprints, and the first violation (if any).
-RunOutput execute_fresh_run(const std::shared_ptr<const sim::Protocol>& protocol,
-                            const SafetyPredicate& judge, std::uint64_t seed,
-                            bool burst, const FuzzOptions& options,
-                            bool record_clean_schedule) {
+// What one thread reuses from run to run: the configuration being stepped,
+// its prepared step, and the run's fingerprint set and encode buffer.
+struct RunScratch {
+  sim::Config config;
+  sim::PreparedStep prepared;
+  std::unordered_set<std::uint64_t> seen;
+  std::vector<std::int64_t> encoded;
+};
+
+// One run from `initial`: a lenient replay of `prefix` (empty for a fresh
+// run; a mutated schedule for a mutated one), then a random or burst
+// continuation to termination or budget — so a mutated run explores just as
+// deep as a fresh one, but starts from an interesting region. Records the
+// effective schedule (always strict-valid), the per-step configuration
+// fingerprints, and the first violation, if any.
+RunOutput execute_run(const sim::Protocol& protocol,
+                      const SafetyPredicate& judge, const sim::Config& initial,
+                      const std::vector<ScriptedAdversary::Choice>& prefix,
+                      std::uint64_t seed, bool burst,
+                      const FuzzOptions& options, RunScratch* scratch) {
   RunOutput out;
   // Live execution tallies are volatile: the blind engine keeps executing
   // already-claimed runs past the deterministic early-stop cutoff, so the
   // number of executions (unlike the report's runs_executed) is
   // schedule-dependent.
   LBSA_OBS_COUNTER_ADD_V("fuzz.exec.runs", 1);
-  sim::Simulation simulation(protocol);
-  sim::RandomAdversary uniform(seed);
-  BurstAdversary bursty(seed);
-  sim::Adversary& adversary = burst
-                                  ? static_cast<sim::Adversary&>(bursty)
-                                  : static_cast<sim::Adversary&>(uniform);
-  std::unordered_set<std::uint64_t> seen;
-  std::vector<std::int64_t> encoded;
-  for (std::uint64_t step = 0;
-       step < options.max_steps_per_run && !simulation.config().halted();
-       ++step) {
-    const int pid = adversary.pick_process(simulation.config(), step);
-    if (pid == sim::Adversary::kStop) break;
-    const int outcomes =
-        sim::outcome_count(*protocol, simulation.config(), pid);
-    const int outcome = adversary.pick_outcome(outcomes, step);
-    simulation.step(pid, outcome);
-    out.schedule.push_back({pid, outcome, false});
-    if (seen.size() < options.max_fingerprints_per_run) {
-      simulation.config().encode_into(&encoded);
-      const std::uint64_t h = hash_words(encoded);
-      if (seen.insert(h).second) out.fingerprints.push_back(h);
-    }
-    auto [property, detail] = judge(simulation.config());
-    if (!property.empty()) {
-      out.property = std::move(property);
-      out.detail = std::move(detail);
-      out.violated = true;
-      return out;
-    }
-  }
-  out.terminated = simulation.config().halted();
-  if (!record_clean_schedule) out.schedule.clear();
-  return out;
-}
-
-// One mutated run: lenient replay of the mutated schedule (the guided
-// prefix), then a fresh random/burst continuation to termination — so a
-// mutated run explores just as deep as a blind one, but starts from an
-// interesting region instead of the initial configuration. The recorded
-// schedule is the effective one — always strict-valid.
-RunOutput execute_mutated_run(
-    const std::shared_ptr<const sim::Protocol>& protocol,
-    const SafetyPredicate& judge,
-    const std::vector<ScriptedAdversary::Choice>& prefix, std::uint64_t seed,
-    bool burst, const FuzzOptions& options) {
-  RunOutput out;
-  LBSA_OBS_COUNTER_ADD_V("fuzz.exec.runs", 1);
-  sim::Simulation simulation(protocol);
-  const int n = simulation.process_count();
-  std::unordered_set<std::uint64_t> seen;
-  std::vector<std::int64_t> encoded;
+  sim::Config& config = scratch->config;
+  config = initial;
+  scratch->seen.clear();
 
   // Records one executed step, its fingerprint, and the first violation;
   // true means the run is over.
-  auto record_step = [&](int pid, int outcome) -> bool {
-    out.schedule.push_back({pid, outcome, false});
-    if (seen.size() < options.max_fingerprints_per_run) {
-      simulation.config().encode_into(&encoded);
-      const std::uint64_t h = hash_words(encoded);
-      if (seen.insert(h).second) out.fingerprints.push_back(h);
+  auto record_step = [&](const ScriptedAdversary::Choice& taken) -> bool {
+    out.schedule.push_back(taken);
+    if (scratch->seen.size() < options.max_fingerprints_per_run) {
+      config.encode_into(&scratch->encoded);
+      const std::uint64_t h = hash_words(scratch->encoded);
+      if (scratch->seen.insert(h).second) out.fingerprints.push_back(h);
     }
-    auto [property, detail] = judge(simulation.config());
+    auto [property, detail] = judge(config);
     if (!property.empty()) {
       out.property = std::move(property);
       out.detail = std::move(detail);
@@ -154,48 +117,37 @@ RunOutput execute_mutated_run(
     return false;
   };
 
-  // Phase 1: lenient replay of the mutated prefix (same semantics as
-  // run_schedule_lenient).
-  for (const ScriptedAdversary::Choice& choice : prefix) {
-    if (choice.pid < 0 || choice.pid >= n) continue;
-    if (choice.crash) {
-      if (!simulation.config().procs[static_cast<size_t>(choice.pid)]
-               .running()) {
-        continue;
-      }
-      simulation.crash(choice.pid);
-      out.schedule.push_back({choice.pid, 0, true});
+  for (const ScriptedAdversary::Choice& event : prefix) {
+    const auto taken =
+        lenient_step(protocol, event, &config, &scratch->prepared);
+    if (!taken) continue;
+    if (taken->crash) {
+      out.schedule.push_back(*taken);
       continue;
     }
-    if (!simulation.config().enabled(choice.pid)) continue;
-    const int outcomes =
-        sim::outcome_count(*protocol, simulation.config(), choice.pid);
-    const int outcome =
-        (choice.outcome >= 0 && choice.outcome < outcomes) ? choice.outcome
-                                                           : 0;
-    simulation.step(choice.pid, outcome);
-    if (record_step(choice.pid, outcome)) return out;
+    if (record_step(*taken)) return out;
     if (out.schedule.size() >= options.max_steps_per_run) return out;
   }
 
-  // Phase 2: random continuation until termination or budget.
   sim::RandomAdversary uniform(seed);
   BurstAdversary bursty(seed);
   sim::Adversary& adversary = burst
                                   ? static_cast<sim::Adversary&>(bursty)
                                   : static_cast<sim::Adversary&>(uniform);
   for (std::uint64_t step = out.schedule.size();
-       step < options.max_steps_per_run && !simulation.config().halted();
-       ++step) {
-    const int pid = adversary.pick_process(simulation.config(), step);
+       step < options.max_steps_per_run && !config.halted(); ++step) {
+    const int pid = adversary.pick_process(config, step);
     if (pid == sim::Adversary::kStop) break;
-    const int outcomes =
-        sim::outcome_count(*protocol, simulation.config(), pid);
-    const int outcome = adversary.pick_outcome(outcomes, step);
-    simulation.step(pid, outcome);
-    if (record_step(pid, outcome)) return out;
+    sim::prepare_step(protocol, config, pid, &scratch->prepared);
+    const int outcome =
+        adversary.pick_outcome(scratch->prepared.outcome_count(), step);
+    // Volatile, as in Simulation: the blind engine's step total depends on
+    // thread timing.
+    LBSA_OBS_COUNTER_ADD_V("sim.steps", 1);
+    sim::commit_step(protocol, &config, outcome, &scratch->prepared);
+    if (record_step({pid, outcome, false})) return out;
   }
-  out.terminated = simulation.config().halted();
+  out.terminated = config.halted();
   return out;
 }
 
@@ -343,6 +295,7 @@ FuzzReport fuzz_blind(const std::shared_ptr<const sim::Protocol>& protocol,
     run_burst[i] = meta.next_bool(options.burst_fraction);
   }
 
+  const sim::Config initial = sim::initial_config(*protocol);
   std::vector<RunOutput> outputs(budget);
   std::atomic<std::uint64_t> next{0};
   std::atomic<int> violations_found{0};
@@ -352,6 +305,7 @@ FuzzReport fuzz_blind(const std::shared_ptr<const sim::Protocol>& protocol,
   auto worker = [&](int widx) {
     // Per-worker lane; excluded from trace-count determinism comparisons.
     obs::Span span("fuzz.worker", obs::kCatWorker, widx + 1);
+    RunScratch scratch;
     while (!stop.load(std::memory_order_relaxed)) {
       if (lifecycle_stop(options)) {
         // Already-claimed runs complete (the aggregated prefix stays
@@ -362,11 +316,11 @@ FuzzReport fuzz_blind(const std::shared_ptr<const sim::Protocol>& protocol,
       }
       const std::uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= budget) break;
-      outputs[i] = execute_fresh_run(protocol, judge, run_seeds[i],
-                                     run_burst[i], options,
-                                     /*record_clean_schedule=*/false);
-      if (outputs[i].violated &&
-          violations_found.fetch_add(1) + 1 >= options.max_violations) {
+      outputs[i] = execute_run(*protocol, judge, initial, {}, run_seeds[i],
+                               run_burst[i], options, &scratch);
+      if (!outputs[i].violated) {
+        outputs[i].schedule = {};  // only a violation's schedule is kept
+      } else if (violations_found.fetch_add(1) + 1 >= options.max_violations) {
         stop.store(true, std::memory_order_relaxed);
       }
     }
@@ -418,6 +372,8 @@ FuzzReport fuzz_coverage(const std::shared_ptr<const sim::Protocol>& protocol,
   std::unordered_set<std::uint64_t> global;
   std::deque<std::vector<ScriptedAdversary::Choice>> pool;
   std::vector<std::vector<ScriptedAdversary::Choice>> schedules;
+  const sim::Config initial = sim::initial_config(*protocol);
+  RunScratch scratch;
 
   std::uint64_t start_run = 0;
   if (options.resume != nullptr) {
@@ -517,11 +473,11 @@ FuzzReport fuzz_coverage(const std::shared_ptr<const sim::Protocol>& protocol,
       const auto mutated = mutate_schedule(pool, protocol->process_count(),
                                            rng, &mutation_kind);
       mutation_counter(mutation_kind, /*interesting=*/false)->add(1);
-      out = execute_mutated_run(protocol, judge, mutated, rng.next(), burst,
-                                options);
+      out = execute_run(*protocol, judge, initial, mutated, rng.next(), burst,
+                        options, &scratch);
     } else {
-      out = execute_fresh_run(protocol, judge, run_seed, burst, options,
-                              /*record_clean_schedule=*/true);
+      out = execute_run(*protocol, judge, initial, {}, run_seed, burst,
+                        options, &scratch);
     }
 
     ++report.runs_executed;
@@ -566,26 +522,57 @@ bool FuzzReport::violates(const std::string& property) const {
       [&](const FuzzViolation& v) { return v.property == property; });
 }
 
+namespace {
+
+// The judges run after every fuzz step, so they allocate nothing unless
+// they report a violation.
+
+// Number of distinct decided values: a decision counts once, at the first
+// process that decided it.
+int distinct_decisions(const sim::Config& config) {
+  int distinct = 0;
+  for (std::size_t i = 0; i < config.procs.size(); ++i) {
+    if (!config.procs[i].decided()) continue;
+    bool repeat = false;
+    for (std::size_t j = 0; j < i && !repeat; ++j) {
+      repeat = config.procs[j].decided() &&
+               config.procs[j].decision == config.procs[i].decision;
+    }
+    if (!repeat) ++distinct;
+  }
+  return distinct;
+}
+
+// The smallest decided value for which `invalid` holds, if any.
+template <typename Invalid>
+std::optional<Value> smallest_invalid_decision(const sim::Config& config,
+                                               Invalid invalid) {
+  std::optional<Value> smallest;
+  for (const sim::ProcessState& ps : config.procs) {
+    if (ps.decided() && (!smallest || ps.decision < *smallest) &&
+        invalid(ps.decision)) {
+      smallest = ps.decision;
+    }
+  }
+  return smallest;
+}
+
+}  // namespace
+
 SafetyPredicate k_agreement_safety(int k, std::vector<Value> inputs) {
   LBSA_CHECK(k >= 1);
   std::set<Value> input_set(inputs.begin(), inputs.end());
   return [k, input_set = std::move(input_set)](const sim::Config& config)
              -> std::pair<std::string, std::string> {
-    std::vector<Value> decided;
-    for (const auto& ps : config.procs) {
-      if (ps.decided()) decided.push_back(ps.decision);
+    const int distinct = distinct_decisions(config);
+    if (distinct > k) {
+      return {"agreement", std::to_string(distinct) + " distinct decisions"};
     }
-    std::sort(decided.begin(), decided.end());
-    decided.erase(std::unique(decided.begin(), decided.end()), decided.end());
-    if (static_cast<int>(decided.size()) > k) {
-      return {"agreement",
-              std::to_string(decided.size()) + " distinct decisions"};
-    }
-    for (Value v : decided) {
-      if (!input_set.contains(v)) {
-        return {"validity",
-                "decided " + value_to_string(v) + " never proposed"};
-      }
+    const std::optional<Value> unproposed = smallest_invalid_decision(
+        config, [&](Value v) { return !input_set.contains(v); });
+    if (unproposed) {
+      return {"validity",
+              "decided " + value_to_string(*unproposed) + " never proposed"};
     }
     for (std::size_t pid = 0; pid < config.procs.size(); ++pid) {
       if (config.procs[pid].aborted()) {
@@ -602,27 +589,20 @@ SafetyPredicate dac_safety(int distinguished_pid, std::vector<Value> inputs) {
   return [distinguished_pid, inputs = std::move(inputs)](
              const sim::Config& config)
              -> std::pair<std::string, std::string> {
-    std::vector<Value> decided;
-    for (const auto& ps : config.procs) {
-      if (ps.decided()) decided.push_back(ps.decision);
+    const int distinct = distinct_decisions(config);
+    if (distinct > 1) {
+      return {"agreement", std::to_string(distinct) + " distinct decisions"};
     }
-    std::sort(decided.begin(), decided.end());
-    decided.erase(std::unique(decided.begin(), decided.end()), decided.end());
-    if (decided.size() > 1) {
-      return {"agreement",
-              std::to_string(decided.size()) + " distinct decisions"};
-    }
-    for (Value v : decided) {
-      bool witnessed = false;
-      for (std::size_t pid = 0; pid < config.procs.size(); ++pid) {
-        if (inputs[pid] == v && !config.procs[pid].aborted()) {
-          witnessed = true;
-        }
-      }
-      if (!witnessed) {
-        return {"validity", "decided " + value_to_string(v) +
-                                " has no non-aborting proposer"};
-      }
+    const std::optional<Value> unwitnessed =
+        smallest_invalid_decision(config, [&](Value v) {
+          for (std::size_t pid = 0; pid < config.procs.size(); ++pid) {
+            if (inputs[pid] == v && !config.procs[pid].aborted()) return false;
+          }
+          return true;
+        });
+    if (unwitnessed) {
+      return {"validity", "decided " + value_to_string(*unwitnessed) +
+                              " has no non-aborting proposer"};
     }
     for (std::size_t pid = 0; pid < config.procs.size(); ++pid) {
       if (config.procs[pid].aborted() &&

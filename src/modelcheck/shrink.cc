@@ -2,44 +2,49 @@
 
 #include <algorithm>
 
-#include "base/hashing.h"
 #include "obs/obs.h"
-#include "sim/simulation.h"
 
 namespace lbsa::modelcheck {
+
+std::optional<sim::ScriptedAdversary::Choice> lenient_step(
+    const sim::Protocol& protocol,
+    const sim::ScriptedAdversary::Choice& event, sim::Config* config,
+    sim::PreparedStep* prepared) {
+  const int pid = event.pid;
+  if (pid < 0 || pid >= static_cast<int>(config->procs.size())) {
+    return std::nullopt;
+  }
+  // A crash of a process that is not running, or a step of one, is a no-op
+  // in a lenient replay: the event is dropped.
+  if (!config->enabled(pid)) return std::nullopt;
+  if (event.crash) {
+    LBSA_OBS_COUNTER_ADD_V("sim.crashes", 1);
+    config->procs[static_cast<size_t>(pid)].status = sim::ProcStatus::kCrashed;
+    return sim::ScriptedAdversary::Choice{pid, 0, true};
+  }
+  sim::prepare_step(protocol, *config, pid, prepared);
+  const int outcome =
+      (event.outcome >= 0 && event.outcome < prepared->outcome_count())
+          ? event.outcome
+          : 0;
+  LBSA_OBS_COUNTER_ADD_V("sim.steps", 1);
+  sim::commit_step(protocol, config, outcome, prepared);
+  return sim::ScriptedAdversary::Choice{pid, outcome, false};
+}
 
 ReplayOutcome run_schedule_lenient(
     const std::shared_ptr<const sim::Protocol>& protocol,
     const std::vector<sim::ScriptedAdversary::Choice>& schedule,
-    const SafetyPredicate& judge, std::vector<std::uint64_t>* step_hashes) {
+    const SafetyPredicate& judge) {
   ReplayOutcome out;
-  sim::Simulation simulation(protocol);
-  const int n = simulation.process_count();
-  std::vector<std::int64_t> encoded;  // reused hash buffer
-  for (const sim::ScriptedAdversary::Choice& choice : schedule) {
-    if (choice.pid < 0 || choice.pid >= n) continue;
-    if (choice.crash) {
-      if (!simulation.config().procs[static_cast<size_t>(choice.pid)]
-               .running()) {
-        continue;  // crashing a terminated process is a no-op: drop it
-      }
-      simulation.crash(choice.pid);
-      out.effective.push_back({choice.pid, 0, true});
-      continue;
-    }
-    if (!simulation.config().enabled(choice.pid)) continue;
-    const int outcomes =
-        sim::outcome_count(*protocol, simulation.config(), choice.pid);
-    const int outcome =
-        (choice.outcome >= 0 && choice.outcome < outcomes) ? choice.outcome
-                                                           : 0;
-    simulation.step(choice.pid, outcome);
-    out.effective.push_back({choice.pid, outcome, false});
-    if (step_hashes != nullptr) {
-      simulation.config().encode_into(&encoded);
-      step_hashes->push_back(hash_words(encoded));
-    }
-    auto [property, detail] = judge(simulation.config());
+  sim::Config config = sim::initial_config(*protocol);
+  sim::PreparedStep prepared;
+  for (const sim::ScriptedAdversary::Choice& event : schedule) {
+    const auto taken = lenient_step(*protocol, event, &config, &prepared);
+    if (!taken) continue;
+    out.effective.push_back(*taken);
+    if (taken->crash) continue;
+    auto [property, detail] = judge(config);
     if (!property.empty()) {
       out.property = std::move(property);
       out.detail = std::move(detail);

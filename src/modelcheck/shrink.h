@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,16 +53,25 @@ struct ReplayOutcome {
   bool violated() const { return !property.empty(); }
 };
 
-// Executes `schedule` on a fresh simulation of `protocol` with the lenient
-// semantics described above, evaluating `judge` after every step and
-// stopping at the first violation. If `step_hashes` is non-null, the
-// configuration hash after every executed step is appended (coverage
-// fingerprints for the fuzzer).
+// Applies one schedule event to *config in place with the lenient
+// semantics described above, preparing the step into *prepared. An event
+// naming an out-of-range pid, a crash of a process that is not running, or
+// a step of one that is not enabled is skipped (nullopt); an out-of-range
+// outcome falls back to 0. Returns the event as it executed. Counts
+// sim.steps and sim.crashes, as Simulation does. Shared by the shrinker's
+// replay and the fuzzer's replay of a mutated prefix.
+std::optional<sim::ScriptedAdversary::Choice> lenient_step(
+    const sim::Protocol& protocol,
+    const sim::ScriptedAdversary::Choice& event, sim::Config* config,
+    sim::PreparedStep* prepared);
+
+// Executes `schedule` from the initial configuration of `protocol` with the
+// lenient semantics described above, evaluating `judge` after every step
+// and stopping at the first violation.
 ReplayOutcome run_schedule_lenient(
     const std::shared_ptr<const sim::Protocol>& protocol,
     const std::vector<sim::ScriptedAdversary::Choice>& schedule,
-    const SafetyPredicate& judge,
-    std::vector<std::uint64_t>* step_hashes = nullptr);
+    const SafetyPredicate& judge);
 
 struct ShrinkOptions {
   // Hard cap on candidate replays (the dominant cost driver).

@@ -56,6 +56,14 @@ int Config::enabled_count() const {
   return count;
 }
 
+int Config::nth_enabled(int index) const {
+  for (int pid = 0; pid < static_cast<int>(procs.size()); ++pid) {
+    if (enabled(pid) && index-- == 0) return pid;
+  }
+  LBSA_CHECK_MSG(false, "nth_enabled: index out of range");
+  return -1;
+}
+
 Status decode_config_into(std::span<const std::int64_t> words, Config* out) {
   std::size_t pos = 0;
   auto take = [&](std::int64_t* word) -> bool {
@@ -153,29 +161,15 @@ std::string Step::to_string(const Protocol& protocol) const {
   return out + "?";
 }
 
-namespace {
-
-// Shared core: enumerate the outcomes of pid's next action from `config`.
-// For each outcome, `emit` is called with the resulting (response, step).
-void expand(const Protocol& protocol, const Config& config, int pid,
-            std::vector<Successor>* out) {
+void prepare_step(const Protocol& protocol, const Config& config, int pid,
+                  PreparedStep* prepared) {
   LBSA_CHECK_MSG(config.enabled(pid), "stepping a non-running process");
-  const ProcessState& ps = config.procs[static_cast<size_t>(pid)];
-  const Action action = protocol.next_action(pid, ps);
-
-  if (action.kind == Action::Kind::kDecide ||
-      action.kind == Action::Kind::kAbort) {
-    Successor succ{config, Step{pid, action, kNil, 0}};
-    ProcessState& nps = succ.config.procs[static_cast<size_t>(pid)];
-    if (action.kind == Action::Kind::kDecide) {
-      nps.status = ProcStatus::kDecided;
-      nps.decision = action.decision;
-    } else {
-      nps.status = ProcStatus::kAborted;
-    }
-    out->push_back(std::move(succ));
-    return;
-  }
+  prepared->pid = pid;
+  prepared->action =
+      protocol.next_action(pid, config.procs[static_cast<size_t>(pid)]);
+  prepared->outcomes.clear();
+  const Action& action = prepared->action;
+  if (action.kind != Action::Kind::kInvoke) return;
 
   LBSA_CHECK(action.object_index >= 0 &&
              static_cast<size_t>(action.object_index) <
@@ -184,46 +178,60 @@ void expand(const Protocol& protocol, const Config& config, int pid,
       *protocol.objects()[static_cast<size_t>(action.object_index)];
   const Status valid = type.validate(action.op);
   LBSA_CHECK_MSG(valid.is_ok(), valid.to_string().c_str());
-
-  std::vector<spec::Outcome> outcomes;
   type.apply(config.objects[static_cast<size_t>(action.object_index)],
-             action.op, &outcomes);
-  LBSA_CHECK(!outcomes.empty());
-
-  for (size_t choice = 0; choice < outcomes.size(); ++choice) {
-    Successor succ{config,
-                   Step{pid, action, outcomes[choice].response,
-                        static_cast<int>(choice)}};
-    succ.config.objects[static_cast<size_t>(action.object_index)] =
-        std::move(outcomes[choice].next_state);
-    protocol.on_response(pid, &succ.config.procs[static_cast<size_t>(pid)],
-                         outcomes[choice].response);
-    out->push_back(std::move(succ));
-  }
+             action.op, &prepared->outcomes);
+  LBSA_CHECK(!prepared->outcomes.empty());
 }
 
-}  // namespace
+Step commit_step(const Protocol& protocol, Config* config, int outcome_choice,
+                 PreparedStep* prepared) {
+  LBSA_CHECK_MSG(
+      outcome_choice >= 0 && outcome_choice < prepared->outcome_count(),
+      "outcome_choice out of range");
+  const int pid = prepared->pid;
+  const Action& action = prepared->action;
+  ProcessState& ps = config->procs[static_cast<size_t>(pid)];
+  switch (action.kind) {
+    case Action::Kind::kDecide:
+      ps.status = ProcStatus::kDecided;
+      ps.decision = action.decision;
+      return Step{pid, action, kNil, 0};
+    case Action::Kind::kAbort:
+      ps.status = ProcStatus::kAborted;
+      return Step{pid, action, kNil, 0};
+    case Action::Kind::kInvoke:
+      break;
+  }
+  spec::Outcome& outcome =
+      prepared->outcomes[static_cast<size_t>(outcome_choice)];
+  config->objects[static_cast<size_t>(action.object_index)] =
+      std::move(outcome.next_state);
+  protocol.on_response(pid, &ps, outcome.response);
+  return Step{pid, action, outcome.response, outcome_choice};
+}
 
 void enumerate_successors(const Protocol& protocol, const Config& config,
                           int pid, std::vector<Successor>* out) {
-  expand(protocol, config, pid, out);
+  PreparedStep prepared;
+  prepare_step(protocol, config, pid, &prepared);
+  for (int choice = 0; choice < prepared.outcome_count(); ++choice) {
+    out->push_back(Successor{config, Step{}});
+    Successor& succ = out->back();
+    succ.step = commit_step(protocol, &succ.config, choice, &prepared);
+  }
 }
 
 Step apply_step(const Protocol& protocol, Config* config, int pid,
                 int outcome_choice) {
-  std::vector<Successor> succs;
-  expand(protocol, *config, pid, &succs);
-  LBSA_CHECK_MSG(outcome_choice >= 0 &&
-                     static_cast<size_t>(outcome_choice) < succs.size(),
-                 "outcome_choice out of range");
-  *config = std::move(succs[static_cast<size_t>(outcome_choice)].config);
-  return succs[static_cast<size_t>(outcome_choice)].step;
+  PreparedStep prepared;
+  prepare_step(protocol, *config, pid, &prepared);
+  return commit_step(protocol, config, outcome_choice, &prepared);
 }
 
 int outcome_count(const Protocol& protocol, const Config& config, int pid) {
-  std::vector<Successor> succs;
-  expand(protocol, config, pid, &succs);
-  return static_cast<int>(succs.size());
+  PreparedStep prepared;
+  prepare_step(protocol, config, pid, &prepared);
+  return prepared.outcome_count();
 }
 
 }  // namespace lbsa::sim

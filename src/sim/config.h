@@ -1,7 +1,10 @@
 // Configurations and the one-step transition relation — the exact objects
 // the paper's proofs reason about ("configuration C", "step e_p", "history H
-// applicable to C"). Both the interactive Simulation and the exhaustive
-// model checker are built on these functional semantics.
+// applicable to C"). Every engine steps through one core: prepare_step
+// computes a process's next action and all its outcomes once, and
+// commit_step applies one outcome to a configuration in place. The
+// Simulation, the fuzzer, the shrinker, the replayer and the exhaustive
+// model checker are all built on these two functions.
 #ifndef LBSA_SIM_CONFIG_H_
 #define LBSA_SIM_CONFIG_H_
 
@@ -47,6 +50,9 @@ struct Config {
   }
   // Count of enabled processes.
   int enabled_count() const;
+  // The index-th enabled pid in pid order (0 <= index < enabled_count()):
+  // a uniform pick draws the index, with no vector of enabled pids.
+  int nth_enabled(int index) const;
   // True iff no process is enabled.
   bool halted() const { return enabled_count() == 0; }
 };
@@ -77,22 +83,53 @@ struct Step {
   friend bool operator==(const Step&, const Step&) = default;
 };
 
+// pid's next step from one configuration, computed once: its action and,
+// for an invoke, every outcome the object allows. Reusable across steps, so
+// a loop that steps through one PreparedStep allocates only what the
+// object's apply allocates.
+struct PreparedStep {
+  int pid = -1;
+  Action action;
+  // An invoke's (response, next object state) pairs, in the object's order;
+  // empty for a decide or abort, which has exactly one outcome.
+  std::vector<spec::Outcome> outcomes;
+
+  // Number of distinct outcomes (>= 1).
+  int outcome_count() const {
+    return outcomes.empty() ? 1 : static_cast<int>(outcomes.size());
+  }
+};
+
+// Prepares pid's next step from `config` into *prepared, replacing what it
+// held. pid must be enabled; the operation is validated.
+void prepare_step(const Protocol& protocol, const Config& config, int pid,
+                  PreparedStep* prepared);
+
+// Applies outcome `outcome_choice` (in [0, outcome_count())) of the step
+// prepared from *config, in place, and returns the step taken: a decide or
+// abort has response kNil and choice 0. The chosen outcome's next object
+// state is moved out of *prepared, so each outcome is committed at most
+// once; committing several outcomes needs one copy of the configuration
+// each (enumerate_successors).
+Step commit_step(const Protocol& protocol, Config* config, int outcome_choice,
+                 PreparedStep* prepared);
+
 // A successor configuration together with the step that produced it.
 struct Successor {
   Config config;
   Step step;
 };
 
-// Enumerates every successor of `config` by one step of process pid
+// Appends every successor of `config` by one step of process pid to *out
 // (one per nondeterministic outcome; exactly one for deterministic objects
-// and for decide/abort steps). pid must be enabled. The protocol's
-// operations are validated on first use per call.
+// and for decide/abort steps): one prepare, then a copy and a commit per
+// outcome. pid must be enabled.
 void enumerate_successors(const Protocol& protocol, const Config& config,
                           int pid, std::vector<Successor>* out);
 
 // Applies one specific step choice: pid steps, and if the object is
 // nondeterministic, outcome_choice in [0, #outcomes) selects the response.
-// Returns the step taken. config is updated in place.
+// Returns the step taken. config is updated in place. Prepare + commit.
 Step apply_step(const Protocol& protocol, Config* config, int pid,
                 int outcome_choice);
 

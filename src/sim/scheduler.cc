@@ -29,12 +29,10 @@ int RoundRobinAdversary::pick_process(const Config& config,
 
 int RandomAdversary::pick_process(const Config& config,
                                   std::uint64_t /*step_index*/) {
-  std::vector<int> enabled;
-  for (int pid = 0; pid < static_cast<int>(config.procs.size()); ++pid) {
-    if (config.enabled(pid)) enabled.push_back(pid);
-  }
-  if (enabled.empty()) return kStop;
-  return enabled[rng_.next_below(enabled.size())];
+  const int enabled = config.enabled_count();
+  if (enabled == 0) return kStop;
+  return config.nth_enabled(static_cast<int>(
+      rng_.next_below(static_cast<std::uint64_t>(enabled))));
 }
 
 int RandomAdversary::pick_outcome(int outcome_count,

@@ -15,12 +15,27 @@ Simulation::Simulation(std::shared_ptr<const Protocol> protocol)
 }
 
 Step Simulation::step(int pid, int outcome_choice) {
+  prepare_step(*protocol_, config_, pid, &prepared_);
+  Step s = commit(outcome_choice);
+  history_.push_back(s);
+  return s;
+}
+
+std::optional<Step> Simulation::try_step(int pid, int outcome_choice) {
+  prepare_step(*protocol_, config_, pid, &prepared_);
+  if (outcome_choice < 0 || outcome_choice >= prepared_.outcome_count()) {
+    return std::nullopt;
+  }
+  Step s = commit(outcome_choice);
+  history_.push_back(s);
+  return s;
+}
+
+Step Simulation::commit(int outcome_choice) {
   // Volatile: step totals depend on who drives the simulation (fuzz workers
   // keep stepping past the deterministic report cutoff).
   LBSA_OBS_COUNTER_ADD_V("sim.steps", 1);
-  Step s = apply_step(*protocol_, &config_, pid, outcome_choice);
-  history_.push_back(s);
-  return s;
+  return commit_step(*protocol_, &config_, outcome_choice, &prepared_);
 }
 
 void Simulation::crash(int pid) {
@@ -48,10 +63,8 @@ RunResult Simulation::run(Adversary* adversary, const RunOptions& options) {
       return result;
     }
     LBSA_CHECK_MSG(config_.enabled(pid), "adversary picked a halted process");
-    const int outcomes = outcome_count(*protocol_, config_, pid);
-    const int choice = adversary->pick_outcome(outcomes, i);
-    LBSA_OBS_COUNTER_ADD_V("sim.steps", 1);
-    Step s = apply_step(*protocol_, &config_, pid, choice);
+    prepare_step(*protocol_, config_, pid, &prepared_);
+    Step s = commit(adversary->pick_outcome(prepared_.outcome_count(), i));
     if (options.record_history) history_.push_back(s);
   }
   result.steps = options.max_steps;

@@ -5,6 +5,7 @@
 #define LBSA_SIM_SIMULATION_H_
 
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -37,6 +38,10 @@ class Simulation {
   // Single manual step of pid (must be enabled); returns the step taken.
   Step step(int pid, int outcome_choice = 0);
 
+  // Like step, but returns nullopt and leaves the simulation unchanged if
+  // pid's step has no outcome outcome_choice (negative or too large).
+  std::optional<Step> try_step(int pid, int outcome_choice);
+
   // Marks pid crashed (idempotent for already-terminated processes).
   void crash(int pid);
 
@@ -57,8 +62,12 @@ class Simulation {
   std::string dump() const;
 
  private:
+  // Counts and records the step prepared_ holds, committing outcome_choice.
+  Step commit(int outcome_choice);
+
   std::shared_ptr<const Protocol> protocol_;
   Config config_;
+  PreparedStep prepared_;  // reused by every step
   std::vector<Step> history_;
 };
 

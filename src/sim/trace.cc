@@ -120,13 +120,10 @@ StatusOr<Simulation> replay_schedule(
                                  ": process p" + std::to_string(pid) +
                                  " is not running");
     }
-    const int outcomes =
-        outcome_count(simulation.protocol(), simulation.config(), pid);
-    if (outcome >= outcomes) {
+    if (!simulation.try_step(pid, outcome)) {
       return failed_precondition("replay step " + std::to_string(i) +
                                  ": outcome choice out of range");
     }
-    simulation.step(pid, outcome);
   }
   return simulation;
 }

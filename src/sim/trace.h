@@ -43,7 +43,8 @@ StatusOr<std::vector<ScriptedAdversary::Choice>> parse_schedule(
 
 // Replays a schedule on a fresh simulation of `protocol`. Fails with
 // FAILED_PRECONDITION if the schedule names a halted process or an
-// out-of-range outcome at any point. Crash events are applied with
+// out-of-range outcome (negative, or past the step's outcomes) at any
+// point. Crash events are applied with
 // Simulation::crash (idempotent on already-terminated processes); a crash
 // of an out-of-range pid fails.
 StatusOr<Simulation> replay_schedule(

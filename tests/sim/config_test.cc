@@ -1,11 +1,19 @@
 // Tests for the configuration semantics: initial configs, step application,
-// successor enumeration, encoding/hashing.
+// successor enumeration, encoding/hashing, and an independent oracle for
+// the in-place step core.
 #include "sim/config.h"
+
+#include <deque>
+#include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "protocols/dac_from_pac.h"
+#include "protocols/group_ksa.h"
+#include "protocols/mutants.h"
 #include "protocols/one_shot.h"
+#include "protocols/straw_dac.h"
 
 namespace lbsa::sim {
 namespace {
@@ -110,6 +118,129 @@ TEST(Config, StepToStringIsReadable) {
   EXPECT_NE(text.find("p0"), std::string::npos);
   EXPECT_NE(text.find("PROPOSE"), std::string::npos);
   EXPECT_NE(text.find("10"), std::string::npos);
+}
+
+// The one-step semantics written out directly, sharing no code with
+// prepare_step/commit_step: for each outcome, copy the configuration, ask
+// the protocol for pid's action, apply the operation to the object, store
+// the chosen next state and advance the automaton.
+std::vector<std::pair<Step, Config>> naive_successors(const Protocol& protocol,
+                                                      const Config& config,
+                                                      int pid) {
+  const auto p = static_cast<std::size_t>(pid);
+  const Action action = protocol.next_action(pid, config.procs[p]);
+  std::vector<std::pair<Step, Config>> out;
+  if (action.kind != Action::Kind::kInvoke) {
+    Config next = config;
+    if (action.kind == Action::Kind::kDecide) {
+      next.procs[p].status = ProcStatus::kDecided;
+      next.procs[p].decision = action.decision;
+    } else {
+      next.procs[p].status = ProcStatus::kAborted;
+    }
+    out.emplace_back(Step{pid, action, kNil, 0}, std::move(next));
+    return out;
+  }
+  const auto object = static_cast<std::size_t>(action.object_index);
+  std::vector<spec::Outcome> outcomes;
+  protocol.objects()[object]->apply(config.objects[object], action.op,
+                                    &outcomes);
+  for (std::size_t choice = 0; choice < outcomes.size(); ++choice) {
+    Config next = config;
+    next.objects[object] = outcomes[choice].next_state;
+    protocol.on_response(pid, &next.procs[p], outcomes[choice].response);
+    out.emplace_back(Step{pid, action, outcomes[choice].response,
+                          static_cast<int>(choice)},
+                     std::move(next));
+  }
+  return out;
+}
+
+std::vector<Value> registry_inputs(int n) {
+  std::vector<Value> inputs;
+  for (int i = 0; i < n; ++i) inputs.push_back(100 + 100 * i);
+  return inputs;
+}
+
+// Walks a breadth-first prefix of about 2,000 configurations of each
+// protocol with the naive stepper, and at every configuration checks every
+// enabled pid and every outcome: prepare_step + commit_step (one reused
+// PreparedStep, each outcome committed into its own copy), apply_step,
+// outcome_count and enumerate_successors must all return the naive Step
+// and Config.
+TEST(Config, PreparedStepMatchesNaiveStepper) {
+  constexpr std::size_t kNodeBound = 2000;
+  struct Case {
+    const char* name;  // the registry task it instantiates
+    std::shared_ptr<const Protocol> protocol;
+    bool multi_outcome;  // has nondeterministic k-SA objects
+  };
+  const Case cases[] = {
+      {"mutant-2sa4", protocols::make_overclaimed_two_sa(registry_inputs(4)),
+       true},
+      {"twosa4", make_ksa_via_two_sa(registry_inputs(4)), true},
+      {"dac3", std::make_shared<DacFromPacProtocol>(registry_inputs(3)),
+       false},
+      {"strawdac5", std::make_shared<protocols::StrawDacFallbackProtocol>(
+                        registry_inputs(5)),
+       false},
+      {"groupksa", std::make_shared<protocols::GroupKsaProtocol>(
+                       3, 4, registry_inputs(12)),
+       false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Protocol& protocol = *c.protocol;
+    std::set<std::vector<std::int64_t>> seen;
+    std::deque<Config> frontier;
+    const Config initial = initial_config(protocol);
+    seen.insert(initial.encode());
+    frontier.push_back(initial);
+    PreparedStep prepared;
+    std::size_t expanded = 0;
+    std::size_t checked_steps = 0;
+    std::size_t multi_outcome_steps = 0;
+    while (!frontier.empty()) {
+      const Config config = std::move(frontier.front());
+      frontier.pop_front();
+      ++expanded;
+      for (int pid = 0; pid < static_cast<int>(config.procs.size()); ++pid) {
+        if (!config.enabled(pid)) continue;
+        const auto want = naive_successors(protocol, config, pid);
+        prepare_step(protocol, config, pid, &prepared);
+        ASSERT_EQ(prepared.outcome_count(), static_cast<int>(want.size()));
+        ASSERT_EQ(outcome_count(protocol, config, pid),
+                  static_cast<int>(want.size()));
+        std::vector<Successor> enumerated;
+        enumerate_successors(protocol, config, pid, &enumerated);
+        ASSERT_EQ(enumerated.size(), want.size());
+        if (want.size() > 1) ++multi_outcome_steps;
+        for (std::size_t choice = 0; choice < want.size(); ++choice) {
+          const auto& [want_step, want_config] = want[choice];
+          Config committed = config;
+          EXPECT_EQ(commit_step(protocol, &committed,
+                                static_cast<int>(choice), &prepared),
+                    want_step);
+          EXPECT_EQ(committed, want_config);
+          Config applied = config;
+          EXPECT_EQ(apply_step(protocol, &applied, pid,
+                               static_cast<int>(choice)),
+                    want_step);
+          EXPECT_EQ(applied, want_config);
+          EXPECT_EQ(enumerated[choice].step, want_step);
+          EXPECT_EQ(enumerated[choice].config, want_config);
+          ++checked_steps;
+          if (seen.size() < kNodeBound &&
+              seen.insert(want_config.encode()).second) {
+            frontier.push_back(want_config);
+          }
+        }
+      }
+    }
+    EXPECT_GE(expanded, std::min<std::size_t>(kNodeBound, 100));
+    EXPECT_GT(checked_steps, expanded);
+    if (c.multi_outcome) EXPECT_GT(multi_outcome_steps, 0u);
+  }
 }
 
 }  // namespace

@@ -79,6 +79,25 @@ TEST(Trace, ReplayRejectsInvalidSchedules) {
   EXPECT_EQ(bad.status().code(), StatusCode::kFailedPrecondition);
 }
 
+// A negative outcome is out of range too: it fails with a Status instead of
+// reaching the step core's range check (which aborts the process).
+TEST(Trace, ReplayRejectsNegativeOutcome) {
+  auto protocol =
+      std::make_shared<DacFromPacProtocol>(std::vector<Value>{100, 200, 300});
+  for (int outcome : {-1, -2}) {
+    auto bad = replay_schedule(protocol, {{0, outcome}});
+    ASSERT_FALSE(bad.is_ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(bad.status().message().find("outcome choice out of range"),
+              std::string::npos)
+        << bad.status().to_string();
+  }
+  // After a valid step, the bad one is still reported by its index.
+  auto later = replay_schedule(protocol, {{0, 0}, {1, -1}});
+  ASSERT_FALSE(later.is_ok());
+  EXPECT_NE(later.status().message().find("replay step 1"), std::string::npos);
+}
+
 TEST(Trace, ParsesCrashEvents) {
   auto parsed = parse_schedule("!2\n0\n!1  # crash p1\n1:3\n");
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
