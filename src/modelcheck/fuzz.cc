@@ -514,16 +514,6 @@ FuzzReport fuzz_coverage(const std::shared_ptr<const sim::Protocol>& protocol,
   return report;
 }
 
-}  // namespace
-
-bool FuzzReport::violates(const std::string& property) const {
-  return std::any_of(
-      violations.begin(), violations.end(),
-      [&](const FuzzViolation& v) { return v.property == property; });
-}
-
-namespace {
-
 // The judges run after every fuzz step, so they allocate nothing unless
 // they report a violation.
 
@@ -558,6 +548,12 @@ std::optional<Value> smallest_invalid_decision(const sim::Config& config,
 }
 
 }  // namespace
+
+bool FuzzReport::violates(const std::string& property) const {
+  return std::any_of(
+      violations.begin(), violations.end(),
+      [&](const FuzzViolation& v) { return v.property == property; });
+}
 
 SafetyPredicate k_agreement_safety(int k, std::vector<Value> inputs) {
   LBSA_CHECK(k >= 1);

@@ -15,10 +15,9 @@ Simulation::Simulation(std::shared_ptr<const Protocol> protocol)
 }
 
 Step Simulation::step(int pid, int outcome_choice) {
-  prepare_step(*protocol_, config_, pid, &prepared_);
-  Step s = commit(outcome_choice);
-  history_.push_back(s);
-  return s;
+  const std::optional<Step> s = try_step(pid, outcome_choice);
+  LBSA_CHECK_MSG(s.has_value(), "outcome_choice out of range");
+  return *s;
 }
 
 std::optional<Step> Simulation::try_step(int pid, int outcome_choice) {

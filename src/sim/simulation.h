@@ -62,7 +62,8 @@ class Simulation {
   std::string dump() const;
 
  private:
-  // Counts and records the step prepared_ holds, committing outcome_choice.
+  // Counts one executed step and commits outcome outcome_choice of the step
+  // prepared_ holds.
   Step commit(int outcome_choice);
 
   std::shared_ptr<const Protocol> protocol_;
