@@ -8,6 +8,7 @@
 // regenerated file between BEGIN/END marker lines; a change that means to
 // move campaigns copies that block over the committed file, and its diff
 // names the campaigns that moved.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -43,18 +44,12 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-// A schedule's text on one line: events separated by spaces.
-std::string one_line(const std::string& schedule) {
-  std::string out;
-  for (char c : schedule) {
-    if (c == '\n') {
-      if (!out.empty()) out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  if (!out.empty() && out.back() == ' ') out.pop_back();
-  return out;
+// A schedule's text (one event per line) on one line: events separated by
+// spaces.
+std::string one_line(std::string schedule) {
+  std::replace(schedule.begin(), schedule.end(), '\n', ' ');
+  if (!schedule.empty()) schedule.pop_back();  // the last event's newline
+  return schedule;
 }
 
 std::uint64_t text_digest(const std::string& text) {
