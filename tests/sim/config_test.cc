@@ -239,7 +239,9 @@ TEST(Config, PreparedStepMatchesNaiveStepper) {
     }
     EXPECT_GE(expanded, 400u);  // dac3's whole graph has 441 nodes
     EXPECT_GT(checked_steps, expanded);
-    if (c.multi_outcome) EXPECT_GT(multi_outcome_steps, 0u);
+    if (c.multi_outcome) {
+      EXPECT_GT(multi_outcome_steps, 0u);
+    }
   }
 }
 
