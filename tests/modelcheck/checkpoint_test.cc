@@ -823,6 +823,53 @@ TEST(Checkpoint, ConcurrentWritersNeverTearTheFile) {
   EXPECT_EQ(survivor.value().frontier, cp.frontier);
 }
 
+// FNV-1a over a file's bytes: a digest written here, sharing no code with
+// the checkpoint writer it pins.
+std::uint64_t fnv1a_file(const std::string& path, std::uint64_t* size) {
+  std::ifstream in(path, std::ios::binary);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  *size = 0;
+  for (char c; in.get(c); ++*size) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The explore checkpoint format, pinned: four interrupted explorations
+// write files whose bytes must match digests recorded when the format was
+// last meant to change. A change to how nodes are stored in memory (their
+// intern keys) must leave every file byte-identical; a deliberate format
+// change bumps kExploreCheckpointSchemaVersion and re-records these.
+TEST(Checkpoint, FileBytesArePinned) {
+  struct Pinned {
+    const char* task;
+    Reduction reduction;
+    std::uint32_t levels;
+    std::uint64_t size;
+    std::uint64_t fnv1a;
+  };
+  const Pinned kPinned[] = {
+      {"dac3", Reduction::kNone, 3, 13744, 0x14bcc5d6836a6f3aULL},
+      {"mutant-2sa4", Reduction::kNone, 4, 463248, 0x803b342cdc4ab6fdULL},
+      {"dac4-sym", Reduction::kSymmetry, 5, 52472, 0x408ebed6672585b3ULL},
+      {"dac5", Reduction::kPor, 6, 764192, 0xe742df71e5e42326ULL},
+  };
+  for (const Pinned& pin : kPinned) {
+    SCOPED_TRACE(std::string(pin.task) + " " + reduction_name(pin.reduction));
+    ExploreOptions opts;
+    opts.reduction = pin.reduction;
+    opts.max_levels = pin.levels;
+    opts.checkpoint_path = temp_path("pinned.ckpt");
+    opts.checkpoint_label = pin.task;
+    const ConfigGraph partial = explore_or_die(get_task(pin.task), opts);
+    ASSERT_TRUE(partial.interrupted());
+    std::uint64_t size = 0;
+    const std::uint64_t digest = fnv1a_file(opts.checkpoint_path, &size);
+    EXPECT_EQ(size, pin.size);
+    EXPECT_EQ(digest, pin.fnv1a) << std::hex << "got 0x" << digest;
+  }
+}
+
 TEST(FuzzCheckpoint, CancelInterruptsBlindAndCoverage) {
   const NamedTask task = get_task("dac3");
   for (const bool coverage : {false, true}) {
