@@ -3,7 +3,8 @@
 // WordArena hands out contiguous runs of int64 words from geometrically
 // growing blocks. Unlike a std::vector, a block never moves once allocated,
 // so pointers into the arena stay valid for the arena's lifetime — the
-// explored graph keeps every node's intern key in one, and the
+// explored graph keeps every node's intern key in one (packed bytes, each
+// key padded to whole words), and the
 // batched intern table (modelcheck/batch_intern.h) stores key spans that
 // point straight into per-worker arenas instead of copying every key into a
 // shard-owned pool under a lock.

@@ -5,8 +5,10 @@
 #ifndef LBSA_BASE_HASHING_H_
 #define LBSA_BASE_HASHING_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 
 namespace lbsa {
@@ -28,6 +30,26 @@ inline std::uint64_t hash_words(std::span<const std::int64_t> words,
                                 std::uint64_t seed = 0x243f6a8885a308d3ULL) {
   std::uint64_t h = hash_combine(seed, static_cast<std::uint64_t>(words.size()));
   for (std::int64_t w : words) h = hash_combine(h, static_cast<std::uint64_t>(w));
+  return h;
+}
+
+// Hash of a byte string (the model checker's packed node keys): the same
+// combine as hash_words, with the length mixed in first, then one word per
+// 8-byte little-endian chunk, the last zero-padded.
+inline std::uint64_t hash_bytes(std::span<const std::uint8_t> bytes,
+                                std::uint64_t seed = 0x243f6a8885a308d3ULL) {
+  std::uint64_t h = hash_combine(seed, static_cast<std::uint64_t>(bytes.size()));
+  auto chunk = [&](std::size_t at, std::size_t n) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, bytes.data() + at, n);
+    if constexpr (std::endian::native == std::endian::big) {
+      w = __builtin_bswap64(w);
+    }
+    return w;
+  };
+  std::size_t i = 0;
+  for (; i + 8 <= bytes.size(); i += 8) h = hash_combine(h, chunk(i, 8));
+  if (i < bytes.size()) h = hash_combine(h, chunk(i, bytes.size() - i));
   return h;
 }
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <iterator>
 #include <memory>
 #include <mutex>
@@ -115,18 +116,49 @@ void add_canon_metrics(const sim::CanonScratch& s) {
   LBSA_OBS_COUNTER_ADD_V("explore.canon.fast_path", s.fast_path);
 }
 
+// Grow-only bytes that a packer writes straight into: room(n) makes n
+// bytes writable past size() without zero-filling them, and commit(end)
+// keeps what was written up to end.
+class ByteBuffer {
+ public:
+  std::uint8_t* room(std::size_t n) {
+    if (size_ + n > capacity_) grow(size_ + n);
+    return data_.get() + size_;
+  }
+  void commit(const std::uint8_t* end) {
+    size_ = static_cast<std::size_t>(end - data_.get());
+  }
+  const std::uint8_t* data() const { return data_.get(); }
+  std::size_t size() const { return size_; }
+  void clear() { size_ = 0; }
+
+ private:
+  void grow(std::size_t min_capacity) {
+    const std::size_t capacity =
+        std::max({min_capacity, capacity_ * 2, std::size_t{4096}});
+    auto data = std::make_unique_for_overwrite<std::uint8_t[]>(capacity);
+    if (size_ > 0) std::memcpy(data.get(), data_.get(), size_);
+    data_ = std::move(data);
+    capacity_ = capacity;
+  }
+
+  std::unique_ptr<std::uint8_t[]> data_;
+  std::size_t size_ = 0;
+  std::size_t capacity_ = 0;
+};
+
 // The successors of a run of consecutive frontier nodes, in canonical order
 // (frontier order, then pids ascending, then outcome order), each with its
-// intern key (encoding or canonical encoding, then the path flag) and the
-// key's hash: everything interning needs, computed off the interning thread.
-// Plain data only, so the thread that merges a batch frees nothing that
-// another thread allocated.
+// intern key (the path flag, then the encoding or canonical encoding, every
+// word packed) and the key's hash: everything interning needs, computed off
+// the interning thread. Plain data only, so the thread that merges a batch
+// frees nothing that another thread allocated.
 struct Batch {
   struct Succ {
     std::int32_t pid = -1;  // the step that reached it
     sim::Action::Kind kind = sim::Action::Kind::kInvoke;
     std::uint64_t hash = 0;
-    std::uint32_t begin = 0;  // offset of the key in `words`
+    std::uint32_t begin = 0;  // offset of the key in `bytes`
     std::uint32_t size = 0;
     std::int32_t perm = -1;   // offset of the canonicalizing perm in
                               // `perms`; -1 = identity
@@ -134,14 +166,14 @@ struct Batch {
   std::vector<Succ> succs;
   std::vector<std::uint32_t> ends;  // per frontier node: one past its last
                                     // successor
-  std::vector<std::int64_t> words;
+  ByteBuffer bytes;
   std::vector<std::uint8_t> perms;
   std::uint64_t renamed = 0;    // successors with a non-identity perm
   std::uint64_t por_skips = 0;  // enabled processes POR left unexpanded
   bool ample = false;           // some node had an ample process
 
-  std::span<const std::int64_t> key(const Succ& succ) const {
-    return {words.data() + succ.begin, succ.size};
+  std::span<const std::uint8_t> key(const Succ& succ) const {
+    return {bytes.data() + succ.begin, succ.size};
   }
   // The stepping process's pid in the stored successor (Edge::to_pid).
   std::uint16_t to_pid(const Succ& succ) const {
@@ -151,7 +183,7 @@ struct Batch {
   void clear() {
     succs.clear();
     ends.clear();
-    words.clear();
+    bytes.clear();
     perms.clear();
     renamed = 0;
     por_skips = 0;
@@ -159,12 +191,22 @@ struct Batch {
   }
 };
 
-// A node's configuration, rebuilt from its intern key into *out: the key
-// is the configuration's encoding (under symmetry reduction, the
-// representative's) followed by the path flag.
-void decode_key_into(std::span<const std::int64_t> key, sim::Config* out) {
+// Splits a node's intern key into its path flag and the packed encoding of
+// its configuration (under symmetry reduction, the representative's) that
+// follows it.
+std::span<const std::uint8_t> split_key(std::span<const std::uint8_t> key,
+                                        std::int64_t* flag) {
+  std::size_t pos = 0;
+  LBSA_CHECK(sim::read_packed_word(key, &pos, flag));
+  return key.subspan(pos);
+}
+
+// A node's configuration and path flag, decoded straight from its intern
+// key.
+void decode_key_into(std::span<const std::uint8_t> key, sim::Config* out,
+                     std::int64_t* flag) {
   const Status decoded =
-      sim::decode_config_into(key.first(key.size() - 1), out);
+      sim::decode_packed_config_into(split_key(key, flag), out);
   LBSA_CHECK(decoded.is_ok());
 }
 
@@ -180,12 +222,12 @@ class Generator {
   // Expands the nodes `ids`, whose intern keys are keys[id], into *out
   // (cleared first). Each node is decoded into one reused Config, and each
   // outcome is committed into one reused successor Config.
-  void expand(std::span<const std::span<const std::int64_t>> keys,
+  void expand(std::span<const std::span<const std::uint8_t>> keys,
               std::span<const std::uint32_t> ids, Batch* out) {
     out->clear();
     for (const std::uint32_t id : ids) {
-      decode_key_into(keys[id], &config_);
-      const std::int64_t flag = keys[id].back();
+      std::int64_t flag = 0;
+      decode_key_into(keys[id], &config_, &flag);
       const int ample =
           por_ ? select_ample_pid(*protocol_, config_, flag, *flag_fn_) : -1;
       if (ample >= 0) {
@@ -210,28 +252,33 @@ class Generator {
     }
   }
 
-  // Appends `config`, reached by `step` with path flag `flag`, to *out.
+  // Appends `config`, reached by `step` with path flag `flag`, to *out:
+  // its word encoding (the canonical one under symmetry reduction) into
+  // the reused words_, then the flag and those words packed straight into
+  // the batch.
   void add(const sim::Config& config, const sim::Step& step,
            std::int64_t flag, Batch* out) {
     Batch::Succ succ;
     succ.pid = step.pid;
     succ.kind = step.action.kind;
-    succ.begin = static_cast<std::uint32_t>(out->words.size());
+    succ.begin = static_cast<std::uint32_t>(out->bytes.size());
     if (sym_ != nullptr) {
-      sym_->canonical_encode_into(config, &sym_key_, &perm_, &canon_);
-      out->words.insert(out->words.end(), sym_key_.begin(), sym_key_.end());
+      sym_->canonical_encode_into(config, &words_, &perm_, &canon_);
       if (!perm_.empty()) {
         ++out->renamed;
         succ.perm = static_cast<std::int32_t>(out->perms.size());
         out->perms.insert(out->perms.end(), perm_.begin(), perm_.end());
       }
     } else {
-      out->words.resize(succ.begin + config.encoded_size());
-      config.encode_to(out->words.data() + succ.begin);
+      words_.resize(config.encoded_size());
+      config.encode_to(words_.data());
     }
-    out->words.push_back(flag);
-    succ.size = static_cast<std::uint32_t>(out->words.size() - succ.begin);
-    succ.hash = hash_words(out->key(succ));
+    std::uint8_t* end =
+        out->bytes.room(sim::kMaxPackedWordBytes * (words_.size() + 1));
+    end = sim::pack_words(words_, sim::pack_word(flag, end));
+    out->bytes.commit(end);
+    succ.size = static_cast<std::uint32_t>(out->bytes.size() - succ.begin);
+    succ.hash = hash_bytes(out->key(succ));
     out->succs.push_back(succ);
   }
 
@@ -246,7 +293,7 @@ class Generator {
   sim::Config successor_;  // config_ after one outcome
   sim::PreparedStep prepared_;
   sim::CanonScratch canon_;
-  std::vector<std::int64_t> sym_key_;
+  std::vector<std::int64_t> words_;  // the successor's encoding
   std::vector<std::uint8_t> perm_;
 };
 
@@ -289,7 +336,7 @@ class GeneratorPool {
   // Hands the workers the chunks of `frontier` (see Generator::expand).
   // `keys` must not change until finish_level() returns. Workers read
   // these fields only once they see level_ change.
-  void start_level(std::span<const std::span<const std::int64_t>> keys,
+  void start_level(std::span<const std::span<const std::uint8_t>> keys,
                    std::span<const std::uint32_t> frontier) {
     keys_ = keys;
     frontier_ = frontier;
@@ -419,7 +466,7 @@ class GeneratorPool {
   std::vector<Batch> ring_;
   // ready_[slot] == c + 1: chunk c has been generated into the slot.
   std::unique_ptr<std::atomic<std::size_t>[]> ready_;
-  std::span<const std::span<const std::int64_t>> keys_;
+  std::span<const std::span<const std::uint8_t>> keys_;
   std::span<const std::uint32_t> frontier_;
   std::size_t chunks_ = 0;
   std::atomic<std::size_t> next_ = 0;    // next chunk to claim
@@ -435,9 +482,10 @@ class GeneratorPool {
 };
 
 // The intern table: open addressing over (hash, key, id) slots, with each
-// key's words copied once into the graph's key arena. A probe reads the
-// stored words only on a full hash match, and prefetch() lets the merge
-// loop pull a slot into cache before it is probed.
+// key's bytes copied once into the graph's key arena, padded to whole
+// words. A probe reads the stored bytes only on a full hash match, and
+// prefetch() lets the merge loop pull a slot into cache before it is
+// probed.
 class KeyIndex {
  public:
   explicit KeyIndex(WordArena* arena)
@@ -449,25 +497,26 @@ class KeyIndex {
 
   struct Found {
     std::uint32_t id = 0;
-    std::span<const std::int64_t> key;  // the stored copy
+    std::span<const std::uint8_t> key;  // the stored copy
     bool inserted = false;
   };
   // Looks `key` up, storing it as node `id` if absent.
-  Found intern(std::span<const std::int64_t> key, std::uint64_t hash,
+  Found intern(std::span<const std::uint8_t> key, std::uint64_t hash,
                std::uint32_t id) {
     const std::size_t mask = slots_.size() - 1;
     for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
       Slot& slot = slots_[i];
-      if (slot.words == nullptr) {
-        std::int64_t* words = arena_->alloc(key.size());
-        std::copy(key.begin(), key.end(), words);
-        slot = Slot{hash, words, static_cast<std::uint32_t>(key.size()), id};
+      if (slot.bytes == nullptr) {
+        auto* bytes = reinterpret_cast<std::uint8_t*>(
+            arena_->alloc((key.size() + 7) / 8));
+        std::memcpy(bytes, key.data(), key.size());
+        slot = Slot{hash, bytes, static_cast<std::uint32_t>(key.size()), id};
         if (++count_ * 2 > slots_.size()) grow();
-        return {id, {words, key.size()}, true};
+        return {id, {bytes, key.size()}, true};
       }
       if (slot.hash == hash && slot.size == key.size() &&
-          std::equal(key.begin(), key.end(), slot.words)) {
-        return {slot.id, {slot.words, slot.size}, false};
+          std::memcmp(key.data(), slot.bytes, key.size()) == 0) {
+        return {slot.id, {slot.bytes, slot.size}, false};
       }
     }
   }
@@ -475,7 +524,7 @@ class KeyIndex {
  private:
   struct Slot {
     std::uint64_t hash = 0;
-    const std::int64_t* words = nullptr;  // null: empty slot
+    const std::uint8_t* bytes = nullptr;  // null: empty slot
     std::uint32_t size = 0;
     std::uint32_t id = 0;
   };
@@ -485,9 +534,9 @@ class KeyIndex {
     old.swap(slots_);
     const std::size_t mask = slots_.size() - 1;
     for (const Slot& slot : old) {
-      if (slot.words == nullptr) continue;
+      if (slot.bytes == nullptr) continue;
       std::size_t i = slot.hash & mask;
-      while (slots_[i].words != nullptr) i = (i + 1) & mask;
+      while (slots_[i].bytes != nullptr) i = (i + 1) & mask;
       slots_[i] = slot;
     }
   }
@@ -525,7 +574,20 @@ sim::Config ConfigGraph::config(std::uint32_t id) const {
 }
 
 void ConfigGraph::config_into(std::uint32_t id, sim::Config* out) const {
-  decode_key_into(key(id), out);
+  std::int64_t flag = 0;
+  decode_key_into(key(id), out, &flag);
+}
+
+std::int64_t ConfigGraph::flag(std::uint32_t id) const {
+  std::int64_t flag = 0;
+  split_key(key(id), &flag);
+  return flag;
+}
+
+std::span<const std::uint8_t> ConfigGraph::packed_config(
+    std::uint32_t id) const {
+  std::int64_t flag = 0;
+  return split_key(key(id), &flag);
 }
 
 sim::Step ConfigGraph::edge_step(std::uint32_t from,
@@ -597,9 +659,9 @@ std::vector<sim::Step> ConfigGraph::path_to(std::uint32_t id) const {
   // Certify the replay: renaming the concrete endpoint by σ must reproduce
   // the stored configuration bit for bit.
   if (!perms_.empty()) sim::apply_pid_permutation(protocol, sigma, &concrete);
-  const std::span<const std::int64_t> words = key(id);
-  LBSA_CHECK_MSG(std::ranges::equal(concrete.encode(),
-                                    words.first(words.size() - 1)),
+  std::vector<std::uint8_t> replayed;
+  sim::pack_words(concrete.encode(), &replayed);
+  LBSA_CHECK_MSG(std::ranges::equal(replayed, packed_config(id)),
                  "path replay failed to land on the stored configuration");
   return steps;
 }
@@ -804,7 +866,7 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
   // The keys of the level's new nodes. They join graph.keys_ only when the
   // level is complete, so workers can read graph.keys_ meanwhile; the other
   // per-node arrays grow as nodes are interned.
-  std::vector<std::span<const std::int64_t>> fresh_keys;
+  std::vector<std::span<const std::uint8_t>> fresh_keys;
 
   // Interns successor i of `batch`, discovered by `parent` at `depth`.
   // Returns the node's id and whether it is new.
@@ -858,7 +920,8 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
     // Seed the canonical prefix directly (NOT through intern(): resumed
     // nodes must not re-bump explore.nodes — the counters describe work done
     // this session). The checkpoint stores representatives, so each node's
-    // words plus its flag are its intern key even under symmetry reduction.
+    // flag and words, packed, are its intern key even under symmetry
+    // reduction.
     // The graph's structure is validated here, so a malformed checkpoint
     // (the files are checksummed, so a hand-edited one) fails cleanly: the
     // words decode, keys are distinct, edge lists are ordered by pid, each
@@ -871,17 +934,18 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
     const ExploreCheckpoint& cp = *options.resume;
     const auto count = static_cast<std::uint32_t>(cp.node_words.size());
     sim::Config decoded;
-    std::vector<std::int64_t> seed_key;
+    std::vector<std::uint8_t> seed_key;
     for (std::uint32_t i = 0; i < count; ++i) {
       const std::span<const std::int64_t> words = cp.node_words[i];
       if (const Status s = sim::decode_config_into(words, &decoded);
           !s.is_ok()) {
         return s;
       }
-      seed_key.assign(words.begin(), words.end());
-      seed_key.push_back(cp.node_flags[i]);
+      seed_key.clear();
+      sim::pack_words(std::span(&cp.node_flags[i], 1), &seed_key);
+      sim::pack_words(words, &seed_key);
       const KeyIndex::Found found =
-          index.intern(seed_key, hash_words(seed_key), i);
+          index.intern(seed_key, hash_bytes(seed_key), i);
       if (!found.inserted) {
         return invalid_argument("resume: duplicate checkpoint node");
       }
@@ -1019,10 +1083,12 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
     sim::Config parent_config;
     std::uint32_t decoded = graph.root();
     graph.config_into(decoded, &parent_config);
+    std::vector<std::int64_t> words;
     for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
-      const std::span<const std::int64_t> key = graph.key(id);
-      cp.node_words.push_back(key.first(key.size() - 1));
-      cp.node_flags.push_back(key.back());
+      std::int64_t flag = 0;
+      LBSA_CHECK(sim::unpack_words(split_key(graph.key(id), &flag), &words));
+      cp.node_words.push_back(words);
+      cp.node_flags.push_back(flag);
       cp.node_depths.push_back(graph.depth(id));
       cp.parents.push_back(graph.parent(id));
       sim::Step step;  // the root's stays default

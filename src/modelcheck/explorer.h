@@ -205,23 +205,29 @@ struct Node {
 };
 
 // The reachable graph, stored compactly: each node once, as its intern key
-// (the configuration's encoding, then the path flag) in one arena, with
-// edges in CSR form and one flat array per remaining per-node field.
-// Configurations and parent steps are rebuilt on demand, so a pass over
-// every node decodes into one scratch sim::Config (config_into) and
-// allocates nothing per node.
+// (the packed path flag, then the packed configuration encoding; see
+// sim::pack_word) in one arena, with edges in CSR form and one flat array
+// per remaining per-node field. Configurations and parent steps are
+// rebuilt on demand, straight from the key bytes, so a pass over every
+// node decodes into one scratch sim::Config (config_into) and allocates
+// nothing per node.
 class ConfigGraph {
  public:
   std::uint32_t node_count() const {
     return static_cast<std::uint32_t>(depths_.size());
   }
-  // Node id's intern key: the encoding of its configuration (under symmetry
-  // reduction, of the orbit representative), then the path flag. Stable for
-  // the graph's lifetime.
-  std::span<const std::int64_t> key(std::uint32_t id) const {
+  // Node id's intern key: the path flag, then the encoding of its
+  // configuration (under symmetry reduction, of the orbit representative),
+  // every word packed (sim::pack_word). Equal keys are equal nodes. Stable
+  // for the graph's lifetime.
+  std::span<const std::uint8_t> key(std::uint32_t id) const {
     return keys_[id];
   }
-  std::int64_t flag(std::uint32_t id) const { return keys_[id].back(); }
+  // The path flag: the key's first packed word.
+  std::int64_t flag(std::uint32_t id) const;
+  // The rest of the key: node id's configuration encoding, packed. Equal
+  // for two nodes iff their configurations are.
+  std::span<const std::uint8_t> packed_config(std::uint32_t id) const;
   // BFS depth (shortest history length).
   std::uint32_t depth(std::uint32_t id) const { return depths_[id]; }
   // Outgoing edges in canonical order: pids ascending, then outcome order.
@@ -320,9 +326,10 @@ class ConfigGraph {
     while (edge_begin_.size() <= id) edge_begin_.push_back(edges_.size());
   }
 
-  // Owns every key's words; keys_ points into it.
+  // Owns every key's bytes, each padded to whole words; keys_ points into
+  // it.
   WordArena key_arena_;
-  std::vector<std::span<const std::int64_t>> keys_;
+  std::vector<std::span<const std::uint8_t>> keys_;
   std::vector<std::uint32_t> depths_;
   std::vector<Parent> parents_;
   // node_count() rows of process_count_ bytes under symmetry reduction,

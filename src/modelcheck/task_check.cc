@@ -14,8 +14,8 @@ namespace lbsa::modelcheck {
 namespace {
 
 struct KeyHash {
-  std::size_t operator()(const std::vector<std::int64_t>& key) const {
-    return static_cast<std::size_t>(hash_words(key));
+  std::size_t operator()(const std::vector<std::uint8_t>& key) const {
+    return static_cast<std::size_t>(hash_bytes(key));
   }
 };
 
@@ -76,7 +76,7 @@ class StatusTable {
 //     name. Sound only on a graph that holds every solo successor (see
 //     check_dac_task).
 //   * SimSolo re-simulates: states are configurations, successors come from
-//     enumerate_successors, and the memo is keyed on the encoding.
+//     enumerate_successors, and the memo is keyed on the packed encoding.
 // A source's successors of the state at DFS depth d are read through a
 // cursor: expand(d, state) prepares them and returns the cursor, and
 // next(d, &cursor, &out) yields them in order.
@@ -160,8 +160,9 @@ class SimSolo {
     if (state.node != kNoNode) return statuses_.status(state.node, pid_);
     return state.config->procs[static_cast<size_t>(pid_)].status;
   }
-  // Keyed on the encoding. A start node's is its stored key without the
-  // flag. References into an unordered_map survive rehashing.
+  // Keyed on the packed encoding (sim::pack_words): a start node's is its
+  // stored key without the flag, a simulated configuration's is packed
+  // here. References into an unordered_map survive rehashing.
   Memo& memo(const State& state) { return memo_[encoding(state)]; }
 
   // Simulates the state's successors into depth's buffer; the cursor
@@ -190,12 +191,15 @@ class SimSolo {
  private:
   static constexpr std::uint32_t kNoNode = ~0u;
 
-  const std::vector<std::int64_t>& encoding(const State& state) {
+  const std::vector<std::uint8_t>& encoding(const State& state) {
     if (state.node != kNoNode) {
-      const std::span<const std::int64_t> key = graph_.key(state.node);
-      key_.assign(key.begin(), key.end() - 1);
+      const std::span<const std::uint8_t> packed =
+          graph_.packed_config(state.node);
+      key_.assign(packed.begin(), packed.end());
     } else {
-      state.config->encode_into(&key_);
+      state.config->encode_into(&words_);
+      key_.clear();
+      sim::pack_words(words_, &key_);
     }
     return key_;
   }
@@ -206,8 +210,9 @@ class SimSolo {
   int pid_;
   sim::Config start_;  // the start node being expanded
   std::vector<std::vector<sim::Successor>> succs_;  // per DFS depth
-  std::vector<std::int64_t> key_;
-  std::unordered_map<std::vector<std::int64_t>, Memo, KeyHash> memo_;
+  std::vector<std::int64_t> words_;  // a simulated state's encoding
+  std::vector<std::uint8_t> key_;
+  std::unordered_map<std::vector<std::uint8_t>, Memo, KeyHash> memo_;
 };
 
 template <typename Source>

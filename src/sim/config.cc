@@ -1,5 +1,6 @@
 #include "sim/config.h"
 
+#include <array>
 #include <utility>
 
 #include "base/check.h"
@@ -64,29 +65,108 @@ int Config::nth_enabled(int index) const {
   return -1;
 }
 
-Status decode_config_into(std::span<const std::int64_t> words, Config* out) {
-  std::size_t pos = 0;
-  auto take = [&](std::int64_t* word) -> bool {
-    if (pos >= words.size()) return false;
-    *word = words[pos++];
+namespace {
+
+// Inverse of pack_word's u = zigzag(w) + 16.
+constexpr std::int64_t unzigzag(std::uint64_t u) {
+  const std::uint64_t z = u - 16;
+  return static_cast<std::int64_t>((z >> 1) ^ (0 - (z & 1)));
+}
+
+// The word of each one-byte varint.
+constexpr auto kOneByteWords = [] {
+  std::array<std::int64_t, 0x80> words{};
+  for (std::uint64_t b = 0; b < 0x80; ++b) words[b] = unzigzag(b);
+  return words;
+}();
+
+// Reads one packed word from [*p, end) into *w and advances *p past it;
+// see read_packed_word.
+inline bool read_varint(const std::uint8_t** p, const std::uint8_t* end,
+                        std::int64_t* w) {
+  const std::uint8_t* q = *p;
+  if (q == end) return false;
+  std::uint64_t u = *q++;
+  if (u < 0x80) {  // most words take one byte
+    *p = q;
+    *w = kOneByteWords[u];
     return true;
-  };
+  }
+  u &= 0x7f;
+  for (int shift = 7;; shift += 7) {
+    if (q == end) return false;
+    const std::uint64_t b = *q++;
+    // Nine bytes carry 63 bits, so a tenth may carry only the last one.
+    if (shift == 63 && b > 1) return false;
+    u |= (b & 0x7f) << shift;
+    if (b < 0x80) {
+      if (b == 0) return false;  // a redundant zero byte
+      break;
+    }
+  }
+  *p = q;
+  *w = unzigzag(u);
+  return true;
+}
+
+// The two inputs decode_config reads: an encoding's words, or their packed
+// bytes. remaining() bounds the words left (a packed word takes at least a
+// byte), and run() reads `count` <= remaining() words.
+class WordReader {
+ public:
+  explicit WordReader(std::span<const std::int64_t> words) : words_(words) {}
+  bool next(std::int64_t* w) {
+    if (pos_ == words_.size()) return false;
+    *w = words_[pos_++];
+    return true;
+  }
+  std::size_t remaining() const { return words_.size() - pos_; }
+  bool run(std::size_t count, std::vector<std::int64_t>* out) {
+    const auto first = words_.begin() + static_cast<std::ptrdiff_t>(pos_);
+    out->assign(first, first + static_cast<std::ptrdiff_t>(count));
+    pos_ += count;
+    return true;
+  }
+
+ private:
+  std::span<const std::int64_t> words_;
+  std::size_t pos_ = 0;
+};
+
+class PackedReader {
+ public:
+  explicit PackedReader(std::span<const std::uint8_t> bytes)
+      : p_(bytes.data()), end_(bytes.data() + bytes.size()) {}
+  bool next(std::int64_t* w) { return read_varint(&p_, end_, w); }
+  std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }
+  bool run(std::size_t count, std::vector<std::int64_t>* out) {
+    out->resize(count);
+    const std::uint8_t* p = p_;
+    for (std::int64_t& w : *out) {
+      if (!read_varint(&p, end_, &w)) return false;
+    }
+    p_ = p;
+    return true;
+  }
+
+ private:
+  const std::uint8_t* p_;
+  const std::uint8_t* end_;
+};
+
+template <typename Reader>
+Status decode_config(Reader reader, Config* out) {
   auto malformed = [](const std::string& what) {
     return invalid_argument("decode_config_into: " + what);
   };
   // Takes the next `count` words as a run; false if fewer remain.
   auto take_run = [&](std::int64_t count, std::vector<std::int64_t>* run) {
-    if (count < 0 || static_cast<std::size_t>(count) > words.size() - pos) {
-      return false;
-    }
-    const auto first = words.begin() + static_cast<std::ptrdiff_t>(pos);
-    run->assign(first, first + static_cast<std::ptrdiff_t>(count));
-    pos += static_cast<std::size_t>(count);
-    return true;
+    return count >= 0 && static_cast<std::size_t>(count) <= reader.remaining() &&
+           reader.run(static_cast<std::size_t>(count), run);
   };
 
   std::int64_t proc_count = 0;
-  if (!take(&proc_count)) return malformed("missing process count");
+  if (!reader.next(&proc_count)) return malformed("missing process count");
   if (proc_count < 0 || proc_count > 1'000'000) {
     return malformed("implausible process count " +
                      std::to_string(proc_count));
@@ -95,8 +175,8 @@ Status decode_config_into(std::span<const std::int64_t> words, Config* out) {
   for (ProcessState& ps : out->procs) {
     std::int64_t status = 0;
     std::int64_t local_count = 0;
-    if (!take(&status) || !take(&ps.decision) || !take(&ps.pc) ||
-        !take(&local_count)) {
+    if (!reader.next(&status) || !reader.next(&ps.decision) ||
+        !reader.next(&ps.pc) || !reader.next(&local_count)) {
       return malformed("truncated process state");
     }
     if (status < 0 || status > static_cast<std::int64_t>(ProcStatus::kCrashed)) {
@@ -108,7 +188,7 @@ Status decode_config_into(std::span<const std::int64_t> words, Config* out) {
     }
   }
   std::int64_t object_count = 0;
-  if (!take(&object_count)) return malformed("missing object count");
+  if (!reader.next(&object_count)) return malformed("missing object count");
   if (object_count < 0 || object_count > 1'000'000) {
     return malformed("implausible object count " +
                      std::to_string(object_count));
@@ -116,13 +196,57 @@ Status decode_config_into(std::span<const std::int64_t> words, Config* out) {
   out->objects.resize(static_cast<std::size_t>(object_count));
   for (std::vector<std::int64_t>& object : out->objects) {
     std::int64_t size = 0;
-    if (!take(&size)) return malformed("truncated object state");
+    if (!reader.next(&size)) return malformed("truncated object state");
     if (!take_run(size, &object)) {
       return malformed("bad object state size " + std::to_string(size));
     }
   }
-  if (pos != words.size()) return malformed("trailing words");
+  if (reader.remaining() != 0) return malformed("trailing words");
   return Status::ok();
+}
+
+}  // namespace
+
+Status decode_config_into(std::span<const std::int64_t> words, Config* out) {
+  return decode_config(WordReader(words), out);
+}
+
+Status decode_packed_config_into(std::span<const std::uint8_t> bytes,
+                                 Config* out) {
+  return decode_config(PackedReader(bytes), out);
+}
+
+std::uint8_t* pack_words(std::span<const std::int64_t> words,
+                         std::uint8_t* out) {
+  for (std::int64_t w : words) out = pack_word(w, out);
+  return out;
+}
+
+void pack_words(std::span<const std::int64_t> words,
+                std::vector<std::uint8_t>* out) {
+  std::uint8_t packed[kMaxPackedWordBytes];
+  for (std::int64_t w : words) {
+    out->insert(out->end(), packed, pack_word(w, packed));
+  }
+}
+
+bool read_packed_word(std::span<const std::uint8_t> bytes, std::size_t* pos,
+                      std::int64_t* w) {
+  const std::uint8_t* p = bytes.data() + *pos;
+  if (!read_varint(&p, bytes.data() + bytes.size(), w)) return false;
+  *pos = static_cast<std::size_t>(p - bytes.data());
+  return true;
+}
+
+bool unpack_words(std::span<const std::uint8_t> bytes,
+                  std::vector<std::int64_t>* out) {
+  out->clear();
+  PackedReader reader(bytes);
+  for (std::int64_t w; reader.remaining() > 0;) {
+    if (!reader.next(&w)) return false;
+    out->push_back(w);
+  }
+  return true;
 }
 
 Config initial_config(const Protocol& protocol) {

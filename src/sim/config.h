@@ -70,6 +70,57 @@ Config initial_config(const Protocol& protocol);
 // corrupt files rather than crash.
 Status decode_config_into(std::span<const std::int64_t> words, Config* out);
 
+// --- Packed words -----------------------------------------------------------
+// A compact, invertible byte form of a word sequence, in which the model
+// checker stores its node keys. Each word w is written as the LEB128 varint
+// (7 bits a byte, low bits first, high bit set on every byte but the last)
+// of u = zigzag(w) + 16, computed modulo 2^64. The map w -> u is a
+// bijection that sends the 16 words nearest the ends of the range to
+// 0..15, so one byte holds [INT64_MIN, INT64_MIN + 7] (the value
+// sentinels kNil ... kCrashSentinel), [-56, 55] (counters, pids, statuses)
+// and [INT64_MAX - 7, INT64_MAX]; two bytes hold inputs such as 100-600;
+// and kMinOrdinary and 2^62 take the most, kMaxPackedWordBytes.
+inline constexpr std::size_t kMaxPackedWordBytes = 10;
+
+// Writes w's varint at out, which must have kMaxPackedWordBytes bytes of
+// room; returns one past its last byte.
+inline std::uint8_t* pack_word(std::int64_t w, std::uint8_t* out) {
+  const auto bits = static_cast<std::uint64_t>(w);
+  std::uint64_t u = ((bits << 1) ^ static_cast<std::uint64_t>(w >> 63)) + 16;
+  while (u >= 0x80) {
+    *out++ = static_cast<std::uint8_t>(u | 0x80);
+    u >>= 7;
+  }
+  *out++ = static_cast<std::uint8_t>(u);
+  return out;
+}
+
+// Packs every word of `words` at out, which must have
+// kMaxPackedWordBytes * words.size() bytes of room; returns one past the
+// last byte written.
+std::uint8_t* pack_words(std::span<const std::int64_t> words,
+                         std::uint8_t* out);
+// Appends every word of `words`, packed, to *out.
+void pack_words(std::span<const std::int64_t> words,
+                std::vector<std::uint8_t>* out);
+
+// Reads the packed word at bytes[*pos] into *w and advances *pos past it.
+// False on a truncated varint, one longer than kMaxPackedWordBytes or
+// overflowing 64 bits, or one with a redundant zero last byte: only
+// pack_word's output reads back.
+bool read_packed_word(std::span<const std::uint8_t> bytes, std::size_t* pos,
+                      std::int64_t* w);
+
+// Inverse of pack_words: replaces *out with the packed words of `bytes`.
+// False if read_packed_word rejects any of them.
+bool unpack_words(std::span<const std::uint8_t> bytes,
+                  std::vector<std::int64_t>* out);
+
+// decode_config_into over the packed form of the word encoding, read
+// straight from the bytes. The same validation, plus read_packed_word's.
+Status decode_packed_config_into(std::span<const std::uint8_t> bytes,
+                                 Config* out);
+
 // One recorded step: process pid performed `action` and (for invokes)
 // received `response` as the outcome_choice-th outcome.
 struct Step {

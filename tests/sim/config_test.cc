@@ -1,14 +1,20 @@
 // Tests for the configuration semantics: initial configs, step application,
-// successor enumeration, encoding/hashing, and an independent oracle for
-// the in-place step core.
+// successor enumeration, encoding/hashing, the packed word codec the model
+// checker stores its node keys in, and an independent oracle for the
+// in-place step core.
 #include "sim/config.h"
 
 #include <deque>
+#include <limits>
 #include <set>
 #include <utility>
 
 #include <gtest/gtest.h>
 
+#include "base/check.h"
+#include "base/rng.h"
+#include "modelcheck/explorer.h"
+#include "modelcheck/task_check.h"
 #include "protocols/dac_from_pac.h"
 #include "protocols/group_ksa.h"
 #include "protocols/mutants.h"
@@ -242,6 +248,164 @@ TEST(Config, PreparedStepMatchesNaiveStepper) {
     if (c.multi_outcome) {
       EXPECT_GT(multi_outcome_steps, 0u);
     }
+  }
+}
+
+// --- Packed words -----------------------------------------------------------
+
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kTwo62 = std::int64_t{1} << 62;
+
+// The words at the edges of each byte length, and the value sentinels.
+std::vector<std::int64_t> boundary_words() {
+  std::vector<std::int64_t> words;
+  for (std::int64_t w = kMin; w <= kMinOrdinary; ++w) words.push_back(w);
+  for (std::int64_t w : {std::int64_t{-57}, std::int64_t{-56},
+                         std::int64_t{55}, std::int64_t{56}, std::int64_t{100},
+                         std::int64_t{600}, kTwo62 - 1, kTwo62}) {
+    words.push_back(w);
+  }
+  for (std::int64_t w = kMax - 8; w != kMax; ++w) words.push_back(w);
+  words.push_back(kMax);
+  return words;
+}
+
+std::size_t packed_size(std::int64_t w) {
+  std::uint8_t bytes[kMaxPackedWordBytes];
+  return static_cast<std::size_t>(pack_word(w, bytes) - bytes);
+}
+
+// Packs each word alone and reads it back, then the whole sequence.
+void expect_round_trip(const std::vector<std::int64_t>& words) {
+  for (std::int64_t w : words) {
+    std::uint8_t bytes[kMaxPackedWordBytes];
+    const std::size_t size =
+        static_cast<std::size_t>(pack_word(w, bytes) - bytes);
+    std::size_t pos = 0;
+    std::int64_t read = 0;
+    ASSERT_TRUE(read_packed_word({bytes, size}, &pos, &read)) << w;
+    EXPECT_EQ(read, w);
+    EXPECT_EQ(pos, size) << w;
+  }
+  std::vector<std::uint8_t> packed;
+  pack_words(words, &packed);
+  std::vector<std::uint8_t> direct(kMaxPackedWordBytes * words.size());
+  direct.resize(static_cast<std::size_t>(
+      pack_words(words, direct.data()) - direct.data()));
+  EXPECT_EQ(direct, packed);
+  std::vector<std::int64_t> unpacked{7};  // stale content is discarded
+  ASSERT_TRUE(unpack_words(packed, &unpacked));
+  EXPECT_EQ(unpacked, words);
+}
+
+TEST(PackedWords, BoundaryWordsRoundTrip) {
+  expect_round_trip(boundary_words());
+}
+
+TEST(PackedWords, RandomWordsRoundTrip) {
+  Xoshiro256 rng(23);
+  std::vector<std::int64_t> words(10'000);
+  for (std::int64_t& w : words) w = static_cast<std::int64_t>(rng.next());
+  expect_round_trip(words);
+}
+
+TEST(PackedWords, ByteLengths) {
+  // One byte: the 8 words at each end of the range (kNil ... kCrashSentinel
+  // among them) and the small integers [-56, 55].
+  for (std::int64_t w = kMin; w <= kMin + 7; ++w) EXPECT_EQ(packed_size(w), 1u);
+  for (std::int64_t w = kMax - 7; w != kMax; ++w) EXPECT_EQ(packed_size(w), 1u);
+  EXPECT_EQ(packed_size(kMax), 1u);
+  for (std::int64_t w = -56; w <= 55; ++w) EXPECT_EQ(packed_size(w), 1u) << w;
+  for (Value v : {kNil, kBottom, kDone, kAbortSentinel, kCrashSentinel}) {
+    EXPECT_EQ(packed_size(v), 1u);
+  }
+  EXPECT_EQ(packed_size(kMin + 8), kMaxPackedWordBytes);
+  EXPECT_EQ(packed_size(kMax - 8), kMaxPackedWordBytes);
+  // Two bytes: just past the small integers, and the inputs 100-600.
+  EXPECT_EQ(packed_size(-57), 2u);
+  EXPECT_EQ(packed_size(56), 2u);
+  for (std::int64_t w = 100; w <= 600; ++w) EXPECT_EQ(packed_size(w), 2u) << w;
+  // Ten bytes: the high bit of u set.
+  EXPECT_EQ(packed_size(kTwo62), kMaxPackedWordBytes);
+  EXPECT_EQ(packed_size(kTwo62 - 1), kMaxPackedWordBytes);
+  EXPECT_EQ(packed_size(kMinOrdinary), kMaxPackedWordBytes);
+}
+
+TEST(PackedWords, RejectsMalformedVarints) {
+  auto reads = [](std::vector<std::uint8_t> bytes) {
+    std::size_t pos = 0;
+    std::int64_t w = 0;
+    return read_packed_word(bytes, &pos, &w);
+  };
+  EXPECT_FALSE(reads({}));
+  EXPECT_FALSE(reads({0x80}));        // truncated
+  EXPECT_FALSE(reads({0x80, 0x00}));  // redundant zero last byte
+  EXPECT_TRUE(reads({0x80, 0x01}));
+  // Ten bytes carry at most 64 bits: the tenth may only be 0 or 1.
+  std::vector<std::uint8_t> ten(9, 0xff);
+  ten.push_back(0x01);
+  EXPECT_TRUE(reads(ten));
+  ten.back() = 0x02;
+  EXPECT_FALSE(reads(ten));
+  ten.back() = 0x81;  // an eleventh byte would follow
+  ten.push_back(0x01);
+  EXPECT_FALSE(reads(ten));
+}
+
+TEST(PackedWords, TruncatedOrOverlongKeyFailsToDecode) {
+  auto protocol = std::make_shared<DacFromPacProtocol>(
+      std::vector<Value>{100, 200, kMinOrdinary});
+  Config config = initial_config(*protocol);
+  apply_step(*protocol, &config, 1, 0);
+  std::vector<std::uint8_t> packed;
+  pack_words(config.encode(), &packed);
+  Config decoded;
+  ASSERT_TRUE(decode_packed_config_into(packed, &decoded).is_ok());
+  EXPECT_EQ(decoded, config);
+  // Any proper prefix is truncated: a varint cut short, or words missing.
+  for (std::size_t size = 0; size < packed.size(); ++size) {
+    EXPECT_FALSE(
+        decode_packed_config_into({packed.data(), size}, &decoded).is_ok())
+        << size;
+  }
+  // One more word, or one more byte, is trailing input.
+  std::vector<std::uint8_t> longer = packed;
+  pack_words(std::vector<std::int64_t>{0}, &longer);
+  EXPECT_FALSE(decode_packed_config_into(longer, &decoded).is_ok());
+  longer = packed;
+  longer.push_back(0x80);
+  EXPECT_FALSE(decode_packed_config_into(longer, &decoded).is_ok());
+}
+
+// Algorithm 2 on inputs whose words take two bytes, and on an order-preserving
+// renaming whose words take one or ten: the same graph shape and verdict, and
+// every node's stored key replays.
+TEST(PackedWords, MultiByteInputsExploreAlike) {
+  struct Run {
+    modelcheck::TaskReport report;
+    modelcheck::ConfigGraph graph;
+  };
+  auto run = [](const std::vector<Value>& inputs) {
+    auto protocol = std::make_shared<DacFromPacProtocol>(inputs);
+    auto report = modelcheck::check_dac_task(protocol, 0, inputs);
+    auto graph = modelcheck::Explorer(protocol).explore();
+    LBSA_CHECK(report.is_ok() && graph.is_ok());
+    return Run{std::move(report).value(), std::move(graph).value()};
+  };
+  const Run plain = run({100, 200, 300, 400});
+  const Run renamed = run({kMinOrdinary, -57, kTwo62, kMax});
+  EXPECT_TRUE(plain.report.ok());
+  EXPECT_EQ(renamed.report.ok(), plain.report.ok());
+  EXPECT_EQ(renamed.report.node_count, plain.report.node_count);
+  EXPECT_EQ(renamed.report.transition_count, plain.report.transition_count);
+  const modelcheck::ConfigGraph& graph = renamed.graph;
+  EXPECT_EQ(graph.node_count(), plain.graph.node_count());
+  EXPECT_EQ(graph.transition_count(), plain.graph.transition_count());
+  EXPECT_GT(graph.packed_config(graph.root()).size(),
+            plain.graph.packed_config(graph.root()).size());
+  for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
+    EXPECT_EQ(graph.path_to(id).size(), graph.depth(id));  // aborts if off
   }
 }
 
