@@ -721,6 +721,12 @@ StatusOr<ExploreEngine> parse_engine(const std::string& name) {
                           "' (known: auto, serial, parallel)");
 }
 
+int resolve_threads(int threads) {
+  if (threads > 0) return threads;
+  return std::clamp(static_cast<int>(std::thread::hardware_concurrency()), 1,
+                    kMaxThreads);
+}
+
 // ---------------------------------------------------------------------------
 // The explorer: level-synchronous BFS. Each level's successors are
 // generated chunk by chunk — inline, or on the worker pool for wide levels —
@@ -739,11 +745,7 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
                             " exceeds the maximum of " +
                             std::to_string(kMaxThreads));
   }
-  const int threads =
-      options.threads > 0
-          ? options.threads
-          : std::clamp(static_cast<int>(std::thread::hardware_concurrency()),
-                       1, kMaxThreads);
+  const int threads = resolve_threads(options.threads);
 
   const bool want_sym = options.reduction == Reduction::kSymmetry ||
                         options.reduction == Reduction::kBoth;

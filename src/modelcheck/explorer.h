@@ -88,6 +88,13 @@ StatusOr<Reduction> parse_reduction(const std::string& name);
 // would exhaust memory or thread ids before the first worker starts.
 inline constexpr int kMaxThreads = 256;
 
+// The thread count a `threads` setting stands for: itself when positive,
+// else hardware_concurrency clamped to [1, kMaxThreads]. The explorer, the
+// fuzzer and the task checks resolve ExploreOptions::threads and
+// FuzzOptions::threads through it, after rejecting a count above
+// kMaxThreads.
+int resolve_threads(int threads);
+
 struct ExploreOptions {
   // Hard cap on distinct (config, flag) nodes; exceeding it returns
   // RESOURCE_EXHAUSTED — unless allow_truncation is set, in which case a

@@ -326,13 +326,8 @@ FuzzReport fuzz_blind(const std::shared_ptr<const sim::Protocol>& protocol,
     }
   };
 
-  int threads = options.threads;
-  if (threads <= 0) {
-    threads = std::clamp(static_cast<int>(std::thread::hardware_concurrency()),
-                         1, kMaxThreads);
-  }
-  threads = static_cast<int>(
-      std::min<std::uint64_t>(static_cast<std::uint64_t>(threads), budget));
+  const int threads = static_cast<int>(std::min<std::uint64_t>(
+      static_cast<std::uint64_t>(resolve_threads(options.threads)), budget));
   report.threads = threads;
   if (threads <= 1) {
     worker(0);

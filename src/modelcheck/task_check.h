@@ -27,7 +27,10 @@ namespace lbsa::modelcheck {
 struct TaskCheckOptions {
   // explore.threads > 1 (or 0 = auto) builds the configuration graph with
   // the parallel explorer; results are identical by the canonical-graph
-  // guarantee (see docs/checking.md, "Parallel exploration").
+  // guarantee (see docs/checking.md, "Parallel exploration"). When the
+  // exploration ran some level on its worker pool, the checks' node scan
+  // and solo walks run on the same thread count, with the same reports
+  // (docs/checking.md, "Engine selection").
   // explore.reduction enables symmetry / partial-order reduction: verdicts
   // (which properties are violated, and clean reports) are preserved, but
   // violation *counts* and reported node counts shrink with the graph, and
@@ -39,7 +42,8 @@ struct TaskCheckOptions {
   ExploreOptions explore;
   // Node budget for each solo-run termination check.
   std::uint64_t solo_node_bound = 100'000;
-  // Stop after this many violations (>=1; keeps reports readable).
+  // Stop after this many violations (keeps reports readable). Below 1 the
+  // checkers return INVALID_ARGUMENT.
   int max_violations = 8;
 };
 

@@ -1,5 +1,7 @@
 #include "spec/consensus_type.h"
 
+#include <utility>
+
 #include "base/check.h"
 
 namespace lbsa::spec {
@@ -29,18 +31,23 @@ Status NConsensusType::validate(const Operation& op) const {
 void NConsensusType::apply(std::span<const std::int64_t> state,
                            const Operation& op,
                            std::vector<Outcome>* outcomes) const {
+  std::vector<std::int64_t> next(state.begin(), state.end());
+  const Value response = step(op, next);
+  outcomes->push_back(Outcome{response, std::move(next)});
+}
+
+Value NConsensusType::step(const Operation& op,
+                           std::span<std::int64_t> state) const {
   LBSA_CHECK(state.size() == 2);
   LBSA_CHECK(op.code == OpCode::kPropose);
   const std::int64_t count = state[0];
-  const Value current_winner = state[1];
-  if (count >= n_) {
-    // Exhausted: every subsequent propose returns ⊥ and leaves the state
-    // unchanged — the object can no longer convey information.
-    outcomes->push_back(Outcome{kBottom, {count, current_winner}});
-    return;
-  }
-  const Value decided = (count == 0) ? op.arg0 : current_winner;
-  outcomes->push_back(Outcome{decided, {count + 1, decided}});
+  // Exhausted: every subsequent propose returns ⊥ and leaves the state
+  // unchanged — the object can no longer convey information.
+  if (count >= n_) return kBottom;
+  const Value decided = (count == 0) ? op.arg0 : state[1];
+  state[0] = count + 1;
+  state[1] = decided;
+  return decided;
 }
 
 }  // namespace lbsa::spec

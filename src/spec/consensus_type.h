@@ -27,6 +27,10 @@ class NConsensusType final : public ObjectType {
   Status validate(const Operation& op) const override;
   void apply(std::span<const std::int64_t> state, const Operation& op,
              std::vector<Outcome>* outcomes) const override;
+  // apply()'s one outcome, taken in place: rewrites `state` into the next
+  // state and returns the response, allocating nothing. (n,m)-PAC steps its
+  // C-part through it.
+  Value step(const Operation& op, std::span<std::int64_t> state) const;
   bool deterministic() const override { return true; }
 
   // State layout accessors (used by tests and the concurrent realm).

@@ -1,5 +1,7 @@
 #include "spec/nm_pac_type.h"
 
+#include <utility>
+
 #include "base/check.h"
 
 namespace lbsa::spec {
@@ -54,24 +56,15 @@ void NmPacType::apply(std::span<const std::int64_t> state, const Operation& op,
   LBSA_CHECK(state.size() == pac_size + 2);
   const Operation component_op = to_component_op(op);
 
-  std::vector<Outcome> sub;
-  if (op.code == OpCode::kProposeC) {
-    consensus_.apply(consensus_part(state), component_op, &sub);
-  } else {
-    pac_.apply(pac_part(state), component_op, &sub);
-  }
-  LBSA_CHECK(sub.size() == 1);  // both components are deterministic
-
-  // Reassemble the composite state around the updated component.
+  // Copy the composite state once and step the component on its part in
+  // place; both components are deterministic, so there is one outcome.
   std::vector<std::int64_t> next(state.begin(), state.end());
-  if (op.code == OpCode::kProposeC) {
-    std::copy(sub[0].next_state.begin(), sub[0].next_state.end(),
-              next.begin() + static_cast<std::ptrdiff_t>(pac_size));
-  } else {
-    std::copy(sub[0].next_state.begin(), sub[0].next_state.end(),
-              next.begin());
-  }
-  outcomes->push_back(Outcome{sub[0].response, std::move(next)});
+  const std::span<std::int64_t> parts(next);
+  const Value response =
+      op.code == OpCode::kProposeC
+          ? consensus_.step(component_op, parts.subspan(pac_size))
+          : pac_.step(component_op, parts.first(pac_size));
+  outcomes->push_back(Outcome{response, std::move(next)});
 }
 
 void NmPacType::rename_pids(std::span<const int> perm,

@@ -42,9 +42,14 @@ Status PacType::validate(const Operation& op) const {
 
 void PacType::apply(std::span<const std::int64_t> state, const Operation& op,
                     std::vector<Outcome>* outcomes) const {
-  LBSA_CHECK(state.size() == state_size(n_));
   std::vector<std::int64_t> next(state.begin(), state.end());
-  bool is_upset = next[0] != 0;
+  const Value response = step(op, next);
+  outcomes->push_back(Outcome{response, std::move(next)});
+}
+
+Value PacType::step(const Operation& op, std::span<std::int64_t> state) const {
+  LBSA_CHECK(state.size() == state_size(n_));
+  bool is_upset = state[0] != 0;
 
   if (op.code == OpCode::kProposeLabeled) {
     // Algorithm 1, PROPOSE(v, i):
@@ -54,16 +59,15 @@ void PacType::apply(std::span<const std::int64_t> state, const Operation& op,
     const Value v = op.arg0;
     const std::int64_t i = op.arg1;
     const size_t vi = 2 + static_cast<size_t>(i);
-    if (next[vi] != kNil) {
+    if (state[vi] != kNil) {
       is_upset = true;
-      next[0] = 1;
+      state[0] = 1;
     }
     if (!is_upset) {
-      next[1] = i;   // L <- i
-      next[vi] = v;  // V[i] <- v
+      state[1] = i;   // L <- i
+      state[vi] = v;  // V[i] <- v
     }
-    outcomes->push_back(Outcome{kDone, std::move(next)});
-    return;
+    return kDone;
   }
 
   LBSA_CHECK(op.code == OpCode::kDecideLabeled);
@@ -76,22 +80,19 @@ void PacType::apply(std::span<const std::int64_t> state, const Operation& op,
   //   return temp
   const std::int64_t i = op.arg0;
   const size_t vi = 2 + static_cast<size_t>(i);
-  if (next[vi] == kNil) {
+  if (state[vi] == kNil) {
     is_upset = true;
-    next[0] = 1;
+    state[0] = 1;
   }
-  if (is_upset) {
-    outcomes->push_back(Outcome{kBottom, std::move(next)});
-    return;
-  }
+  if (is_upset) return kBottom;
   Value temp = kBottom;
-  if (next[1] == i) {  // L == i: no operation intervened since the propose
-    if (next[2] == kNil) next[2] = next[vi];  // val <- V[i]
-    temp = next[2];
+  if (state[1] == i) {  // L == i: no operation intervened since the propose
+    if (state[2] == kNil) state[2] = state[vi];  // val <- V[i]
+    temp = state[2];
   }
-  next[1] = kNil;   // L <- NIL
-  next[vi] = kNil;  // V[i] <- NIL
-  outcomes->push_back(Outcome{temp, std::move(next)});
+  state[1] = kNil;   // L <- NIL
+  state[vi] = kNil;  // V[i] <- NIL
+  return temp;
 }
 
 void PacType::rename_pids(std::span<const int> perm,

@@ -37,6 +37,10 @@ class PacType final : public ObjectType {
   Status validate(const Operation& op) const override;
   void apply(std::span<const std::int64_t> state, const Operation& op,
              std::vector<Outcome>* outcomes) const override;
+  // apply()'s one outcome, taken in place: rewrites `state` into the next
+  // state and returns the response, allocating nothing. (n,m)-PAC steps its
+  // P-part through it.
+  Value step(const Operation& op, std::span<std::int64_t> state) const;
   bool deterministic() const override { return true; }
   // n-PAC is the one object here whose state stores pid-derived words: the
   // label register L and the V slots are indexed by 1-based labels, which

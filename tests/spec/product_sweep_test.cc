@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "base/rng.h"
 #include "spec/consensus_type.h"
@@ -19,63 +22,68 @@ namespace lbsa::spec {
 namespace {
 
 TEST(ProductSweep, NmPacEqualsComponentsOnAllSequences) {
-  const NmPacType combined(2, 2);
-  const PacType pac(2);
-  const NConsensusType cons(2);
+  // (3,2) is O_2 (Definition 6.1), and (2,3) has the larger consensus part.
+  for (const auto& [n, m] : {std::pair{2, 2}, {3, 2}, {2, 3}}) {
+    SCOPED_TRACE("(" + std::to_string(n) + "," + std::to_string(m) + ")");
+    const NmPacType combined(n, m);
+    const PacType pac(n);
+    const NConsensusType cons(m);
 
-  const std::vector<Operation> alphabet = {
-      make_propose_c(10),          make_propose_c(20),
-      make_propose_p(10, 1),       make_propose_p(20, 2),
-      make_decide_p(1),            make_decide_p(2),
-  };
-
-  struct Walk {
-    std::vector<std::int64_t> combined_state;
-    std::vector<std::int64_t> pac_state;
-    std::vector<std::int64_t> cons_state;
-  };
-
-  long steps_checked = 0;
-  std::function<void(const Walk&, int)> dfs = [&](const Walk& walk,
-                                                  int depth) {
-    if (depth == 0) return;
-    for (const Operation& op : alphabet) {
-      const Outcome got = combined.apply_unique(walk.combined_state, op);
-      Walk next = walk;
-      next.combined_state = got.next_state;
-      Value expected;
-      if (op.code == OpCode::kProposeC) {
-        const Outcome sub =
-            cons.apply_unique(walk.cons_state, make_propose(op.arg0));
-        expected = sub.response;
-        next.cons_state = sub.next_state;
-      } else if (op.code == OpCode::kProposeP) {
-        const Outcome sub = pac.apply_unique(
-            walk.pac_state, make_propose_labeled(op.arg0, op.arg1));
-        expected = sub.response;
-        next.pac_state = sub.next_state;
-      } else {
-        const Outcome sub =
-            pac.apply_unique(walk.pac_state, make_decide_labeled(op.arg0));
-        expected = sub.response;
-        next.pac_state = sub.next_state;
-      }
-      ++steps_checked;
-      ASSERT_EQ(got.response, expected)
-          << combined.operation_to_string(op) << " at depth " << depth;
-      // The combined state must literally be the concatenation.
-      std::vector<std::int64_t> concat = next.pac_state;
-      concat.insert(concat.end(), next.cons_state.begin(),
-                    next.cons_state.end());
-      ASSERT_EQ(next.combined_state, concat);
-      dfs(next, depth - 1);
+    // Two consensus proposals, and a propose and a decide on every label.
+    std::vector<Operation> alphabet = {make_propose_c(10), make_propose_c(20)};
+    for (int i = 1; i <= n; ++i) {
+      alphabet.push_back(make_propose_p(10 * i, i));
+      alphabet.push_back(make_decide_p(i));
     }
-  };
 
-  Walk root{combined.initial_state(), pac.initial_state(),
-            cons.initial_state()};
-  dfs(root, 4);
-  EXPECT_GT(steps_checked, 1000);
+    struct Walk {
+      std::vector<std::int64_t> combined_state;
+      std::vector<std::int64_t> pac_state;
+      std::vector<std::int64_t> cons_state;
+    };
+
+    long steps_checked = 0;
+    std::function<void(const Walk&, int)> dfs = [&](const Walk& walk,
+                                                    int depth) {
+      if (depth == 0) return;
+      for (const Operation& op : alphabet) {
+        const Outcome got = combined.apply_unique(walk.combined_state, op);
+        Walk next = walk;
+        next.combined_state = got.next_state;
+        Value expected;
+        if (op.code == OpCode::kProposeC) {
+          const Outcome sub =
+              cons.apply_unique(walk.cons_state, make_propose(op.arg0));
+          expected = sub.response;
+          next.cons_state = sub.next_state;
+        } else if (op.code == OpCode::kProposeP) {
+          const Outcome sub = pac.apply_unique(
+              walk.pac_state, make_propose_labeled(op.arg0, op.arg1));
+          expected = sub.response;
+          next.pac_state = sub.next_state;
+        } else {
+          const Outcome sub =
+              pac.apply_unique(walk.pac_state, make_decide_labeled(op.arg0));
+          expected = sub.response;
+          next.pac_state = sub.next_state;
+        }
+        ++steps_checked;
+        ASSERT_EQ(got.response, expected)
+            << combined.operation_to_string(op) << " at depth " << depth;
+        // The combined state must literally be the concatenation.
+        std::vector<std::int64_t> concat = next.pac_state;
+        concat.insert(concat.end(), next.cons_state.begin(),
+                      next.cons_state.end());
+        ASSERT_EQ(next.combined_state, concat);
+        dfs(next, depth - 1);
+      }
+    };
+
+    Walk root{combined.initial_state(), pac.initial_state(),
+              cons.initial_state()};
+    dfs(root, 4);
+    EXPECT_GT(steps_checked, 1000);
+  }
 }
 
 class OPrimeProductWalk : public ::testing::TestWithParam<std::uint64_t> {};

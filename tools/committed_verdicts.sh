@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
 # committed_verdicts.sh — regenerates the committed verdict artifacts and
 # compares them byte for byte with the copies in the source tree:
-# VERDICTS.json (tools/verdict_digests) at the serial engine and at auto
-# with 4 threads, and EXPERIMENTS.md (tools/experiment_report). A change
-# that moves a graph, a verdict or a report fails here and names what moved;
-# regenerate the file it names if the change is meant.
+# VERDICTS.json (tools/verdict_digests) three times, and EXPERIMENTS.md
+# (tools/experiment_report). The VERDICTS.json runs are the serial engine,
+# auto with 4 threads (the pool and the checks' parallel passes on the
+# wide graphs only), and parallel with 3 threads, which pools every level
+# and so runs both checkers' parallel passes on every task and reduction,
+# the broken tasks' violations included. A change that moves a graph, a
+# verdict or a report fails here and names what moved; regenerate the file
+# it names if the change is meant.
 #
 # Usage: tools/committed_verdicts.sh BUILD_DIR SOURCE_DIR
 set -euo pipefail
@@ -15,7 +19,7 @@ SOURCE_DIR="$2"
 REPORT="$(mktemp)"
 trap 'rm -f "$REPORT"' EXIT
 
-# The three regenerations run side by side; each names its own mismatch.
+# The four regenerations run side by side; each names its own mismatch.
 "$BUILD_DIR/tools/experiment_report" > "$REPORT" &
 EXPERIMENTS=$!
 "$BUILD_DIR/tools/verdict_digests" --engine serial --threads 1 \
@@ -24,9 +28,13 @@ SERIAL=$!
 "$BUILD_DIR/tools/verdict_digests" --engine auto --threads 4 \
     --check "$SOURCE_DIR/VERDICTS.json" &
 AUTO=$!
+"$BUILD_DIR/tools/verdict_digests" --engine parallel --threads 3 \
+    --check "$SOURCE_DIR/VERDICTS.json" &
+PARALLEL=$!
 FAILED=0
 wait "$SERIAL" || { echo "error: the serial regeneration differs" >&2; FAILED=1; }
 wait "$AUTO" || { echo "error: the auto (4 threads) regeneration differs" >&2; FAILED=1; }
+wait "$PARALLEL" || { echo "error: the parallel (3 threads) regeneration differs" >&2; FAILED=1; }
 wait "$EXPERIMENTS" || { echo "error: experiment_report failed" >&2; FAILED=1; }
 if cmp -s "$REPORT" "$SOURCE_DIR/EXPERIMENTS.md"; then
   echo "ok: EXPERIMENTS.md matches"
