@@ -22,8 +22,8 @@ std::uint64_t hash_string(std::uint64_t h, const std::string& s) {
   return h;
 }
 
-// Pids bucketed by orbit id, buckets in first-seen order, members
-// ascending: the order symmetry_group enumerates in.
+}  // namespace
+
 std::vector<std::vector<int>> orbit_buckets(const SymmetrySpec& spec) {
   std::vector<int> seen_ids;
   std::vector<std::vector<int>> buckets;
@@ -39,8 +39,6 @@ std::vector<std::vector<int>> orbit_buckets(const SymmetrySpec& spec) {
   }
   return buckets;
 }
-
-}  // namespace
 
 SymmetrySpec SymmetrySpec::none(int n) {
   SymmetrySpec spec;

@@ -72,6 +72,10 @@ struct SymmetrySpec {
   friend bool operator==(const SymmetrySpec&, const SymmetrySpec&) = default;
 };
 
+// The pids bucketed by orbit id, buckets in first-seen order, members
+// ascending: the order symmetry_group enumerates in.
+std::vector<std::vector<int>> orbit_buckets(const SymmetrySpec& spec);
+
 // All pid permutations the spec generates (every product of intra-orbit
 // permutations), in a deterministic order with the identity first.
 // perm[old_pid] = new_pid. LBSA_CHECKs against absurdly large groups, with
