@@ -123,9 +123,6 @@ StatusOr<LincheckResult> check_linearizable(const spec::ObjectType& type,
   LBSA_OBS_COUNTER_ADD("lincheck.histories", 1);
   if (result.is_ok()) {
     LBSA_OBS_COUNTER_ADD("lincheck.states", result.value().states_explored);
-    LBSA_OBS_HISTOGRAM_OBSERVE("lincheck.witness_depth",
-                               result.value().witness.size());
-    LBSA_OBS_HISTOGRAM_OBSERVE("lincheck.history_length", history.size());
   }
   return result;
 }

@@ -72,9 +72,9 @@ struct NodeRuns {
 };
 
 // A paused exploration: the canonical graph prefix (every node of depth
-// <= levels_completed expanded; frontier = the next level, unexpanded, in
-// canonical id order) plus the options that shaped it. Node ids in
-// `frontier`, `parents` and `edges` index the node arrays.
+// < levels_completed expanded; frontier = the depth-levels_completed
+// nodes, unexpanded, in canonical id order) plus the options that shaped
+// it. Node ids in `frontier`, `parents` and `edges` index the node arrays.
 struct ExploreCheckpoint {
   // --- identity ---
   // Hash of the initial configuration and every graph-shaping option; see
@@ -95,8 +95,9 @@ struct ExploreCheckpoint {
   // --- progress ---
   bool truncated = false;
   std::uint64_t transition_count = 0;
-  // Every node with depth <= levels_completed has been expanded (or hit the
-  // truncation budget and is permanently non-expandable).
+  // Every node with depth < levels_completed has been expanded (or hit the
+  // truncation budget and is permanently non-expandable); no node is
+  // deeper than levels_completed.
   std::uint32_t levels_completed = 0;
 
   // --- the canonical partial graph (parallel arrays, one slot per node) ---

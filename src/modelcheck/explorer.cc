@@ -53,24 +53,13 @@ int select_ample_pid(const sim::Protocol& protocol, const sim::Config& config,
   return -1;
 }
 
-// End-of-run level statistics, derived from the canonical graph so every
-// engine reports byte-identical values: one frontier-size observation per
-// BFS level, the level count, and the maximum depth.
+// End-of-run level statistics. Node ids ascend by BFS depth (resume
+// enforces it for checkpoints too), so the last node is the deepest and
+// every engine reports byte-identical values.
 void record_graph_metrics(const ConfigGraph& graph) {
-  if (!obs::metrics_enabled()) return;
-  std::vector<std::uint64_t> level_sizes;
-  for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
-    const std::uint32_t depth = graph.depth(id);
-    if (depth >= level_sizes.size()) level_sizes.resize(depth + 1, 0);
-    ++level_sizes[depth];
-  }
-  for (std::uint64_t size : level_sizes) {
-    LBSA_OBS_HISTOGRAM_OBSERVE("explore.frontier_size", size);
-  }
-  LBSA_OBS_COUNTER_ADD("explore.levels", level_sizes.size());
-  if (!level_sizes.empty()) {
-    LBSA_OBS_GAUGE_MAX("explore.max_depth", level_sizes.size() - 1);
-  }
+  const std::uint32_t max_depth = graph.depth(graph.node_count() - 1);
+  LBSA_OBS_COUNTER_ADD("explore.levels", max_depth + 1);
+  LBSA_OBS_GAUGE_MAX("explore.max_depth", max_depth);
 }
 
 // Frontier nodes per generation chunk. Doubles as the mid-level lifecycle
@@ -978,6 +967,20 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
         parent.edge = static_cast<std::uint32_t>(e);
       }
       graph.parents_.push_back(parent);
+      // Node ids ascend by BFS depth: the root is at depth 0, every other
+      // node one level below its parent, none shallower than the node before
+      // it or past the level the checkpoint paused at.
+      const std::uint32_t depth = cp.node_depths[i];
+      const bool bfs_depth =
+          i == 0 ? depth == 0
+                 : depth == cp.node_depths[parent.id] + 1 &&
+                       depth >= cp.node_depths[i - 1] &&
+                       depth <= cp.levels_completed;
+      if (!bfs_depth) {
+        return invalid_argument("resume: node " + std::to_string(i) +
+                                " has depth " + std::to_string(depth) +
+                                ", not its BFS depth");
+      }
 
       const std::span<const Edge> out = cp.edges[i];
       for (std::size_t e = 0; e < out.size(); ++e) {

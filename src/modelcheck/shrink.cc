@@ -144,8 +144,6 @@ std::vector<sim::ScriptedAdversary::Choice> shrink_schedule(
   s.shrunk_steps = current.size();
   LBSA_OBS_COUNTER_ADD("shrink.rounds", s.rounds);
   LBSA_OBS_COUNTER_ADD("shrink.schedules", 1);
-  LBSA_OBS_HISTOGRAM_OBSERVE("shrink.raw_steps", s.raw_steps);
-  LBSA_OBS_HISTOGRAM_OBSERVE("shrink.shrunk_steps", s.shrunk_steps);
   return current;
 }
 

@@ -556,7 +556,8 @@ std::string TaskReport::to_string() const {
 
 StatusOr<TaskReport> check_k_agreement_task(
     std::shared_ptr<const sim::Protocol> protocol, int k,
-    const std::vector<Value>& inputs, const TaskCheckOptions& options) {
+    const std::vector<Value>& inputs, const TaskCheckOptions& options,
+    ConfigGraph* explored) {
   LBSA_CHECK(k >= 1);
   LBSA_CHECK(static_cast<int>(inputs.size()) == protocol->process_count());
   const Status valid = check_options(options, "check_k_agreement_task");
@@ -565,7 +566,9 @@ StatusOr<TaskReport> check_k_agreement_task(
   Explorer explorer(protocol);
   StatusOr<ConfigGraph> graph_or = explorer.explore(options.explore);
   if (!graph_or.is_ok()) return graph_or.status();
-  const ConfigGraph& graph = graph_or.value();
+  if (explored != nullptr) *explored = std::move(graph_or).value();
+  const ConfigGraph& graph =
+      explored != nullptr ? *explored : graph_or.value();
 
   TaskReport report;
   report.node_count = graph.node_count();
@@ -621,7 +624,8 @@ StatusOr<TaskReport> check_k_agreement_task(
 
 StatusOr<TaskReport> check_dac_task(
     std::shared_ptr<const sim::Protocol> protocol, int distinguished_pid,
-    const std::vector<Value>& inputs, const TaskCheckOptions& options) {
+    const std::vector<Value>& inputs, const TaskCheckOptions& options,
+    ConfigGraph* explored) {
   const int n = protocol->process_count();
   LBSA_CHECK(static_cast<int>(inputs.size()) == n);
   LBSA_CHECK(distinguished_pid >= 0 && distinguished_pid < n);
@@ -655,7 +659,9 @@ StatusOr<TaskReport> check_dac_task(
   StatusOr<ConfigGraph> graph_or =
       explorer.explore(explore, flag_fn, /*initial_flag=*/0);
   if (!graph_or.is_ok()) return graph_or.status();
-  const ConfigGraph& graph = graph_or.value();
+  if (explored != nullptr) *explored = std::move(graph_or).value();
+  const ConfigGraph& graph =
+      explored != nullptr ? *explored : graph_or.value();
   const int threads = check_threads(graph, explore);
 
   TaskReport report;

@@ -81,10 +81,12 @@ struct TaskReport {
 
 // Checks Agreement(k), Validity, wait-free Termination, and absence of
 // aborts for a k-set-agreement protocol whose process inputs are `inputs`
-// (inputs.size() == process_count).
+// (inputs.size() == process_count). When `explored` is non-null it receives
+// the graph the check judged.
 StatusOr<TaskReport> check_k_agreement_task(
     std::shared_ptr<const sim::Protocol> protocol, int k,
-    const std::vector<Value>& inputs, const TaskCheckOptions& options = {});
+    const std::vector<Value>& inputs, const TaskCheckOptions& options = {},
+    ConfigGraph* explored = nullptr);
 
 // Consensus is 1-set agreement.
 inline StatusOr<TaskReport> check_consensus_task(
@@ -94,9 +96,11 @@ inline StatusOr<TaskReport> check_consensus_task(
 }
 
 // Checks the n-DAC properties with `distinguished_pid` as the process p.
+// When `explored` is non-null it receives the graph the check judged.
 StatusOr<TaskReport> check_dac_task(
     std::shared_ptr<const sim::Protocol> protocol, int distinguished_pid,
-    const std::vector<Value>& inputs, const TaskCheckOptions& options = {});
+    const std::vector<Value>& inputs, const TaskCheckOptions& options = {},
+    ConfigGraph* explored = nullptr);
 
 }  // namespace lbsa::modelcheck
 

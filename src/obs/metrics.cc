@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "base/check.h"
@@ -20,64 +19,6 @@ int this_thread_stripe() {
 }
 
 }  // namespace internal
-
-std::vector<std::uint64_t> Histogram::buckets() const {
-  std::vector<std::uint64_t> merged(kHistogramBuckets, 0);
-  for (const Stripe& stripe : stripes_) {
-    for (int b = 0; b < kHistogramBuckets; ++b) {
-      merged[static_cast<std::size_t>(b)] +=
-          stripe.buckets[b].load(std::memory_order_relaxed);
-    }
-  }
-  while (!merged.empty() && merged.back() == 0) merged.pop_back();
-  return merged;
-}
-
-void Histogram::reset() {
-  for (Stripe& stripe : stripes_) {
-    stripe.count.store(0, std::memory_order_relaxed);
-    stripe.sum.store(0, std::memory_order_relaxed);
-    for (int b = 0; b < kHistogramBuckets; ++b) {
-      stripe.buckets[b].store(0, std::memory_order_relaxed);
-    }
-  }
-}
-
-std::uint64_t histogram_bucket_upper_bound(int bucket) {
-  if (bucket <= 0) return 0;
-  if (bucket >= kHistogramBuckets - 1) {
-    return std::numeric_limits<std::uint64_t>::max();
-  }
-  return (std::uint64_t{1} << bucket) - 1;
-}
-
-HistogramQuantiles quantiles_from_buckets(
-    const std::vector<std::uint64_t>& buckets, std::uint64_t count) {
-  HistogramQuantiles q;
-  if (count == 0) return q;
-  // The rank-r sample (1-based) lives in the first bucket whose cumulative
-  // count reaches r; report that bucket's inclusive upper bound.
-  auto value_at_rank = [&](std::uint64_t rank) -> std::uint64_t {
-    std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b < buckets.size(); ++b) {
-      cumulative += buckets[b];
-      if (cumulative >= rank) {
-        return histogram_bucket_upper_bound(static_cast<int>(b));
-      }
-    }
-    return histogram_bucket_upper_bound(static_cast<int>(buckets.size()) - 1);
-  };
-  // ceil(q * count), clamped to [1, count].
-  auto rank_of = [&](std::uint64_t num, std::uint64_t den) {
-    const std::uint64_t rank = (count * num + den - 1) / den;
-    return rank == 0 ? 1 : rank;
-  };
-  q.p50 = value_at_rank(rank_of(50, 100));
-  q.p90 = value_at_rank(rank_of(90, 100));
-  q.p99 = value_at_rank(rank_of(99, 100));
-  q.max = value_at_rank(count);
-  return q;
-}
 
 Registry& Registry::global() {
   static Registry* registry = new Registry();  // leaked: process lifetime
@@ -108,18 +49,6 @@ Gauge* Registry::gauge(std::string_view name, Stability stability) {
   return &gauges_.emplace_back(std::string(name), stability);
 }
 
-Histogram* Registry::histogram(std::string_view name, Stability stability) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (Histogram& h : histograms_) {
-    if (h.name() == name) {
-      LBSA_CHECK_MSG(h.stability() == stability,
-                     "obs: histogram re-registered with different stability");
-      return &h;
-    }
-  }
-  return &histograms_.emplace_back(std::string(name), stability);
-}
-
 MetricsSnapshot Registry::snapshot() const {
   MetricsSnapshot snap;
   {
@@ -130,17 +59,10 @@ MetricsSnapshot Registry::snapshot() const {
     for (const Gauge& g : gauges_) {
       snap.gauges.push_back({g.name(), g.stability(), g.value()});
     }
-    for (const Histogram& h : histograms_) {
-      MetricsSnapshot::HistogramRow row{h.name(), h.stability(), h.count(),
-                                        h.sum(), h.buckets(), {}};
-      row.quantiles = quantiles_from_buckets(row.buckets, row.count);
-      snap.histograms.push_back(std::move(row));
-    }
   }
   auto by_name = [](const auto& a, const auto& b) { return a.name < b.name; };
   std::sort(snap.counters.begin(), snap.counters.end(), by_name);
   std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
-  std::sort(snap.histograms.begin(), snap.histograms.end(), by_name);
   return snap;
 }
 
@@ -148,7 +70,6 @@ void Registry::reset_values() {
   std::lock_guard<std::mutex> lock(mu_);
   for (Counter& c : counters_) c.reset();
   for (Gauge& g : gauges_) g.reset();
-  for (Histogram& h : histograms_) h.reset();
 }
 
 namespace {
@@ -176,31 +97,6 @@ void write_sections(JsonWriter* w, const MetricsSnapshot& snap,
   write_rows(w, snap.gauges, want_stable,
              [&](const MetricsSnapshot::GaugeRow& row) {
                w->value_int(row.value);
-             });
-  w->key("histograms");
-  write_rows(w, snap.histograms, want_stable,
-             [&](const MetricsSnapshot::HistogramRow& row) {
-               w->begin_object();
-               w->key("count");
-               w->value_uint(row.count);
-               w->key("sum");
-               w->value_uint(row.sum);
-               w->key("buckets");
-               w->begin_array();
-               for (std::uint64_t b : row.buckets) w->value_uint(b);
-               w->end_array();
-               w->key("quantiles");
-               w->begin_object();
-               w->key("p50");
-               w->value_uint(row.quantiles.p50);
-               w->key("p90");
-               w->value_uint(row.quantiles.p90);
-               w->key("p99");
-               w->value_uint(row.quantiles.p99);
-               w->key("max");
-               w->value_uint(row.quantiles.max);
-               w->end_object();
-               w->end_object();
              });
 }
 

@@ -1,5 +1,5 @@
-// Low-overhead process-wide metrics: named counters, gauges, and log2-bucket
-// histograms behind one global Registry.
+// Low-overhead process-wide metrics: named counters and gauges behind one
+// global Registry.
 //
 // Design goals, in order:
 //   1. Near-zero cost when no sink is attached. Every mutation starts with a
@@ -7,10 +7,10 @@
 //      are off (the default) that branch is the whole cost. Sites that want
 //      literal zero cost compile against the LBSA_OBS_DISABLED macro layer
 //      in obs/obs.h, which erases the calls entirely.
-//   2. Scalable accumulation. Counters and histograms shard their cells by a
-//      thread-local stripe index (each thread owns a cache line), so worker
-//      pools — the parallel explorer, the blind fuzzer — never contend on a
-//      hot counter.
+//   2. Scalable accumulation. Counters shard their cells by a thread-local
+//      stripe index (each thread owns a cache line), so worker pools — the
+//      parallel explorer, the blind fuzzer — never contend on a hot
+//      counter.
 //   3. Deterministic snapshots. A snapshot merges the stripes by summation
 //      and sorts rows by metric name, so any quantity whose *total* is
 //      schedule-independent reports byte-identically for every thread
@@ -36,14 +36,10 @@
 
 namespace lbsa::obs {
 
-// Stripe count for sharded accumulation (counters, histograms). A modest
-// power of two: enough that every hardware thread of a typical worker pool
-// lands on its own cache line, small enough that snapshot merges stay cheap.
+// Stripe count for sharded counter accumulation. A modest power of two:
+// enough that every hardware thread of a typical worker pool lands on its
+// own cache line, small enough that snapshot merges stay cheap.
 inline constexpr int kMetricStripes = 16;
-
-// Log2 bucketing: bucket 0 holds value 0, bucket 1+floor(log2(v)) holds
-// v >= 1; 65 buckets cover the whole uint64 range.
-inline constexpr int kHistogramBuckets = 65;
 
 // Whether totals are schedule-independent (byte-identical across thread
 // counts and engines) or may legitimately vary run to run.
@@ -142,86 +138,6 @@ class Gauge {
   std::atomic<std::int64_t> value_{0};
 };
 
-// A log2-bucket distribution: count, sum, and 65 buckets, all striped like
-// Counter so concurrent observers touch only their own cache lines.
-class Histogram {
- public:
-  Histogram(std::string name, Stability stability)
-      : name_(std::move(name)), stability_(stability) {}
-  Histogram(const Histogram&) = delete;
-  Histogram& operator=(const Histogram&) = delete;
-
-  static int bucket_of(std::uint64_t value) {
-    if (value == 0) return 0;
-    int bucket = 1;
-    while (value >>= 1) ++bucket;
-    return bucket;  // 1 + floor(log2(v)), in [1, 64]
-  }
-
-  void observe(std::uint64_t value) {
-    if (!metrics_enabled()) return;
-    Stripe& stripe = stripes_[internal::this_thread_stripe()];
-    stripe.count.fetch_add(1, std::memory_order_relaxed);
-    stripe.sum.fetch_add(value, std::memory_order_relaxed);
-    stripe.buckets[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
-  }
-
-  std::uint64_t count() const {
-    std::uint64_t sum = 0;
-    for (const Stripe& s : stripes_) {
-      sum += s.count.load(std::memory_order_relaxed);
-    }
-    return sum;
-  }
-  std::uint64_t sum() const {
-    std::uint64_t total = 0;
-    for (const Stripe& s : stripes_) {
-      total += s.sum.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-  // Merged buckets, trailing zeros trimmed.
-  std::vector<std::uint64_t> buckets() const;
-
-  void reset();
-
-  const std::string& name() const { return name_; }
-  Stability stability() const { return stability_; }
-
- private:
-  struct alignas(64) Stripe {
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> sum{0};
-    std::atomic<std::uint64_t> buckets[kHistogramBuckets] = {};
-  };
-  std::string name_;
-  Stability stability_;
-  Stripe stripes_[kMetricStripes];
-};
-
-// Quantiles extracted from a log2-bucket histogram. Each reported value is
-// the inclusive UPPER bound of the bucket holding the rank-ceil(q*count)
-// sample: bucket 0 reports 0, bucket b in [1, 64) reports 2^b - 1, and the
-// top bucket (64) reports UINT64_MAX (overflow bucket — its upper bound is
-// the domain's). Error bound: a sample in bucket b >= 1 lies in
-// [2^(b-1), 2^b - 1], so exact_q <= reported_q < 2 * exact_q — the reported
-// quantile never understates and overstates by strictly less than 2x. An
-// empty histogram reports all zeros.
-struct HistogramQuantiles {
-  std::uint64_t p50 = 0;
-  std::uint64_t p90 = 0;
-  std::uint64_t p99 = 0;
-  std::uint64_t max = 0;
-};
-
-// Inclusive upper bound of log2 bucket `bucket` (see HistogramQuantiles).
-std::uint64_t histogram_bucket_upper_bound(int bucket);
-
-// Quantiles from merged buckets (trailing zeros may be trimmed); `count`
-// must equal the bucket sum (Histogram::count() vs buckets()).
-HistogramQuantiles quantiles_from_buckets(
-    const std::vector<std::uint64_t>& buckets, std::uint64_t count);
-
 // One merged, name-sorted view of every registered metric.
 struct MetricsSnapshot {
   struct CounterRow {
@@ -234,22 +150,13 @@ struct MetricsSnapshot {
     Stability stability;
     std::int64_t value = 0;
   };
-  struct HistogramRow {
-    std::string name;
-    Stability stability;
-    std::uint64_t count = 0;
-    std::uint64_t sum = 0;
-    std::vector<std::uint64_t> buckets;  // trailing zeros trimmed
-    HistogramQuantiles quantiles;        // derived from buckets at snapshot
-  };
 
   std::vector<CounterRow> counters;
   std::vector<GaugeRow> gauges;
-  std::vector<HistogramRow> histograms;
 
   // JSON object:
-  //   {"counters":{...},"gauges":{...},"histograms":{...}
-  //    [,"volatile":{"counters":{...},...}]}
+  //   {"counters":{...},"gauges":{...}
+  //    [,"volatile":{"counters":{...},"gauges":{...}}]}
   // Rows are name-sorted, so equal snapshots serialize byte-identically.
   std::string to_json(bool include_volatile = true) const;
   // Only the schedule-independent metrics — the string the determinism
@@ -272,8 +179,6 @@ class Registry {
                    Stability stability = Stability::kStable);
   Gauge* gauge(std::string_view name,
                Stability stability = Stability::kStable);
-  Histogram* histogram(std::string_view name,
-                       Stability stability = Stability::kStable);
 
   MetricsSnapshot snapshot() const;
 
@@ -286,7 +191,6 @@ class Registry {
   // deques: stable addresses across registration.
   std::deque<Counter> counters_;
   std::deque<Gauge> gauges_;
-  std::deque<Histogram> histograms_;
 };
 
 inline void set_metrics_enabled(bool enabled) {

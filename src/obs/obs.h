@@ -16,7 +16,6 @@
 //   LBSA_OBS_COUNTER_ADD_V("explore.canon.cache_hits", n);   // volatile metric
 //   LBSA_OBS_GAUGE_SET("explore.max_depth", depth);
 //   LBSA_OBS_GAUGE_MAX("fuzz.pool.peak", pool.size());
-//   LBSA_OBS_HISTOGRAM_OBSERVE("explore.frontier_size", frontier.size());
 //   LBSA_OBS_SPAN(span, "explore.level", lbsa::obs::kCatPhase, /*lane=*/0);
 //   span.arg("level", depth);
 #ifndef LBSA_OBS_OBS_H_
@@ -67,22 +66,6 @@
     lbsa_obs_gauge_->observe_max(static_cast<std::int64_t>(value));    \
   } while (0)
 
-#define LBSA_OBS_HISTOGRAM_OBSERVE(name, value)                        \
-  do {                                                                 \
-    static ::lbsa::obs::Histogram* const lbsa_obs_histogram_ =         \
-        ::lbsa::obs::Registry::global().histogram(                     \
-            (name), ::lbsa::obs::Stability::kStable);                  \
-    lbsa_obs_histogram_->observe(static_cast<std::uint64_t>(value));   \
-  } while (0)
-
-#define LBSA_OBS_HISTOGRAM_OBSERVE_V(name, value)                      \
-  do {                                                                 \
-    static ::lbsa::obs::Histogram* const lbsa_obs_histogram_ =         \
-        ::lbsa::obs::Registry::global().histogram(                     \
-            (name), ::lbsa::obs::Stability::kVolatile);                \
-    lbsa_obs_histogram_->observe(static_cast<std::uint64_t>(value));   \
-  } while (0)
-
 // Declares a local ::lbsa::obs::Span named `var`.
 #define LBSA_OBS_SPAN(var, name, cat, lane) \
   ::lbsa::obs::Span var((name), (cat), (lane))
@@ -110,13 +93,9 @@ constexpr void obs_sink_i64(std::int64_t) {}
   } while (0)
 #define LBSA_OBS_GAUGE_SET_V(name, value) LBSA_OBS_GAUGE_SET(name, value)
 #define LBSA_OBS_GAUGE_MAX(name, value) LBSA_OBS_GAUGE_SET(name, value)
-#define LBSA_OBS_HISTOGRAM_OBSERVE(name, value)                          \
-  LBSA_OBS_COUNTER_ADD(name, value)
-#define LBSA_OBS_HISTOGRAM_OBSERVE_V(name, value)                        \
-  LBSA_OBS_COUNTER_ADD(name, value)
 
 #define LBSA_OBS_SPAN(var, name, cat, lane)          \
-  ::lbsa::obs::NoopSpan var;                         \
+  [[maybe_unused]] ::lbsa::obs::NoopSpan var;        \
   ::lbsa::obs::internal::obs_sink_name(name);        \
   ::lbsa::obs::internal::obs_sink_name(cat);         \
   ::lbsa::obs::internal::obs_sink_i64(static_cast<std::int64_t>(lane))

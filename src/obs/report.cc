@@ -43,72 +43,18 @@ Status schema_error(const std::string& what) {
   return invalid_argument("run report schema: " + what);
 }
 
-// "counters"/"gauges" must map names to integers; "histograms" maps names to
-// {count, sum, buckets[], quantiles{p50,p90,p99,max}} objects.
+// "counters" and "gauges" must each map names to integers.
 Status check_metric_group(const JsonValue& group, const std::string& where) {
-  const JsonValue* counters = group.find("counters");
-  if (counters == nullptr || !counters->is_object()) {
-    return schema_error(where + ".counters missing or not an object");
-  }
-  for (const auto& [name, value] : counters->members) {
-    if (!value.is_number() || !value.number_is_integer) {
-      return schema_error(where + ".counters." + name + " not an integer");
+  for (const char* kind : {"counters", "gauges"}) {
+    const std::string path = where + "." + kind;
+    const JsonValue* rows = group.find(kind);
+    if (rows == nullptr || !rows->is_object()) {
+      return schema_error(path + " missing or not an object");
     }
-  }
-  const JsonValue* gauges = group.find("gauges");
-  if (gauges == nullptr || !gauges->is_object()) {
-    return schema_error(where + ".gauges missing or not an object");
-  }
-  for (const auto& [name, value] : gauges->members) {
-    if (!value.is_number() || !value.number_is_integer) {
-      return schema_error(where + ".gauges." + name + " not an integer");
-    }
-  }
-  const JsonValue* histograms = group.find("histograms");
-  if (histograms == nullptr || !histograms->is_object()) {
-    return schema_error(where + ".histograms missing or not an object");
-  }
-  for (const auto& [name, value] : histograms->members) {
-    const std::string path = where + ".histograms." + name;
-    if (!value.is_object()) return schema_error(path + " not an object");
-    const JsonValue* count = value.find("count");
-    if (count == nullptr || !count->is_number() || !count->number_is_integer) {
-      return schema_error(path + ".count missing or not an integer");
-    }
-    const JsonValue* sum = value.find("sum");
-    if (sum == nullptr || !sum->is_number() || !sum->number_is_integer) {
-      return schema_error(path + ".sum missing or not an integer");
-    }
-    const JsonValue* buckets = value.find("buckets");
-    if (buckets == nullptr || !buckets->is_array()) {
-      return schema_error(path + ".buckets missing or not an array");
-    }
-    for (const JsonValue& bucket : buckets->array) {
-      if (!bucket.is_number() || !bucket.number_is_integer) {
-        return schema_error(path + ".buckets element not an integer");
+    for (const auto& [name, value] : rows->members) {
+      if (!value.is_number() || !value.number_is_integer) {
+        return schema_error(path + "." + name + " not an integer");
       }
-    }
-    const JsonValue* quantiles = value.find("quantiles");
-    if (quantiles == nullptr || !quantiles->is_object()) {
-      return schema_error(path + ".quantiles missing or not an object");
-    }
-    std::int64_t prev = 0;
-    const char* prev_name = nullptr;
-    for (const char* q : {"p50", "p90", "p99", "max"}) {
-      const JsonValue* v = quantiles->find(q);
-      if (v == nullptr || !v->is_number() || !v->number_is_integer) {
-        return schema_error(path + ".quantiles." + q +
-                            " missing or not an integer");
-      }
-      // Upper-bound quantiles from one bucket array are necessarily ordered
-      // (int_value wraps for the top bucket's UINT64_MAX, so compare only
-      // non-negative values — a wrapped max is by construction the largest).
-      if (prev_name != nullptr && v->int_value >= 0 && prev >= 0 &&
-          v->int_value < prev) {
-        return schema_error(path + ".quantiles." + q + " < " + prev_name);
-      }
-      prev = v->int_value;
-      prev_name = q;
     }
   }
   return Status::ok();

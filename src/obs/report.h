@@ -3,28 +3,23 @@
 // validate_run_report_json and docs/observability.md):
 //
 //   {
-//     "run_report_version": 2,
+//     "run_report_version": 3,
 //     "tool": "explorer_cli",
 //     "task": "dac3",                      // "" when not task-scoped
 //     "params": { "threads": 8, ... },     // tool inputs, for reproduction
 //     "wall_seconds": 0.042,
 //     "metrics": {
-//       "counters":   { "explore.nodes": 441, ... },      // stable
-//       "gauges":     { "explore.max_depth": 12, ... },
-//       "histograms": { "explore.frontier_size":
-//                         {"count":13,"sum":441,"buckets":[0,3,...],
-//                          "quantiles":{"p50":7,"p90":63,"p99":63,
-//                                       "max":255}} },
-//       "volatile":   { "counters": {...}, "gauges": {...},
-//                       "histograms": {...} }              // schedule-dep.
+//       "counters": { "explore.nodes": 441, ... },        // stable
+//       "gauges":   { "explore.max_depth": 9, ... },
+//       "volatile": { "counters": {...}, "gauges": {...} }  // schedule-dep.
 //     },
 //     "sections": {
 //       "explorer": { "nodes": 441, ... }                  // tool-specific
 //     }
 //   }
 //
-// v2 added the per-histogram "quantiles" object (upper-bound log2-bucket
-// quantiles, see HistogramQuantiles in obs/metrics.h).
+// v3 dropped v2's "histograms" group: counters and gauges are the only
+// metric kinds.
 //
 // "params" and "sections" values are raw JSON supplied by the tool (built
 // with obs::JsonWriter). The stable metrics sections are byte-identical
@@ -44,7 +39,7 @@
 namespace lbsa::obs {
 
 struct RunReport {
-  static constexpr int kSchemaVersion = 2;
+  static constexpr int kSchemaVersion = 3;
 
   std::string tool;  // required, non-empty
   std::string task;  // optional workload key ("" if none)

@@ -21,6 +21,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "graph_testing.h"
@@ -438,6 +439,15 @@ TEST(Checkpoint, ResumeRejectsBadPermsAndParentPids) {
     bad.parents[2] = 1;
     bad.parent_steps[2] = bad.parent_steps[1];
     expect_rejected(task, bad, "parent step target");
+  }
+  // Depths that are not BFS depths: the root at depth 1, node 2 at the
+  // root's depth, and node 1 two levels below the root, its parent.
+  using NodeDepth = std::pair<std::size_t, std::uint32_t>;
+  for (const auto& [node, depth] :
+       {NodeDepth{0, 1}, NodeDepth{2, 0}, NodeDepth{1, 2}}) {
+    ExploreCheckpoint bad = good;
+    bad.node_depths[node] = depth;
+    expect_rejected(task, bad, "node depth");
   }
   {
     // One node's edges with pids interleaved (p, q, p): every parent step

@@ -5,11 +5,15 @@
 // serial one; this suite pins down that the instrumentation layered on top
 // in this PR preserves that guarantee.
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "modelcheck/checkpoint.h"
 #include "modelcheck/corpus.h"
 #include "modelcheck/explorer.h"
 #include "modelcheck/fuzz.h"
@@ -44,6 +48,9 @@ RunObservation observe(Workload workload) {
 }
 
 TEST(ObsDeterminism, ExplorerStableMetricsIdenticalAcrossThreadCounts) {
+#if defined(LBSA_OBS_DISABLED)
+  GTEST_SKIP() << "metrics are compiled out under LBSA_OBS_DISABLED";
+#endif
   auto task = modelcheck::make_named_task("dac3");
   ASSERT_TRUE(task.is_ok());
   modelcheck::Explorer explorer(task.value().protocol);
@@ -72,6 +79,44 @@ TEST(ObsDeterminism, ExplorerStableMetricsIdenticalAcrossThreadCounts) {
   }
 }
 
+// explore.levels is the deepest node's depth plus one and explore.max_depth
+// that depth, on a complete run, on one stopped after three levels (its
+// frontier is present), and on that run's checkpoint resumed to the end.
+TEST(ObsDeterminism, ExplorerLevelMetricsReadTheDeepestNode) {
+#if defined(LBSA_OBS_DISABLED)
+  GTEST_SKIP() << "metrics are compiled out under LBSA_OBS_DISABLED";
+#endif
+  auto task = modelcheck::make_named_task("dac3");
+  ASSERT_TRUE(task.is_ok());
+  modelcheck::Explorer explorer(task.value().protocol);
+  using LevelsAndDepth = std::pair<std::uint64_t, std::int64_t>;
+  auto levels_and_depth = [&](const modelcheck::ExploreOptions& options) {
+    observe([&] { ASSERT_TRUE(explorer.explore(options).is_ok()); });
+    LevelsAndDepth out;
+    const MetricsSnapshot snap = Registry::global().snapshot();
+    for (const auto& row : snap.counters) {
+      if (row.name == "explore.levels") out.first = row.value;
+    }
+    for (const auto& row : snap.gauges) {
+      if (row.name == "explore.max_depth") out.second = row.value;
+    }
+    return out;
+  };
+  EXPECT_EQ(levels_and_depth({}), LevelsAndDepth(10, 9));
+
+  modelcheck::ExploreOptions partial;
+  partial.max_levels = 3;
+  partial.checkpoint_path = ::testing::TempDir() + "/obs_levels.ckpt";
+  EXPECT_EQ(levels_and_depth(partial), LevelsAndDepth(4, 3));
+  auto checkpoint =
+      modelcheck::read_explore_checkpoint(partial.checkpoint_path);
+  ASSERT_TRUE(checkpoint.is_ok()) << checkpoint.status().to_string();
+  modelcheck::ExploreOptions resumed;
+  resumed.resume = &checkpoint.value();
+  EXPECT_EQ(levels_and_depth(resumed), LevelsAndDepth(10, 9));
+  std::remove(partial.checkpoint_path.c_str());
+}
+
 TEST(ObsDeterminism, SerialAndParallelEnginesAgreeOnStableMetrics) {
   auto task = modelcheck::make_named_task("strawdac3");
   ASSERT_TRUE(task.is_ok());
@@ -94,6 +139,9 @@ TEST(ObsDeterminism, SerialAndParallelEnginesAgreeOnStableMetrics) {
 }
 
 TEST(ObsDeterminism, BlindFuzzStableMetricsIdenticalAcrossThreadCounts) {
+#if defined(LBSA_OBS_DISABLED)
+  GTEST_SKIP() << "metrics are compiled out under LBSA_OBS_DISABLED";
+#endif
   auto task = modelcheck::make_named_task("strawdac3");
   ASSERT_TRUE(task.is_ok());
 

@@ -30,8 +30,6 @@ TEST(ObsDisabled, MacrosRegisterAndRecordNothing) {
   LBSA_OBS_GAUGE_SET("erased.gauge", 7);
   LBSA_OBS_GAUGE_SET_V("erased.gauge.volatile", -2);
   LBSA_OBS_GAUGE_MAX("erased.gauge.max", n);
-  LBSA_OBS_HISTOGRAM_OBSERVE("erased.hist", 9);
-  LBSA_OBS_HISTOGRAM_OBSERVE_V("erased.hist.volatile", n);
   {
     LBSA_OBS_SPAN(span, "erased.span", kCatPhase, 0);
     span.arg("key", 1);

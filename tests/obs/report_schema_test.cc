@@ -22,7 +22,6 @@ RunReport sample_report() {
   Registry registry;
   registry.counter("t.nodes")->add(42);
   registry.counter("t.probes", Stability::kVolatile)->add(7);
-  registry.histogram("t.sizes")->observe(5);
   report.metrics = registry.snapshot();
   set_metrics_enabled(false);
   JsonWriter w;
@@ -128,31 +127,6 @@ TEST(RunReportSchema, RejectsReductionRatioOnIncompleteGraphs) {
                     "{\"" + std::string(flag) + "\":true,\"nodes\":79}"))
                     .is_ok());
   }
-}
-
-// v2 addition: every histogram row must carry a quantiles object.
-TEST(RunReportSchema, RequiresHistogramQuantiles) {
-  std::string json = sample_report().to_json();
-  ASSERT_NE(json.find("\"quantiles\""), std::string::npos);
-  // Strip the quantiles object from the histogram row: must now reject.
-  const std::size_t start = json.find(",\"quantiles\":{");
-  ASSERT_NE(start, std::string::npos);
-  const std::size_t end = json.find('}', start);
-  ASSERT_NE(end, std::string::npos);
-  json.erase(start, end - start + 1);
-  const Status s = validate_run_report_json(json);
-  EXPECT_FALSE(s.is_ok());
-  EXPECT_NE(s.message().find("quantiles"), std::string::npos)
-      << s.to_string();
-}
-
-TEST(RunReportSchema, RejectsDisorderedQuantiles) {
-  std::string json = sample_report().to_json();
-  // sample_report observes a single 5 → p50=p90=p99=max=7. Force p90 < p50.
-  const std::string needle = "\"p90\":7";
-  ASSERT_NE(json.find(needle), std::string::npos);
-  json.replace(json.find(needle), needle.size(), "\"p90\":3");
-  EXPECT_FALSE(validate_run_report_json(json).is_ok());
 }
 
 TEST(BenchArtifactSchema, AcceptsMergedArtifactAndRejectsBadRows) {

@@ -11,10 +11,10 @@
 // words (decoded from the stored key, so the key's representation does not
 // enter it), the path flag, depth, parent, parent edge and discovery perm,
 // and every edge's (to, pid, kind, to_pid). The report digest covers
-// TaskReport::to_string() at max_violations 1000. The graph is explored
-// with the options and path flag the task check uses, so the two digests
-// describe the same exploration. Graphs and reports are the same for every
-// engine and thread count, so the output is too.
+// TaskReport::to_string() at max_violations 1000. The graph digested is the
+// one the task check judged, so the two digests describe one exploration.
+// Graphs and reports are the same for every engine and thread count, so the
+// output is too.
 //
 // --check FILE compares the output with FILE line by line instead of
 // printing it, and on a mismatch names the first differing task and
@@ -135,46 +135,28 @@ std::string row(const modelcheck::NamedTask& task, Reduction reduction,
     check.explore.allow_truncation = true;
   }
 
-  // The exploration check_dac_task makes: the path flag records whether a
-  // process other than the distinguished one has stepped.
-  modelcheck::ExploreOptions explore = check.explore;
-  modelcheck::Explorer::FlagFn flag_fn;
-  if (task.distinguished_pid >= 0) {
-    const int p = task.distinguished_pid;
-    flag_fn = [p](std::int64_t flag, const sim::Step& step) -> std::int64_t {
-      return step.pid != p ? 1 : flag;
-    };
-    explore.flag_fn_symmetric = true;
-  }
-  const auto graph =
-      modelcheck::Explorer(task.protocol).explore(explore, flag_fn, 0);
+  modelcheck::ConfigGraph graph;
   const auto report =
       task.distinguished_pid >= 0
           ? modelcheck::check_dac_task(task.protocol, task.distinguished_pid,
-                                       task.inputs, check)
+                                       task.inputs, check, &graph)
           : modelcheck::check_k_agreement_task(task.protocol, task.k,
-                                               task.inputs, check);
+                                               task.inputs, check, &graph);
 
   std::string out = "    {\"task\": \"" + task.name + "\", \"reduction\": \"" +
                     modelcheck::reduction_name(reduction) + "\"";
-  if (!graph.is_ok()) {
-    return out + ", \"error\": \"" + graph.status().to_string() + "\"}";
+  if (!report.is_ok()) {
+    return out + ", \"error\": \"" + report.status().to_string() + "\"}";
   }
-  const modelcheck::ConfigGraph& g = graph.value();
-  out += ", \"nodes\": " + std::to_string(g.node_count()) +
-         ", \"transitions\": " + std::to_string(g.transition_count()) +
-         ", \"levels\": " + std::to_string(g.levels_completed()) +
-         ", \"truncated\": " + (g.truncated() ? "true" : "false") +
-         ", \"graph_digest\": \"" + graph_digest(g) + "\"";
+  out += ", \"nodes\": " + std::to_string(graph.node_count()) +
+         ", \"transitions\": " + std::to_string(graph.transition_count()) +
+         ", \"levels\": " + std::to_string(graph.levels_completed()) +
+         ", \"truncated\": " + (graph.truncated() ? "true" : "false") +
+         ", \"graph_digest\": \"" + graph_digest(graph) + "\"";
   Digest report_digest;
-  report_digest.add_string(report.is_ok() ? report.value().to_string()
-                                          : report.status().to_string());
-  if (report.is_ok()) {
-    out += ", \"ok\": ";
-    out += report.value().ok() ? "true" : "false";
-  } else {
-    out += ", \"check_error\": true";
-  }
+  report_digest.add_string(report.value().to_string());
+  out += ", \"ok\": ";
+  out += report.value().ok() ? "true" : "false";
   return out + ", \"report_digest\": \"" + report_digest.hex() + "\"}";
 }
 
