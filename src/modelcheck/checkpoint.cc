@@ -1,8 +1,5 @@
 #include "modelcheck/checkpoint.h"
 
-#include <unistd.h>
-
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -15,6 +12,7 @@
 
 #include "base/check.h"
 #include "base/hashing.h"
+#include "obs/report.h"
 #include "sim/trace.h"
 
 namespace lbsa::modelcheck {
@@ -28,12 +26,14 @@ constexpr std::uint64_t kFuzzMagic = 0x4c42534146555a31ULL;     // "LBSAFUZ1"
 std::int64_t as_word(std::uint64_t v) { return std::bit_cast<std::int64_t>(v); }
 std::uint64_t as_u64(std::int64_t w) { return std::bit_cast<std::uint64_t>(w); }
 
-// Appends payload words. Everything is one int64 per logical field; strings
-// and byte vectors spend one word per byte (checkpoints are dominated by
-// configuration words, so the slack is irrelevant and the format stays
-// trivially seekless).
+// Builds a checkpoint file in one buffer: the four header words, which
+// write() fills in, then the payload. Everything is one int64 per logical
+// field; strings spend one word per character, and byte runs one word per 8
+// bytes (the format stays trivially seekless).
 class WordWriter {
  public:
+  WordWriter() : words_(kHeaderWords) {}
+
   void i64(std::int64_t v) { words_.push_back(v); }
   void u64(std::uint64_t v) { words_.push_back(as_word(v)); }
   void u32(std::uint32_t v) { words_.push_back(static_cast<std::int64_t>(v)); }
@@ -47,31 +47,31 @@ class WordWriter {
     }
   }
 
+  // The run's length, then its bytes packed 8 to a word in file order, the
+  // last word zero-padded.
   void bytes(std::span<const std::uint8_t> v) {
     u64(v.size());
-    for (std::uint8_t b : v) words_.push_back(static_cast<std::int64_t>(b));
+    const std::size_t at = words_.size();
+    words_.resize(at + (v.size() + 7) / 8);
+    if (!v.empty()) std::memcpy(words_.data() + at, v.data(), v.size());
   }
 
-  void word_vec(std::span<const std::int64_t> v) {
-    u64(v.size());
-    words_.insert(words_.end(), v.begin(), v.end());
+  // Fills in [magic, version, payload count, payload hash] and writes the
+  // file atomically.
+  Status write(std::uint64_t magic, std::uint32_t version,
+               const std::string& path) {
+    const auto payload = std::span(words_).subspan(kHeaderWords);
+    words_[0] = as_word(magic);
+    words_[1] = static_cast<std::int64_t>(version);
+    words_[2] = static_cast<std::int64_t>(payload.size());
+    words_[3] = as_word(hash_words(payload));
+    return obs::write_text_file(
+        path, {reinterpret_cast<const char*>(words_.data()),
+               words_.size() * sizeof(std::int64_t)});
   }
-
-  void step(const sim::Step& s) {
-    i64(s.pid);
-    i64(static_cast<std::int64_t>(s.action.kind));
-    i64(s.action.object_index);
-    i64(static_cast<std::int64_t>(s.action.op.code));
-    i64(s.action.op.arg0);
-    i64(s.action.op.arg1);
-    i64(s.action.decision);
-    i64(s.response);
-    i64(s.outcome_choice);
-  }
-
-  const std::vector<std::int64_t>& words() const { return words_; }
 
  private:
+  static constexpr std::size_t kHeaderWords = 4;
   std::vector<std::int64_t> words_;
 };
 
@@ -153,50 +153,19 @@ class WordReader {
     return text;
   }
 
-  // Reads a byte vector as the next run of *out.
+  // Reads a byte run (WordWriter::bytes) as the next run of *out.
   void bytes(const char* what, NodeRuns<std::uint8_t>* out) {
-    const std::size_t n = count(what);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::int64_t b = i64();
-      if (b < 0 || b > 255) {
-        fail(std::string(what) + " has a non-byte element");
-        break;
-      }
-      out->items.push_back(static_cast<std::uint8_t>(b));
+    const std::int64_t n = i64();
+    if (n < 0 || (static_cast<std::uint64_t>(n) + 7) / 8 > remaining()) {
+      fail(std::string(what) + " length exceeds payload");
+    } else if (n > 0) {
+      const std::size_t at = out->items.size();
+      out->items.resize(at + static_cast<std::size_t>(n));
+      std::memcpy(out->items.data() + at, words_.data() + pos_,
+                  static_cast<std::size_t>(n));
+      pos_ += (static_cast<std::size_t>(n) + 7) / 8;
     }
     out->offsets.push_back(out->items.size());
-  }
-
-  // Reads a word vector as the next run of *out.
-  void word_vec(const char* what, NodeRuns<std::int64_t>* out) {
-    const std::size_t n = count(what);
-    if (status_.is_ok()) {
-      out->items.insert(
-          out->items.end(), words_.begin() + static_cast<std::ptrdiff_t>(pos_),
-          words_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-      pos_ += n;
-    }
-    out->offsets.push_back(out->items.size());
-  }
-
-  sim::Step step() {
-    sim::Step s;
-    s.pid = static_cast<int>(i64());
-    const std::int64_t kind = i64();
-    if (kind < 0 ||
-        kind > static_cast<std::int64_t>(sim::Action::Kind::kAbort)) {
-      fail("step action kind out of range");
-      return s;
-    }
-    s.action.kind = static_cast<sim::Action::Kind>(kind);
-    s.action.object_index = static_cast<int>(i64());
-    s.action.op.code = static_cast<spec::OpCode>(i64());
-    s.action.op.arg0 = i64();
-    s.action.op.arg1 = i64();
-    s.action.decision = i64();
-    s.response = i64();
-    s.outcome_choice = static_cast<int>(i64());
-    return s;
   }
 
   std::uint64_t remaining() const { return words_.size() - pos_; }
@@ -211,51 +180,6 @@ class WordReader {
   std::size_t pos_ = 0;
   Status status_;
 };
-
-// Writes [magic, version, payload count, payload hash, payload] to a
-// same-directory temp file, then renames over `path`. rename(2) is atomic
-// on POSIX, so readers only ever see a complete old file or a complete new
-// one — an interrupted write leaves at worst a stray temp file.
-//
-// The temp name carries a pid + per-process-counter suffix: two writers
-// staging the same `path` concurrently (two CLI runs sharing a checkpoint
-// path, or two threads of one process) each stage a private file, so
-// neither can truncate or rename the other's half-written bytes — the last
-// rename wins with a complete file either way.
-Status write_words_atomic(std::uint64_t magic, std::uint32_t version,
-                          const std::vector<std::int64_t>& payload,
-                          const std::string& path) {
-  std::vector<std::int64_t> file;
-  file.reserve(payload.size() + 4);
-  file.push_back(as_word(magic));
-  file.push_back(static_cast<std::int64_t>(version));
-  file.push_back(static_cast<std::int64_t>(payload.size()));
-  file.push_back(as_word(hash_words(payload)));
-  file.insert(file.end(), payload.begin(), payload.end());
-
-  static std::atomic<std::uint64_t> stage_counter{0};
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long long>(::getpid())) +
-      "." + std::to_string(stage_counter.fetch_add(1,
-                                                   std::memory_order_relaxed));
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return internal_error("cannot open checkpoint temp file: " + tmp);
-  }
-  const std::size_t wrote =
-      std::fwrite(file.data(), sizeof(std::int64_t), file.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  const bool closed = std::fclose(f) == 0;
-  if (wrote != file.size() || !flushed || !closed) {
-    std::remove(tmp.c_str());
-    return internal_error("short write to checkpoint temp file: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return internal_error("cannot rename checkpoint into place: " + path);
-  }
-  return Status::ok();
-}
 
 // Accepts schema versions [oldest, newest].
 StatusOr<std::vector<std::int64_t>> read_words(std::uint64_t magic,
@@ -393,12 +317,8 @@ Status validate_fuzz_resume(const sim::Protocol& protocol,
 
 Status write_explore_checkpoint(const ExploreCheckpoint& checkpoint,
                                 const std::string& path) {
-  const std::size_t n = checkpoint.node_words.size();
-  LBSA_CHECK(checkpoint.node_flags.size() == n &&
-             checkpoint.node_depths.size() == n &&
-             checkpoint.parents.size() == n &&
-             checkpoint.parent_steps.size() == n &&
-             checkpoint.edges.size() == n);
+  const std::size_t n = checkpoint.keys.size();
+  LBSA_CHECK(checkpoint.edges.size() == n);
   LBSA_CHECK(checkpoint.discovery_perms.empty() ||
              checkpoint.discovery_perms.size() == n);
 
@@ -411,17 +331,12 @@ Status write_explore_checkpoint(const ExploreCheckpoint& checkpoint,
   w.u64(checkpoint.max_nodes);
   w.boolean(checkpoint.allow_truncation);
   w.boolean(checkpoint.truncated);
-  w.u64(checkpoint.transition_count);
   w.u32(checkpoint.levels_completed);
 
   w.u64(n);
   w.boolean(!checkpoint.discovery_perms.empty());
   for (std::size_t i = 0; i < n; ++i) {
-    w.word_vec(checkpoint.node_words[i]);
-    w.i64(checkpoint.node_flags[i]);
-    w.u32(checkpoint.node_depths[i]);
-    w.u32(checkpoint.parents[i]);
-    w.step(checkpoint.parent_steps[i]);
+    w.bytes(checkpoint.keys[i]);
     if (!checkpoint.discovery_perms.empty()) {
       w.bytes(checkpoint.discovery_perms[i]);
     }
@@ -435,9 +350,7 @@ Status write_explore_checkpoint(const ExploreCheckpoint& checkpoint,
   }
   w.u64(checkpoint.frontier.size());
   for (std::uint32_t id : checkpoint.frontier) w.u32(id);
-
-  return write_words_atomic(kExploreMagic, kExploreCheckpointSchemaVersion,
-                            w.words(), path);
+  return w.write(kExploreMagic, kExploreCheckpointSchemaVersion, path);
 }
 
 StatusOr<ExploreCheckpoint> read_explore_checkpoint(const std::string& path) {
@@ -461,26 +374,16 @@ StatusOr<ExploreCheckpoint> read_explore_checkpoint(const std::string& path) {
   cp.max_nodes = r.u64();
   cp.allow_truncation = r.boolean("allow_truncation");
   cp.truncated = r.boolean("truncated");
-  cp.transition_count = r.u64();
   cp.levels_completed = r.u32("levels_completed");
 
-  // Each node needs at least its word count, flag, depth, parent, step (9)
-  // and edge count.
-  const std::size_t n = r.count("node", /*min_words_per_element=*/14);
+  // Each node needs at least its key length and its edge count.
+  const std::size_t n = r.count("node", /*min_words_per_element=*/2);
   const bool has_perms = r.boolean("has discovery perms");
-  cp.node_words.offsets.reserve(n + 1);
-  cp.node_flags.reserve(n);
-  cp.node_depths.reserve(n);
-  cp.parents.reserve(n);
-  cp.parent_steps.reserve(n);
+  cp.keys.offsets.reserve(n + 1);
   cp.edges.offsets.reserve(n + 1);
   if (has_perms) cp.discovery_perms.offsets.reserve(n + 1);
   for (std::size_t i = 0; i < n && r.status().is_ok(); ++i) {
-    r.word_vec("node config words", &cp.node_words);
-    cp.node_flags.push_back(r.i64());
-    cp.node_depths.push_back(r.u32("node depth"));
-    cp.parents.push_back(r.u32("node parent"));
-    cp.parent_steps.push_back(r.step());
+    r.bytes("node key", &cp.keys);
     if (has_perms) r.bytes("discovery perm", &cp.discovery_perms);
     const std::size_t edge_count =
         r.count("edge", /*min_words_per_element=*/4);
@@ -516,13 +419,6 @@ StatusOr<ExploreCheckpoint> read_explore_checkpoint(const std::string& path) {
   }
   if (r.status().is_ok() && !r.done()) r.fail("trailing payload words");
   if (!r.status().is_ok()) return r.status();
-
-  // Structural sanity beyond per-field ranges: parents precede children.
-  for (std::size_t i = 1; i < n; ++i) {
-    if (cp.parents[i] >= i) {
-      return invalid_argument("checkpoint: parent id not before child");
-    }
-  }
   return cp;
 }
 
@@ -548,8 +444,7 @@ Status write_fuzz_checkpoint(const FuzzCheckpoint& checkpoint,
     w.str(v.schedule);
     w.u64(v.raw_steps);
   }
-  return write_words_atomic(kFuzzMagic, kFuzzCheckpointSchemaVersion,
-                            w.words(), path);
+  return w.write(kFuzzMagic, kFuzzCheckpointSchemaVersion, path);
 }
 
 StatusOr<FuzzCheckpoint> read_fuzz_checkpoint(const std::string& path) {

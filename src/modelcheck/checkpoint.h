@@ -5,10 +5,11 @@
 // needed to resume later and finish with a result provably identical to an
 // uninterrupted run:
 //
-//   * ExploreCheckpoint — the canonical partial graph (node configurations
-//     as their invertible word encodings, flags, depths, parents, discovery
-//     permutations, edge lists), the explicit next-level frontier, and the
-//     run parameters that shape the graph.
+//   * ExploreCheckpoint — the canonical partial graph as ConfigGraph holds
+//     it (each node's intern key, discovery permutation and edge list), the
+//     explicit next-level frontier, and the run parameters that shape the
+//     graph. Parents and depths are not stored: resume derives them from
+//     the edges.
 //   * FuzzCheckpoint — the coverage-guided fuzzer's RNG stream position,
 //     global fingerprint set, interesting-schedule pool, aggregate
 //     counters, and raw (unshrunk) violations.
@@ -22,10 +23,12 @@
 //
 // On-disk format: a stream of little-endian int64 words —
 //   [magic, schema version, payload word count, payload hash, payload...]
-// — written atomically (temp file in the same directory + rename), so a
-// crash mid-write never leaves a half-written checkpoint at the target
-// path. The payload hash is hash_words over the payload, making bit rot
-// and truncation detectable without trusting any payload field.
+// — written atomically through obs::write_text_file (a uniquely named temp
+// file in the same directory, then a rename), so a crash mid-write never
+// leaves a half-written checkpoint at the target path. The payload hash is
+// hash_words over the payload, making bit rot and truncation detectable
+// without trusting any payload field. Byte runs (keys, permutations) are
+// their length, then their bytes packed 8 to a word.
 #ifndef LBSA_MODELCHECK_CHECKPOINT_H_
 #define LBSA_MODELCHECK_CHECKPOINT_H_
 
@@ -38,16 +41,17 @@
 #include "base/status.h"
 #include "modelcheck/explorer.h"
 #include "modelcheck/fuzz.h"
-#include "sim/config.h"
 #include "sim/protocol.h"
 
 namespace lbsa::modelcheck {
 
 // Each kind carries its own schema version: bump it when that kind's
 // serialized layout changes; readers reject versions they cannot read.
-// Explore schema 2 writes each edge as [to, pid, kind, to_pid]; schema 1
-// lacked to_pid.
-inline constexpr std::uint32_t kExploreCheckpointSchemaVersion = 2;
+// Explore schema 3 stores each node as its intern key, its discovery perm
+// and its edges [to, pid, kind, to_pid]; schema 2 stored the configuration
+// as words, with the node's flag, depth, parent and parent step, and
+// schema 1 also lacked to_pid.
+inline constexpr std::uint32_t kExploreCheckpointSchemaVersion = 3;
 // The fuzz layout has never changed. Its files say 1 or 2, from when both
 // kinds shared one number, and the reader accepts either.
 inline constexpr std::uint32_t kFuzzCheckpointSchemaVersion = 2;
@@ -74,7 +78,7 @@ struct NodeRuns {
 // A paused exploration: the canonical graph prefix (every node of depth
 // < levels_completed expanded; frontier = the depth-levels_completed
 // nodes, unexpanded, in canonical id order) plus the options that shaped
-// it. Node ids in `frontier`, `parents` and `edges` index the node arrays.
+// it. Node ids in `frontier` and `edges` index the node runs.
 struct ExploreCheckpoint {
   // --- identity ---
   // Hash of the initial configuration and every graph-shaping option; see
@@ -94,20 +98,19 @@ struct ExploreCheckpoint {
 
   // --- progress ---
   bool truncated = false;
-  std::uint64_t transition_count = 0;
   // Every node with depth < levels_completed has been expanded (or hit the
   // truncation budget and is permanently non-expandable); no node is
   // deeper than levels_completed.
   std::uint32_t levels_completed = 0;
 
-  // --- the canonical partial graph (parallel arrays, one slot per node) ---
-  NodeRuns<std::int64_t> node_words;  // Config::encode()
-  std::vector<std::int64_t> node_flags;
-  std::vector<std::uint32_t> node_depths;
-  std::vector<std::uint32_t> parents;      // parents[0] unused (root)
-  std::vector<sim::Step> parent_steps;     // parallel to `parents`
-  // No runs without symmetry reduction; an empty run is the identity.
+  // --- the canonical partial graph (one run per node) ---
+  // ConfigGraph::key(): the packed path flag, then the packed
+  // configuration encoding.
+  NodeRuns<std::uint8_t> keys;
+  // ConfigGraph::discovery_perm(); no runs without symmetry reduction.
   NodeRuns<std::uint8_t> discovery_perms;
+  // ConfigGraph::edges(). Node i's discovering edge is the first edge, in
+  // id-then-edge order, that reaches it.
   NodeRuns<Edge> edges;
 
   // Node ids awaiting expansion (ascending). Nodes past the truncation
@@ -169,7 +172,7 @@ Status validate_fuzz_resume(const sim::Protocol& protocol,
                             const FuzzOptions& options,
                             const FuzzCheckpoint& cp);
 
-// Atomic write (same-directory temp file + rename). Errors are I/O only.
+// Atomic write (obs::write_text_file). Errors are I/O only.
 Status write_explore_checkpoint(const ExploreCheckpoint& checkpoint,
                                 const std::string& path);
 Status write_fuzz_checkpoint(const FuzzCheckpoint& checkpoint,

@@ -54,8 +54,8 @@ int select_ample_pid(const sim::Protocol& protocol, const sim::Config& config,
 }
 
 // End-of-run level statistics. Node ids ascend by BFS depth (resume
-// enforces it for checkpoints too), so the last node is the deepest and
-// every engine reports byte-identical values.
+// derives a checkpoint's depths in id order too), so the last node is the
+// deepest and every engine reports byte-identical values.
 void record_graph_metrics(const ConfigGraph& graph) {
   const std::uint32_t max_depth = graph.depth(graph.node_count() - 1);
   LBSA_OBS_COUNTER_ADD("explore.levels", max_depth + 1);
@@ -303,14 +303,7 @@ class GeneratorPool {
         options_(options),
         ring_(kRingPerWorker * (gens->size() - 1)),
         ready_(new std::atomic<std::size_t>[ring_.size()]) {
-    if (obs::tracing_enabled()) {
-      obs::Tracer::global().set_lane_name(0, "coordinator");
-    }
     for (std::size_t w = 0; w + 1 < gens->size(); ++w) {
-      if (obs::tracing_enabled()) {
-        obs::Tracer::global().set_lane_name(static_cast<int>(w) + 1,
-                                            "worker " + std::to_string(w));
-      }
       threads_.emplace_back([this, w] { work(w); });
     }
   }
@@ -426,8 +419,12 @@ class GeneratorPool {
         // One span per worker per pooled level, on the worker's own lane.
         // It closes before the worker reports done, so it lies inside the
         // calling thread's "explore.level" span.
-        obs::Span span("explore.worker", obs::kCatWorker,
-                       static_cast<int>(w) + 1);
+        LBSA_OBS_SPAN(span, "explore.worker", obs::kCatWorker,
+                      static_cast<int>(w) + 1);
+        if (span.active()) {
+          obs::Tracer::global().set_lane_name(static_cast<int>(w) + 1,
+                                              "worker " + std::to_string(w));
+        }
         std::int64_t expanded = 0;
         while (!stop_ && next_ < chunks_) {
           if (lifecycle_tripped(options_)) {
@@ -546,14 +543,6 @@ int outcome_index(std::span<const Edge> edges, std::size_t i) {
   return k;
 }
 
-// True iff `perm` maps every pid to itself.
-bool is_identity(std::span<const std::uint8_t> perm) {
-  for (std::size_t p = 0; p < perm.size(); ++p) {
-    if (perm[p] != p) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 sim::Config ConfigGraph::config(std::uint32_t id) const {
@@ -579,19 +568,13 @@ std::span<const std::uint8_t> ConfigGraph::packed_config(
   return split_key(key(id), &flag);
 }
 
-sim::Step ConfigGraph::edge_step(std::uint32_t from,
-                                 const sim::Config& from_config,
-                                 std::uint32_t edge) const {
-  const std::span<const Edge> out = edges(from);
-  sim::Config successor = from_config;
-  return sim::apply_step(*protocol_, &successor, out[edge].pid,
-                         outcome_index(out, edge));
-}
-
 sim::Step ConfigGraph::parent_step(std::uint32_t id) const {
   LBSA_CHECK(id != root());
   const Parent& parent = parents_[id];
-  return edge_step(parent.id, config(parent.id), parent.edge);
+  const std::span<const Edge> out = edges(parent.id);
+  sim::Config successor = config(parent.id);
+  return sim::apply_step(*protocol_, &successor, out[parent.edge].pid,
+                         outcome_index(out, parent.edge));
 }
 
 std::vector<Node> ConfigGraph::nodes() const {
@@ -812,19 +795,13 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
           "different protocol/task or option set" +
           suffix);
     }
-    if (cp.node_words.empty()) {
+    if (cp.keys.empty()) {
       return invalid_argument("resume: checkpoint has no nodes");
     }
     if ((sym != nullptr) != !cp.discovery_perms.empty()) {
       return invalid_argument(
           "resume: checkpoint discovery permutations disagree with the "
           "active symmetry reduction");
-    }
-    for (std::uint32_t id : cp.frontier) {
-      if (cp.node_depths[id] != cp.levels_completed) {
-        return invalid_argument(
-            "resume: frontier node depth disagrees with levels_completed");
-      }
     }
   }
 
@@ -910,77 +887,46 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
   if (options.resume != nullptr) {
     // Seed the canonical prefix directly (NOT through intern(): resumed
     // nodes must not re-bump explore.nodes — the counters describe work done
-    // this session). The checkpoint stores representatives, so each node's
-    // flag and words, packed, are its intern key even under symmetry
-    // reduction.
+    // this session). Each node's key is interned exactly as read.
     // The graph's structure is validated here, so a malformed checkpoint
     // (the files are checksummed, so a hand-edited one) fails cleanly: the
-    // words decode, keys are distinct, edge lists are ordered by pid, each
-    // edge's to_pid is a renaming of its pid, every parent step names an
-    // edge of its parent that leads to the node, and perms and counts are
-    // consistent. Steps are not replayed (that would decode every node): an
-    // edge whose target is not the configuration its step reaches passes
-    // here and aborts on path_to's certify check, and a to_pid naming the
-    // wrong member of its pid's orbit passes unnoticed.
+    // keys decode and are distinct, edge lists are ordered by pid, each
+    // edge's to_pid is a renaming of its pid, and perms are permutations.
+    // Parents, discovering edges and depths are derived in one pass over the
+    // edges: node i's discovering edge is the first edge, in id-then-edge
+    // order, that reaches it, so those first reaches must name nodes 1, 2,
+    // 3, ... in order, reach every node but the root, and stay within the
+    // levels the checkpoint completed. Steps are not replayed (that would
+    // step every edge): an edge whose target is not the configuration its
+    // step reaches passes here and aborts on path_to's certify check, and a
+    // to_pid naming the wrong member of its pid's orbit passes unnoticed.
     const ExploreCheckpoint& cp = *options.resume;
-    const auto count = static_cast<std::uint32_t>(cp.node_words.size());
+    const auto count = static_cast<std::uint32_t>(cp.keys.size());
     sim::Config decoded;
-    std::vector<std::uint8_t> seed_key;
+    graph.depths_.push_back(0);
+    graph.parents_.push_back(ConfigGraph::Parent{});
     for (std::uint32_t i = 0; i < count; ++i) {
-      const std::span<const std::int64_t> words = cp.node_words[i];
-      if (const Status s = sim::decode_config_into(words, &decoded);
+      if (i == graph.node_count()) {
+        return invalid_argument("resume: no edge reaches node " +
+                                std::to_string(i));
+      }
+      const std::span<const std::uint8_t> key = cp.keys[i];
+      std::size_t pos = 0;
+      std::int64_t flag = 0;
+      if (!sim::read_packed_word(key, &pos, &flag)) {
+        return invalid_argument("resume: the key of node " +
+                                std::to_string(i) + " has no path flag");
+      }
+      if (const Status s =
+              sim::decode_packed_config_into(key.subspan(pos), &decoded);
           !s.is_ok()) {
         return s;
       }
-      seed_key.clear();
-      sim::pack_words(std::span(&cp.node_flags[i], 1), &seed_key);
-      sim::pack_words(words, &seed_key);
-      const KeyIndex::Found found =
-          index.intern(seed_key, hash_bytes(seed_key), i);
+      const KeyIndex::Found found = index.intern(key, hash_bytes(key), i);
       if (!found.inserted) {
         return invalid_argument("resume: duplicate checkpoint node");
       }
       graph.keys_.push_back(found.key);
-      graph.depths_.push_back(cp.node_depths[i]);
-
-      // The discovering edge is the parent's edge that the parent step
-      // names: its pid's outcome_choice-th outcome, leading to node i. The
-      // parent precedes node i, so its edge list was already checked to be
-      // ordered by pid, and this count agrees with outcome_index().
-      ConfigGraph::Parent parent;
-      if (i != 0) {
-        parent.id = cp.parents[i];
-        const sim::Step& step = cp.parent_steps[i];
-        const std::span<const Edge> out = cp.edges[parent.id];
-        int outcome = 0;
-        std::size_t e = 0;
-        for (; e < out.size(); ++e) {
-          if (out[e].pid == step.pid && outcome++ == step.outcome_choice) {
-            break;
-          }
-        }
-        if (e == out.size() || out[e].to != i) {
-          return invalid_argument("resume: the parent step of node " +
-                                  std::to_string(i) +
-                                  " names no edge of its parent");
-        }
-        parent.edge = static_cast<std::uint32_t>(e);
-      }
-      graph.parents_.push_back(parent);
-      // Node ids ascend by BFS depth: the root is at depth 0, every other
-      // node one level below its parent, none shallower than the node before
-      // it or past the level the checkpoint paused at.
-      const std::uint32_t depth = cp.node_depths[i];
-      const bool bfs_depth =
-          i == 0 ? depth == 0
-                 : depth == cp.node_depths[parent.id] + 1 &&
-                       depth >= cp.node_depths[i - 1] &&
-                       depth <= cp.levels_completed;
-      if (!bfs_depth) {
-        return invalid_argument("resume: node " + std::to_string(i) +
-                                " has depth " + std::to_string(depth) +
-                                ", not its BFS depth");
-      }
 
       const std::span<const Edge> out = cp.edges[i];
       for (std::size_t e = 0; e < out.size(); ++e) {
@@ -1017,36 +963,55 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
                                   std::to_string(pid));
         }
       }
+      // The first reach of the next unreached id discovers it; an edge to
+      // a later id would have discovered that node first.
+      for (std::size_t e = 0; e < out.size(); ++e) {
+        const std::uint32_t next = graph.node_count();
+        if (out[e].to > next) {
+          return invalid_argument("resume: node " + std::to_string(out[e].to) +
+                                  " is reached before node " +
+                                  std::to_string(next));
+        }
+        if (out[e].to < next) continue;
+        const std::uint32_t depth = graph.depths_[i] + 1;
+        if (depth > cp.levels_completed) {
+          return invalid_argument("resume: node " + std::to_string(next) +
+                                  " lies deeper than the levels completed");
+        }
+        graph.depths_.push_back(depth);
+        graph.parents_.push_back(
+            ConfigGraph::Parent{i, static_cast<std::uint32_t>(e)});
+      }
       if (!out.empty()) {
         graph.open_edges(i);
         graph.edges_.insert(graph.edges_.end(), out.begin(), out.end());
       }
 
       if (sym != nullptr) {
-        // An empty perm is the identity.
         const std::span<const std::uint8_t> perm = cp.discovery_perms[i];
         const std::size_t row = graph.perms_.size();
         for (std::size_t p = 0; p < n; ++p) {
           graph.perms_.push_back(static_cast<std::uint8_t>(p));
         }
-        if (!perm.empty()) {
-          if (!std::is_permutation(perm.begin(), perm.end(),
-                                   graph.perms_.begin() + row,
-                                   graph.perms_.end())) {
-            return invalid_argument(
-                "resume: discovery perm is not a permutation of the "
-                "processes");
-          }
-          std::copy(perm.begin(), perm.end(), graph.perms_.begin() + row);
+        if (!std::is_permutation(perm.begin(), perm.end(),
+                                 graph.perms_.begin() + row,
+                                 graph.perms_.end())) {
+          return invalid_argument(
+              "resume: discovery perm is not a permutation of the "
+              "processes");
         }
+        std::copy(perm.begin(), perm.end(), graph.perms_.begin() + row);
       }
     }
-    if (cp.transition_count != graph.edges_.size()) {
-      return invalid_argument(
-          "resume: transition count disagrees with the edge lists");
+    // Frontier nodes sit at the paused level, and are expanded after every
+    // node that already has edges, so their edge lists extend the CSR
+    // arrays in order.
+    for (std::uint32_t id : cp.frontier) {
+      if (graph.depths_[id] != cp.levels_completed) {
+        return invalid_argument(
+            "resume: frontier node depth disagrees with levels_completed");
+      }
     }
-    // Frontier nodes are expanded after every node that already has edges,
-    // so their edge lists extend the CSR arrays in order.
     if (!cp.frontier.empty() &&
         cp.frontier.front() < graph.edge_begin_.size()) {
       return invalid_argument("resume: frontier node already has edges");
@@ -1078,39 +1043,14 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
     cp.max_nodes = options.max_nodes;
     cp.allow_truncation = options.allow_truncation;
     cp.truncated = graph.truncated_;
-    cp.transition_count = graph.transition_count();
     cp.levels_completed = depth;
     // Close every edge list for edges(), then reopen the unexpanded ones.
     const std::size_t opened = graph.edge_begin_.size();
     graph.open_edges(graph.node_count());
-    // Parent steps are rebuilt from the parent's configuration. Parents
-    // are non-decreasing in id order, so each is decoded once.
-    sim::Config parent_config;
-    std::uint32_t decoded = graph.root();
-    graph.config_into(decoded, &parent_config);
-    std::vector<std::int64_t> words;
     for (std::uint32_t id = 0; id < graph.node_count(); ++id) {
-      std::int64_t flag = 0;
-      LBSA_CHECK(sim::unpack_words(split_key(graph.key(id), &flag), &words));
-      cp.node_words.push_back(words);
-      cp.node_flags.push_back(flag);
-      cp.node_depths.push_back(graph.depth(id));
-      cp.parents.push_back(graph.parent(id));
-      sim::Step step;  // the root's stays default
-      if (id != graph.root()) {
-        const std::uint32_t parent = graph.parent(id);
-        if (parent != decoded) {
-          decoded = parent;
-          graph.config_into(decoded, &parent_config);
-        }
-        step = graph.edge_step(parent, parent_config, graph.parent_edge(id));
-      }
-      cp.parent_steps.push_back(step);
+      cp.keys.push_back(graph.key(id));
       if (sym != nullptr) {
-        // The file stores the identity as an empty perm.
-        const std::span<const std::uint8_t> perm = graph.discovery_perm(id);
-        cp.discovery_perms.push_back(
-            is_identity(perm) ? std::span<const std::uint8_t>() : perm);
+        cp.discovery_perms.push_back(graph.discovery_perm(id));
       }
       cp.edges.push_back(graph.edges(id));
     }
@@ -1150,7 +1090,7 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
         if (!written.is_ok()) return written;
       }
     }
-    obs::Span level_span("explore.level", obs::kCatPhase, /*lane=*/0);
+    LBSA_OBS_SPAN(level_span, "explore.level", obs::kCatPhase, /*lane=*/0);
     level_span.arg("level", depth);
     level_span.arg("nodes", static_cast<std::int64_t>(frontier.size()));
 
@@ -1167,6 +1107,9 @@ StatusOr<ConfigGraph> Explorer::explore(const ExploreOptions& options,
       }
       pool->start_level(graph.keys_, frontier);
       graph.engine_used_ = ExploreEngine::kParallel;
+      if (level_span.active()) {
+        obs::Tracer::global().set_lane_name(0, "coordinator");
+      }
     }
 
     // Rollback point for a mid-level stop.

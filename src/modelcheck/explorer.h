@@ -140,14 +140,14 @@ struct ExploreOptions {
   // Universe-fingerprint gating (CanonCache::ensure_universe) makes sharing
   // across different protocols safe: a universe switch clears, a rerun of
   // the same universe stays warm.
-  std::shared_ptr<sim::CanonCachePool> canon_cache_pool;
+  std::shared_ptr<sim::CanonCachePool> canon_cache_pool = {};
   // Reuse a pre-built canonicalizer instead of constructing a fresh one
   // (the hierarchy sweep re-checks the same instance under several modes,
   // and the soundness gate + group enumeration are pure functions of the
   // (protocol, spec) pair). Honored only if it was built for this exact
   // protocol instance with the protocol's declared spec; anything else
   // falls back to constructing.
-  std::shared_ptr<const sim::Canonicalizer> canonicalizer;
+  std::shared_ptr<const sim::Canonicalizer> canonicalizer = {};
 
   // --- run lifecycle (docs/checking.md, "Long runs") ---
   // cancel/deadline are polled INSIDE levels, before every work chunk (64
@@ -177,11 +177,11 @@ struct ExploreOptions {
   // completed levels when that is non-zero. A failed checkpoint write fails
   // the run (a long run silently losing its safety net is the worse bug).
   // The cadence counts levels from the session start.
-  std::string checkpoint_path;
+  std::string checkpoint_path = {};
   std::uint32_t checkpoint_every_levels = 0;
   // Label echoed into checkpoints and error messages (task name); not
   // semantically validated.
-  std::string checkpoint_label;
+  std::string checkpoint_label = {};
   // Resume from a previously-written checkpoint (non-owning). The options
   // above must shape the same graph (reduction, budget, flag function,
   // initial flag — enforced via the checkpoint fingerprint, returning
@@ -321,11 +321,6 @@ class ConfigGraph {
     std::uint32_t id = 0;
     std::uint32_t edge = 0;  // index into edges(id)
   };
-
-  // The step edges(from)[edge] takes from `from_config`, node from's
-  // configuration.
-  sim::Step edge_step(std::uint32_t from, const sim::Config& from_config,
-                      std::uint32_t edge) const;
 
   // Opens node id's edge list: every node before it is complete. Nodes
   // are expanded in ascending id order, so each list is one CSR range.

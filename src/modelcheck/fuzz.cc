@@ -151,30 +151,40 @@ RunOutput execute_run(const sim::Protocol& protocol,
   return out;
 }
 
-// Mutation kinds, in the order rng.next_below(3) selects them.
+// Mutation kinds, in the order rng.next_below(3) selects them: splice,
+// burst, crash.
 constexpr int kMutationKinds = 3;
-constexpr const char* kMutationName[kMutationKinds] = {"splice", "burst",
-                                                       "crash"};
 
-// Per-kind yield counters (LBSA_OBS_COUNTER_ADD caches one handle per call
-// site, so runtime-selected names need their own handle table). The
-// coverage engine is serial and seed-deterministic, so these are stable.
-obs::Counter* mutation_counter(int kind, bool interesting) {
-  auto make = [](int k, bool fresh) {
-    std::string name = std::string("fuzz.mutation.") + kMutationName[k];
-    if (fresh) name += ".interesting";
-    return obs::Registry::global().counter(name);
-  };
-  static obs::Counter* const applied[kMutationKinds] = {
-      make(0, false), make(1, false), make(2, false)};
-  static obs::Counter* const found_fresh[kMutationKinds] = {
-      make(0, true), make(1, true), make(2, true)};
-  return interesting ? found_fresh[kind] : applied[kind];
+// Counts one applied mutation of `kind`, or with `interesting` one that
+// grew coverage. LBSA_OBS_COUNTER_ADD caches one handle per call site, so
+// each counter name gets its own site. The coverage engine is serial and
+// seed-deterministic, so these are stable.
+void count_mutation(int kind, bool interesting) {
+  switch (kind * 2 + (interesting ? 1 : 0)) {
+    case 0:
+      LBSA_OBS_COUNTER_ADD("fuzz.mutation.splice", 1);
+      break;
+    case 1:
+      LBSA_OBS_COUNTER_ADD("fuzz.mutation.splice.interesting", 1);
+      break;
+    case 2:
+      LBSA_OBS_COUNTER_ADD("fuzz.mutation.burst", 1);
+      break;
+    case 3:
+      LBSA_OBS_COUNTER_ADD("fuzz.mutation.burst.interesting", 1);
+      break;
+    case 4:
+      LBSA_OBS_COUNTER_ADD("fuzz.mutation.crash", 1);
+      break;
+    case 5:
+      LBSA_OBS_COUNTER_ADD("fuzz.mutation.crash.interesting", 1);
+      break;
+  }
 }
 
 // Pool mutations: splice two interesting schedules, insert a solo burst,
 // or inject a crash event. Deterministic in `rng`; *kind_out reports which
-// mutation was applied (an index into kMutationName).
+// mutation was applied (0 splice, 1 burst, 2 crash).
 std::vector<ScriptedAdversary::Choice> mutate_schedule(
     const std::deque<std::vector<ScriptedAdversary::Choice>>& pool,
     int process_count, Xoshiro256& rng, int* kind_out) {
@@ -304,7 +314,7 @@ FuzzReport fuzz_blind(const std::shared_ptr<const sim::Protocol>& protocol,
 
   auto worker = [&](int widx) {
     // Per-worker lane; excluded from trace-count determinism comparisons.
-    obs::Span span("fuzz.worker", obs::kCatWorker, widx + 1);
+    LBSA_OBS_SPAN(span, "fuzz.worker", obs::kCatWorker, widx + 1);
     RunScratch scratch;
     while (!stop.load(std::memory_order_relaxed)) {
       if (lifecycle_stop(options)) {
@@ -467,7 +477,7 @@ FuzzReport fuzz_coverage(const std::shared_ptr<const sim::Protocol>& protocol,
       Xoshiro256 rng(run_seed);
       const auto mutated = mutate_schedule(pool, protocol->process_count(),
                                            rng, &mutation_kind);
-      mutation_counter(mutation_kind, /*interesting=*/false)->add(1);
+      count_mutation(mutation_kind, /*interesting=*/false);
       out = execute_run(*protocol, judge, initial, mutated, rng.next(), burst,
                         options, &scratch);
     } else {
@@ -485,7 +495,7 @@ FuzzReport fuzz_coverage(const std::shared_ptr<const sim::Protocol>& protocol,
       ++report.interesting_runs;
       // Mutation-kind yield: which mutations actually grow coverage.
       if (mutation_kind >= 0) {
-        mutation_counter(mutation_kind, /*interesting=*/true)->add(1);
+        count_mutation(mutation_kind, /*interesting=*/true);
       }
       pool.push_back(out.schedule);
       while (pool.size() > options.pool_limit) pool.pop_front();

@@ -1,6 +1,11 @@
 #include "obs/report.h"
 
+#include <unistd.h>
+
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
+#include <string>
 
 #include "obs/json.h"
 
@@ -459,7 +464,14 @@ Status validate_hierarchy_artifact_json(std::string_view json) {
 Status write_text_file(const std::string& path, std::string_view text) {
   // Stage in a same-directory temp file, then rename: POSIX rename is
   // atomic, so a reader (or a second interrupt) never sees a torn artifact.
-  const std::string staging = path + ".tmp";
+  // The staging name carries the pid and a per-process count, so writers
+  // staging the same path at once (two threads, or two processes) never
+  // truncate or rename each other's half-written bytes: the last rename
+  // wins with a complete file.
+  static std::atomic<std::uint64_t> staged{0};
+  const std::string staging =
+      path + ".tmp." + std::to_string(static_cast<long long>(::getpid())) +
+      "." + std::to_string(staged.fetch_add(1, std::memory_order_relaxed));
   std::FILE* f = std::fopen(staging.c_str(), "wb");
   if (f == nullptr) {
     return internal_error("obs: cannot open '" + staging + "' for writing");

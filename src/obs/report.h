@@ -73,9 +73,11 @@ Status validate_bench_artifact_json(std::string_view json);
 Status validate_hierarchy_artifact_json(std::string_view json);
 
 // Writes `text` to `path` atomically: the bytes land in a same-directory
-// temp file which is then renamed over `path`, so readers (and the file
-// itself, if the process dies mid-write — the interrupted-run exit paths)
-// never observe a torn artifact. INTERNAL on I/O failure.
+// temp file, named uniquely per call, which is then renamed over `path`, so
+// readers (and the file itself, if the process dies mid-write — the
+// interrupted-run exit paths) never observe a torn artifact, and concurrent
+// writers of one path each leave a complete file. INTERNAL on I/O failure.
+// Checkpoint files are written through it too.
 Status write_text_file(const std::string& path, std::string_view text);
 
 // Serializes, schema-checks, and writes the report.

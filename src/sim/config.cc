@@ -109,30 +109,9 @@ inline bool read_varint(const std::uint8_t** p, const std::uint8_t* end,
   return true;
 }
 
-// The two inputs decode_config reads: an encoding's words, or their packed
-// bytes. remaining() bounds the words left (a packed word takes at least a
-// byte), and run() reads `count` <= remaining() words.
-class WordReader {
- public:
-  explicit WordReader(std::span<const std::int64_t> words) : words_(words) {}
-  bool next(std::int64_t* w) {
-    if (pos_ == words_.size()) return false;
-    *w = words_[pos_++];
-    return true;
-  }
-  std::size_t remaining() const { return words_.size() - pos_; }
-  bool run(std::size_t count, std::vector<std::int64_t>* out) {
-    const auto first = words_.begin() + static_cast<std::ptrdiff_t>(pos_);
-    out->assign(first, first + static_cast<std::ptrdiff_t>(count));
-    pos_ += count;
-    return true;
-  }
-
- private:
-  std::span<const std::int64_t> words_;
-  std::size_t pos_ = 0;
-};
-
+// An encoding's packed bytes, read a word at a time. remaining() bounds the
+// words left (a packed word takes at least a byte), and run() reads `count`
+// <= remaining() words.
 class PackedReader {
  public:
   explicit PackedReader(std::span<const std::uint8_t> bytes)
@@ -154,10 +133,9 @@ class PackedReader {
   const std::uint8_t* end_;
 };
 
-template <typename Reader>
-Status decode_config(Reader reader, Config* out) {
+Status decode_config(PackedReader reader, Config* out) {
   auto malformed = [](const std::string& what) {
-    return invalid_argument("decode_config_into: " + what);
+    return invalid_argument("decode_packed_config_into: " + what);
   };
   // Takes the next `count` words as a run; false if fewer remain.
   auto take_run = [&](std::int64_t count, std::vector<std::int64_t>* run) {
@@ -207,10 +185,6 @@ Status decode_config(Reader reader, Config* out) {
 
 }  // namespace
 
-Status decode_config_into(std::span<const std::int64_t> words, Config* out) {
-  return decode_config(WordReader(words), out);
-}
-
 Status decode_packed_config_into(std::span<const std::uint8_t> bytes,
                                  Config* out) {
   return decode_config(PackedReader(bytes), out);
@@ -235,17 +209,6 @@ bool read_packed_word(std::span<const std::uint8_t> bytes, std::size_t* pos,
   const std::uint8_t* p = bytes.data() + *pos;
   if (!read_varint(&p, bytes.data() + bytes.size(), w)) return false;
   *pos = static_cast<std::size_t>(p - bytes.data());
-  return true;
-}
-
-bool unpack_words(std::span<const std::uint8_t> bytes,
-                  std::vector<std::int64_t>* out) {
-  out->clear();
-  PackedReader reader(bytes);
-  for (std::int64_t w; reader.remaining() > 0;) {
-    if (!reader.next(&w)) return false;
-    out->push_back(w);
-  }
   return true;
 }
 

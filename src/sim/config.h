@@ -61,15 +61,6 @@ struct Config {
 // every object at its initial state.
 Config initial_config(const Protocol& protocol);
 
-// Inverse of Config::encode(): rebuilds a Config from its canonical word
-// encoding into *out, reusing its vectors' storage, so a loop that decodes
-// many configurations through one Config allocates nothing once the buffers
-// have grown. INVALID_ARGUMENT on malformed input (bad counts, short
-// buffers, trailing words, out-of-range status), leaving *out a partial
-// decode — used by the model checker's checkpoint loader, which must reject
-// corrupt files rather than crash.
-Status decode_config_into(std::span<const std::int64_t> words, Config* out);
-
 // --- Packed words -----------------------------------------------------------
 // A compact, invertible byte form of a word sequence, in which the model
 // checker stores its node keys. Each word w is written as the LEB128 varint
@@ -111,13 +102,14 @@ void pack_words(std::span<const std::int64_t> words,
 bool read_packed_word(std::span<const std::uint8_t> bytes, std::size_t* pos,
                       std::int64_t* w);
 
-// Inverse of pack_words: replaces *out with the packed words of `bytes`.
-// False if read_packed_word rejects any of them.
-bool unpack_words(std::span<const std::uint8_t> bytes,
-                  std::vector<std::int64_t>* out);
-
-// decode_config_into over the packed form of the word encoding, read
-// straight from the bytes. The same validation, plus read_packed_word's.
+// Inverse of Config::encode() over its packed form: rebuilds a Config from
+// the packed words of its encoding, read straight from the bytes, into *out,
+// reusing its vectors' storage, so a loop that decodes many configurations
+// through one Config allocates nothing once the buffers have grown.
+// INVALID_ARGUMENT on malformed input (a varint read_packed_word rejects,
+// bad counts, short input, trailing bytes, out-of-range status), leaving
+// *out a partial decode: the model checker decodes its node keys through
+// it, and resume validates checkpoint keys with it rather than crash.
 Status decode_packed_config_into(std::span<const std::uint8_t> bytes,
                                  Config* out);
 

@@ -93,6 +93,25 @@ ExploreCheckpoint interrupt_and_read(const NamedTask& task, Reduction red,
   return std::move(cp).value();
 }
 
+// Writes `bad` to disk, reads it back and resumes `task` from it: resume
+// must fail with INVALID_ARGUMENT, naming `what` in its message.
+void expect_resume_rejected(const NamedTask& task, const ExploreCheckpoint& bad,
+                            const std::string& what) {
+  SCOPED_TRACE(what);
+  const std::string path = temp_path("rejected.ckpt");
+  ASSERT_TRUE(write_explore_checkpoint(bad, path).is_ok());
+  auto read = read_explore_checkpoint(path);
+  ASSERT_TRUE(read.is_ok()) << read.status().to_string();
+  ExploreOptions opts;
+  opts.reduction = bad.reduction;
+  opts.resume = &read.value();
+  const auto resumed = Explorer(task.protocol).explore(opts);
+  EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument)
+      << resumed.status().to_string();
+  EXPECT_NE(resumed.status().message().find(what), std::string::npos)
+      << resumed.status().to_string();
+}
+
 TEST(Checkpoint, ResumeBitIdenticalAcrossEnginesThreadsAndReductions) {
   for (const char* name : kGraphTasks) {
     SCOPED_TRACE(name);
@@ -307,15 +326,18 @@ TEST(Checkpoint, CorruptFilesRejected) {
     EXPECT_NE(status.message().find("version"), std::string::npos)
         << status.to_string();
   }
-  // Schema 1, whose edges carry no to_pid: rejected by its version, not
-  // misread as schema 2.
-  {
+  // Schema 1, whose edges carry no to_pid, and schema 2, which stored
+  // configurations as words with depths, parents and parent steps: each is
+  // rejected by its version, not misread as schema 3.
+  for (const char version : {1, 2}) {
     std::string bad = good;
-    bad[8] = 1;
+    bad[8] = version;
     spit(path, bad);
     const auto status = read_explore_checkpoint(path).status();
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(status.message().find("schema version 1"), std::string::npos)
+    EXPECT_NE(status.message().find("schema version " +
+                                    std::to_string(int{version})),
+              std::string::npos)
         << status.to_string();
   }
 }
@@ -388,72 +410,29 @@ TEST(Checkpoint, ResumeRejectsEdgeToPidsThatAreNoRenaming) {
 }
 
 // Regression: the reader checks only that each discovery-perm element is a
-// byte, and resume used to check neither the perms nor the parent-step
-// pids. A well-formed file with a perm that is not a permutation of the
-// processes, or with a parent step naming a process the protocol lacks,
-// resumed fine and then crashed path_to() (heap corruption, or an abort on
-// an internal check). Resume now rejects both with INVALID_ARGUMENT, and
-// likewise any parent step that names no edge of its parent, since the
-// graph keeps a parent as the discovering edge's index.
+// byte, and resume used to check neither the perms nor the edge pids. A
+// well-formed file with a perm that is not a permutation of the processes,
+// or with edges whose pids interleave, resumed fine and then crashed or
+// misled path_to() (heap corruption, a wrong outcome replayed, or an abort
+// on an internal check). Resume now rejects both with INVALID_ARGUMENT.
 TEST(Checkpoint, ResumeRejectsBadPermsAndParentPids) {
   const NamedTask task = get_task("dac3-sym");
   const std::string path = temp_path("bad-perm.ckpt");
   const ExploreCheckpoint good =
       interrupt_and_read(task, Reduction::kSymmetry, 3, path);
   ASSERT_GT(good.discovery_perms.size(), 2u);
-  ASSERT_GT(good.parent_steps.size(), 2u);
-  auto expect_rejected = [&](const NamedTask& resumed_task,
-                             const ExploreCheckpoint& bad, const char* what) {
-    SCOPED_TRACE(what);
-    ASSERT_TRUE(write_explore_checkpoint(bad, path).is_ok());
-    auto read = read_explore_checkpoint(path);
-    ASSERT_TRUE(read.is_ok()) << read.status().to_string();
-    ExploreOptions opts;
-    opts.reduction = bad.reduction;
-    opts.resume = &read.value();
-    const auto resumed = Explorer(resumed_task.protocol).explore(opts);
-    EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument)
-        << resumed.status().to_string();
-  };
   for (const std::vector<std::uint8_t>& perm :
        {std::vector<std::uint8_t>{7, 7, 7}, std::vector<std::uint8_t>{0, 0, 1},
-        std::vector<std::uint8_t>{1, 0}}) {
+        std::vector<std::uint8_t>{1, 0}, std::vector<std::uint8_t>{}}) {
     ExploreCheckpoint bad = good;
     bad.discovery_perms = with_run(good.discovery_perms, 2,
                                    std::span<const std::uint8_t>(perm));
-    expect_rejected(task, bad, "discovery perm");
-  }
-  for (const int pid : {99, -1}) {
-    ExploreCheckpoint bad = good;
-    bad.parent_steps[2].pid = pid;
-    expect_rejected(task, bad, "parent step pid");
-  }
-  for (const int outcome : {99, -1}) {
-    ExploreCheckpoint bad = good;
-    bad.parent_steps[2].outcome_choice = outcome;
-    expect_rejected(task, bad, "parent step outcome");
+    expect_resume_rejected(task, bad, "not a permutation");
   }
   {
-    // Node 2's parent exists, but none of its edges leads to node 2.
-    ExploreCheckpoint bad = good;
-    bad.parents[2] = 1;
-    bad.parent_steps[2] = bad.parent_steps[1];
-    expect_rejected(task, bad, "parent step target");
-  }
-  // Depths that are not BFS depths: the root at depth 1, node 2 at the
-  // root's depth, and node 1 two levels below the root, its parent.
-  using NodeDepth = std::pair<std::size_t, std::uint32_t>;
-  for (const auto& [node, depth] :
-       {NodeDepth{0, 1}, NodeDepth{2, 0}, NodeDepth{1, 2}}) {
-    ExploreCheckpoint bad = good;
-    bad.node_depths[node] = depth;
-    expect_rejected(task, bad, "node depth");
-  }
-  {
-    // One node's edges with pids interleaved (p, q, p): every parent step
-    // still counts its way to an edge that leads to its node, but an edge's
-    // outcome index is its position in its pid's run, so replay would take
-    // the wrong outcome. dac3-sym's steps each have one outcome; a 2-SA
+    // One node's edges with pids interleaved (p, q, p): an edge's outcome
+    // index is its position in its pid's run, so replay would take the
+    // wrong outcome. dac3-sym's steps each have one outcome; a 2-SA
     // proposal has several.
     const NamedTask branching = get_task("mutant-2sa4");
     const ExploreCheckpoint ordered = interrupt_and_read(
@@ -473,7 +452,7 @@ TEST(Checkpoint, ResumeRejectsBadPermsAndParentPids) {
       }
     }
     ASSERT_TRUE(interleaved) << "no step with two outcomes before another pid";
-    expect_rejected(branching, bad, "interleaved edge pids");
+    expect_resume_rejected(branching, bad, "not ordered by pid");
     ExploreOptions opts;
     opts.resume = &ordered;
     EXPECT_TRUE(Explorer(branching.protocol).explore(opts).is_ok());
@@ -481,6 +460,60 @@ TEST(Checkpoint, ResumeRejectsBadPermsAndParentPids) {
   // The untouched checkpoint still resumes.
   ExploreOptions opts;
   opts.reduction = Reduction::kSymmetry;
+  opts.resume = &good;
+  EXPECT_TRUE(Explorer(task.protocol).explore(opts).is_ok());
+}
+
+// Resume derives each node's parent, discovering edge and depth from the
+// edges alone: node i's discovering edge is the first edge, in id-then-edge
+// order, that reaches it. A file whose first reaches name a later node
+// before an earlier one, that leaves a node unreached, or whose key does not
+// decode is INVALID_ARGUMENT, never an aborted check.
+TEST(Checkpoint, ResumeRejectsMisnumberedUnreachedAndUndecodableNodes) {
+  const NamedTask task = get_task("dac3");
+  const ExploreCheckpoint good = interrupt_and_read(
+      task, Reduction::kNone, 3, temp_path("bad-derivation.ckpt"));
+  {
+    // The root's first two edges discover nodes 1 and 2. With their targets
+    // swapped, node 2 is reached first.
+    const std::span<const Edge> root = good.edges[0];
+    ASSERT_GE(root.size(), 2u);
+    ASSERT_EQ(root[0].to, 1u);
+    ASSERT_EQ(root[1].to, 2u);
+    std::vector<Edge> out(root.begin(), root.end());
+    std::swap(out[0].to, out[1].to);
+    ExploreCheckpoint bad = good;
+    bad.edges = with_run(good.edges, 0, std::span<const Edge>(out));
+    expect_resume_rejected(task, bad, "node 2 is reached before node 1");
+  }
+  {
+    // Every edge into the last node redirected to the root.
+    const std::size_t last = good.keys.size() - 1;
+    ExploreCheckpoint bad = good;
+    bad.edges = {};
+    for (std::size_t id = 0; id < good.edges.size(); ++id) {
+      std::vector<Edge> out(good.edges[id].begin(), good.edges[id].end());
+      for (Edge& e : out) {
+        if (e.to == last) e.to = 0;
+      }
+      bad.edges.push_back(out);
+    }
+    expect_resume_rejected(task, bad,
+                           "no edge reaches node " + std::to_string(last));
+  }
+  {
+    // Node 1's key with its flag varint cut short, and with its last
+    // configuration byte cut off.
+    ExploreCheckpoint bad = good;
+    const std::vector<std::uint8_t> cut_flag{0x80};
+    bad.keys = with_run(good.keys, 1, std::span<const std::uint8_t>(cut_flag));
+    expect_resume_rejected(task, bad, "has no path flag");
+    const std::span<const std::uint8_t> key = good.keys[1];
+    bad.keys = with_run(good.keys, 1, key.first(key.size() - 1));
+    expect_resume_rejected(task, bad, "decode_packed_config_into");
+  }
+  // The untouched checkpoint still resumes.
+  ExploreOptions opts;
   opts.resume = &good;
   EXPECT_TRUE(Explorer(task.protocol).explore(opts).is_ok());
 }
@@ -859,10 +892,10 @@ TEST(Checkpoint, FileBytesArePinned) {
     std::uint64_t fnv1a;
   };
   const Pinned kPinned[] = {
-      {"dac3", Reduction::kNone, 3, 13744, 0x14bcc5d6836a6f3aULL},
-      {"mutant-2sa4", Reduction::kNone, 4, 463248, 0x803b342cdc4ab6fdULL},
-      {"dac4-sym", Reduction::kSymmetry, 5, 52472, 0x408ebed6672585b3ULL},
-      {"dac5", Reduction::kPor, 6, 764192, 0xe742df71e5e42326ULL},
+      {"dac3", Reduction::kNone, 3, 3592, 0xe33a2f9c846658d8ULL},
+      {"mutant-2sa4", Reduction::kNone, 4, 124816, 0x8d1cda7bf541d106ULL},
+      {"dac4-sym", Reduction::kSymmetry, 5, 16080, 0x6e4364e25a130f63ULL},
+      {"dac5", Reduction::kPor, 6, 204632, 0x7f8aa6bb18527d5aULL},
   };
   for (const Pinned& pin : kPinned) {
     SCOPED_TRACE(std::string(pin.task) + " " + reduction_name(pin.reduction));

@@ -178,6 +178,9 @@ TEST(ObsDeterminism, BlindFuzzStableMetricsIdenticalAcrossThreadCounts) {
 // "explore.level" span: it opens after the level-start barrier and closes
 // before the worker arrives at the level-end barrier.
 TEST(ExplorerTrace, ParallelWorkerSpansLieInsideTheirLevel) {
+#if defined(LBSA_OBS_DISABLED)
+  GTEST_SKIP() << "spans are compiled out under LBSA_OBS_DISABLED";
+#endif
   auto task = modelcheck::make_named_task("dac5");
   ASSERT_TRUE(task.is_ok());
   constexpr int kThreads = 4;
@@ -225,6 +228,9 @@ TEST(ExplorerTrace, ParallelWorkerSpansLieInsideTheirLevel) {
 // the sweep runs it, starts no worker at all, while on dac5 each of the 4
 // workers records one span per wide level, inside that level's span.
 TEST(ExplorerTrace, AutoPoolsOnlyWideLevels) {
+#if defined(LBSA_OBS_DISABLED)
+  GTEST_SKIP() << "spans are compiled out under LBSA_OBS_DISABLED";
+#endif
   constexpr std::int64_t kPoolMinLevel = 1024;
   constexpr int kThreads = 4;
   for (const char* name : {"dac4-sym", "dac5"}) {
@@ -270,6 +276,53 @@ TEST(ExplorerTrace, AutoPoolsOnlyWideLevels) {
           << "worker span on lane " << worker.lane << " outside a wide level";
     }
   }
+}
+
+// The erased build records nothing: with both sinks on, a pooled dac5
+// exploration, a 2-thread blind campaign and a coverage campaign leave the
+// registry and the tracer as they found them. Under LBSA_OBS_DISABLED every
+// instrumentation site is an LBSA_OBS_* macro that compiles to nothing,
+// the explorer's and the fuzzer's worker spans and the fuzzer's mutation
+// counters included, and lanes are named only under a recording span.
+TEST(ObsDisabled, ExplorerAndFuzzerRecordNothing) {
+#if !defined(LBSA_OBS_DISABLED)
+  GTEST_SKIP() << "checks the build that defines LBSA_OBS_DISABLED";
+#endif
+  set_metrics_enabled(true);
+  set_tracing_enabled(true);
+  const std::string before_metrics = Registry::global().snapshot().to_json();
+  const std::size_t before_events = Tracer::global().event_count();
+  const std::string before_trace = Tracer::global().to_chrome_json();
+
+  auto dac5 = modelcheck::make_named_task("dac5");
+  ASSERT_TRUE(dac5.is_ok());
+  modelcheck::ExploreOptions pooled;
+  pooled.engine = modelcheck::ExploreEngine::kParallel;
+  pooled.threads = 4;
+  EXPECT_TRUE(
+      modelcheck::Explorer(dac5.value().protocol).explore(pooled).is_ok());
+  auto dac3 = modelcheck::make_named_task("dac3");
+  ASSERT_TRUE(dac3.is_ok());
+  modelcheck::FuzzOptions blind;
+  blind.runs = 200;
+  blind.seed = 7;
+  blind.threads = 2;
+  (void)modelcheck::fuzz_named_task(dac3.value(), blind);
+  modelcheck::FuzzOptions coverage = blind;
+  coverage.coverage_guided = true;
+  coverage.threads = 1;
+  const modelcheck::FuzzReport report =
+      modelcheck::fuzz_named_task(dac3.value(), coverage);
+  EXPECT_GT(report.mutated_runs, 0u);
+
+  set_metrics_enabled(false);
+  set_tracing_enabled(false);
+  EXPECT_EQ(Registry::global().snapshot().to_json(), before_metrics)
+      << "erased sites must not register metrics";
+  EXPECT_EQ(Tracer::global().event_count(), before_events)
+      << "erased sites must not record spans";
+  EXPECT_EQ(Tracer::global().to_chrome_json(), before_trace)
+      << "erased sites must not name lanes";
 }
 
 }  // namespace

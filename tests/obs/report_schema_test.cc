@@ -2,8 +2,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "obs/json.h"
@@ -97,6 +100,44 @@ TEST(RunReportSchema, WriteRunReportRefusesInvalidAndWritesValid) {
 // Completeness guard: the explorer section's full-graph estimate (and the
 // ratio derived from it) only counts visited orbits, so a report carrying
 // either field next to truncated/interrupted = true is a producer bug.
+// Regression: write_text_file staged every write at path + ".tmp", so
+// writers of one path truncated or renamed each other's staging file and
+// some of their writes failed. Each write now stages under its own name:
+// every write succeeds, and the file holds one writer's complete text.
+TEST(WriteTextFile, ConcurrentWritersNeverTearTheFile) {
+  const std::string path = ::testing::TempDir() + "/concurrent-text.json";
+  constexpr int kWriters = 8;
+  constexpr int kWritesEach = 25;
+  constexpr std::size_t kSize = 64 * 1024;
+  std::vector<Status> failures(kWriters, Status::ok());
+  std::vector<std::thread> writers;
+  writers.reserve(kWriters);
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      // One character per writer, so a torn file cannot pass as whole.
+      const std::string text(kSize, static_cast<char>('a' + w));
+      for (int i = 0; i < kWritesEach; ++i) {
+        const Status s = write_text_file(path, text);
+        if (!s.is_ok()) {
+          failures[w] = s;
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  for (int w = 0; w < kWriters; ++w) {
+    EXPECT_TRUE(failures[w].is_ok())
+        << "writer " << w << ": " << failures[w].to_string();
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  ASSERT_EQ(text.size(), kSize);
+  EXPECT_EQ(text.find_first_not_of(text[0]), std::string::npos);
+  std::remove(path.c_str());
+}
+
 TEST(RunReportSchema, RejectsReductionRatioOnIncompleteGraphs) {
   auto with_explorer_section = [](const std::string& section_json) {
     RunReport report = sample_report();

@@ -294,8 +294,12 @@ void expect_round_trip(const std::vector<std::int64_t>& words) {
   direct.resize(static_cast<std::size_t>(
       pack_words(words, direct.data()) - direct.data()));
   EXPECT_EQ(direct, packed);
-  std::vector<std::int64_t> unpacked{7};  // stale content is discarded
-  ASSERT_TRUE(unpack_words(packed, &unpacked));
+  std::vector<std::int64_t> unpacked;
+  for (std::size_t pos = 0; pos < packed.size();) {
+    std::int64_t w = 0;
+    ASSERT_TRUE(read_packed_word(packed, &pos, &w));
+    unpacked.push_back(w);
+  }
   EXPECT_EQ(unpacked, words);
 }
 

@@ -12,8 +12,8 @@
 #   3. SIGINT smoke: a real ^C against a running explorer produces either a
 #      clean finish (0) or a resumable interrupt (4) — never a crash — and
 #      an interrupt leaves a loadable checkpoint behind.
-#   4. Stale, corrupt and old-schema explore checkpoints exit 1 with a
-#      diagnostic, not a wrong graph.
+#   4. Stale, corrupt and old-schema (1 and 2) explore checkpoints exit 1
+#      with a diagnostic, not a wrong graph.
 #
 # Every interrupted run also carries the full observability flag set
 # (--metrics-json --trace-out): an exit-4 run must finalize and atomically
@@ -147,16 +147,21 @@ head -c 100 "$TMP/stale.ckpt" > "$TMP/trunc.ckpt"
 rc=0
 "$EXPLORER" dac4-sym --resume "$TMP/trunc.ckpt" > /dev/null 2>&1 || rc=$?
 [[ $rc -eq 1 ]] || fail "corrupt resume expected exit 1, got $rc"
-# Schema 1 predates each edge's to_pid. Byte 8 is the low byte of the
-# little-endian version word; the header is outside the payload hash.
-cp "$TMP/stale.ckpt" "$TMP/v1.ckpt"
-printf '\001' | dd of="$TMP/v1.ckpt" bs=1 seek=8 conv=notrunc status=none
-rc=0
-"$EXPLORER" dac4-sym --resume "$TMP/v1.ckpt" > /dev/null \
-    2> "$TMP/v1.err" || rc=$?
-[[ $rc -eq 1 ]] || fail "schema-1 resume expected exit 1, got $rc"
-grep -q "schema version 1" "$TMP/v1.err" \
-    || fail "schema-1 resume error does not name the version"
-echo "ok: stale, corrupt and schema-1 checkpoints rejected with exit 1"
+# Schema 1 predates each edge's to_pid, and schema 2 stored configurations
+# as words with depths, parents and parent steps. Byte 8 is the low byte of
+# the little-endian version word; the header is outside the payload hash.
+for v in 1 2; do
+  cp "$TMP/stale.ckpt" "$TMP/v$v.ckpt"
+  printf "\\00$v" | dd of="$TMP/v$v.ckpt" bs=1 seek=8 conv=notrunc \
+      status=none
+  rc=0
+  "$EXPLORER" dac4-sym --resume "$TMP/v$v.ckpt" > /dev/null \
+      2> "$TMP/v$v.err" || rc=$?
+  [[ $rc -eq 1 ]] || fail "schema-$v resume expected exit 1, got $rc"
+  grep -q "schema version $v" "$TMP/v$v.err" \
+      || fail "schema-$v resume error does not name the version"
+done
+echo "ok: stale, corrupt, schema-1 and schema-2 checkpoints rejected with" \
+     "exit 1"
 
 echo "PASS: interrupt/resume e2e"
