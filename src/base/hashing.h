@@ -25,12 +25,20 @@ constexpr std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t v) {
   return seed ^ (mix64(v) + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
+// Folds each word into h with hash_combine. hash_words is the fold of a
+// span after its length, so a hash of words held in several pieces can be
+// folded a piece at a time.
+inline std::uint64_t fold_words(std::uint64_t h,
+                                std::span<const std::int64_t> words) {
+  for (std::int64_t w : words) h = hash_combine(h, static_cast<std::uint64_t>(w));
+  return h;
+}
+
 // Hash of a span of words (state vectors, configuration snapshots).
 inline std::uint64_t hash_words(std::span<const std::int64_t> words,
                                 std::uint64_t seed = 0x243f6a8885a308d3ULL) {
-  std::uint64_t h = hash_combine(seed, static_cast<std::uint64_t>(words.size()));
-  for (std::int64_t w : words) h = hash_combine(h, static_cast<std::uint64_t>(w));
-  return h;
+  return fold_words(
+      hash_combine(seed, static_cast<std::uint64_t>(words.size())), words);
 }
 
 // Hash of a byte string (the model checker's packed node keys): the same

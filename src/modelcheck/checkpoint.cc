@@ -26,13 +26,36 @@ constexpr std::uint64_t kFuzzMagic = 0x4c42534146555a31ULL;     // "LBSAFUZ1"
 std::int64_t as_word(std::uint64_t v) { return std::bit_cast<std::int64_t>(v); }
 std::uint64_t as_u64(std::int64_t w) { return std::bit_cast<std::uint64_t>(w); }
 
-// Builds a checkpoint file in one buffer: the four header words, which
-// write() fills in, then the payload. Everything is one int64 per logical
-// field; strings spend one word per character, and byte runs one word per 8
-// bytes (the format stays trivially seekless).
+// Counts the payload words a WordWriter would take for the same calls, so
+// a writer can size its buffer once.
+class WordCounter {
+ public:
+  void i64(std::int64_t) { ++words_; }
+  void u64(std::uint64_t) { ++words_; }
+  void u32(std::uint32_t) { ++words_; }
+  void boolean(bool) { ++words_; }
+  void str(const std::string& s) { words_ += 1 + s.size(); }
+  void bytes(std::span<const std::uint8_t> v) {
+    words_ += 1 + (v.size() + 7) / 8;
+  }
+  std::size_t words() const { return words_; }
+
+ private:
+  std::size_t words_ = 0;
+};
+
+// Builds a checkpoint file in one buffer, allocated once at its exact size:
+// the four header words, which write() fills in, then the payload.
+// Everything is one int64 per logical field; strings spend one word per
+// character, and byte runs one word per 8 bytes (the format stays trivially
+// seekless).
 class WordWriter {
  public:
-  WordWriter() : words_(kHeaderWords) {}
+  explicit WordWriter(std::size_t payload_words)
+      : size_(kHeaderWords + payload_words) {
+    words_.reserve(size_);
+    words_.resize(kHeaderWords);
+  }
 
   void i64(std::int64_t v) { words_.push_back(v); }
   void u64(std::uint64_t v) { words_.push_back(as_word(v)); }
@@ -60,6 +83,8 @@ class WordWriter {
   // file atomically.
   Status write(std::uint64_t magic, std::uint32_t version,
                const std::string& path) {
+    LBSA_CHECK_MSG(words_.size() == size_,
+                   "checkpoint payload differs from its counted size");
     const auto payload = std::span(words_).subspan(kHeaderWords);
     words_[0] = as_word(magic);
     words_[1] = static_cast<std::int64_t>(version);
@@ -72,8 +97,21 @@ class WordWriter {
 
  private:
   static constexpr std::size_t kHeaderWords = 4;
+  std::size_t size_;
   std::vector<std::int64_t> words_;
 };
+
+// Writes a checkpoint's payload through `put`, a function of the payload
+// writer: once to count its words, then into a buffer of that size.
+template <typename Put>
+Status write_checkpoint_file(std::uint64_t magic, std::uint32_t version,
+                             const std::string& path, const Put& put) {
+  WordCounter counter;
+  put(counter);
+  WordWriter writer(counter.words());
+  put(writer);
+  return writer.write(magic, version, path);
+}
 
 // Linear payload reader. The first malformed read latches an error status;
 // subsequent reads return zero values, so decoders can run straight through
@@ -181,10 +219,9 @@ class WordReader {
   Status status_;
 };
 
-// Accepts schema versions [oldest, newest].
+// Accepts schema `version` only.
 StatusOr<std::vector<std::int64_t>> read_words(std::uint64_t magic,
-                                               std::uint32_t oldest,
-                                               std::uint32_t newest,
+                                               std::uint32_t version,
                                                const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return not_found("cannot open checkpoint: " + path);
@@ -216,17 +253,12 @@ StatusOr<std::vector<std::int64_t>> read_words(std::uint64_t magic,
     return invalid_argument("not a checkpoint of this kind (bad magic): " +
                             path);
   }
-  if (header[1] < static_cast<std::int64_t>(oldest) ||
-      header[1] > static_cast<std::int64_t>(newest)) {
+  if (header[1] != static_cast<std::int64_t>(version)) {
     std::fclose(f);
-    const std::string expected =
-        oldest == newest ? std::to_string(newest)
-                         : std::to_string(oldest) + " to " +
-                               std::to_string(newest);
     return invalid_argument("checkpoint schema version " +
                             std::to_string(header[1]) +
-                            " unsupported (expected " + expected + "): " +
-                            path);
+                            " unsupported (expected " +
+                            std::to_string(version) + "): " + path);
   }
   if (header[2] < 0 ||
       static_cast<std::size_t>(header[2]) != file_words - 4) {
@@ -322,41 +354,41 @@ Status write_explore_checkpoint(const ExploreCheckpoint& checkpoint,
   LBSA_CHECK(checkpoint.discovery_perms.empty() ||
              checkpoint.discovery_perms.size() == n);
 
-  WordWriter w;
-  w.u64(checkpoint.fingerprint);
-  w.str(checkpoint.task_label);
-  w.i64(static_cast<std::int64_t>(checkpoint.reduction));
-  w.i64(checkpoint.initial_flag);
-  w.boolean(checkpoint.has_flag_fn);
-  w.u64(checkpoint.max_nodes);
-  w.boolean(checkpoint.allow_truncation);
-  w.boolean(checkpoint.truncated);
-  w.u32(checkpoint.levels_completed);
+  return write_checkpoint_file(
+      kExploreMagic, kExploreCheckpointSchemaVersion, path, [&](auto& w) {
+        w.u64(checkpoint.fingerprint);
+        w.str(checkpoint.task_label);
+        w.i64(static_cast<std::int64_t>(checkpoint.reduction));
+        w.i64(checkpoint.initial_flag);
+        w.boolean(checkpoint.has_flag_fn);
+        w.u64(checkpoint.max_nodes);
+        w.boolean(checkpoint.allow_truncation);
+        w.boolean(checkpoint.truncated);
+        w.u32(checkpoint.levels_completed);
 
-  w.u64(n);
-  w.boolean(!checkpoint.discovery_perms.empty());
-  for (std::size_t i = 0; i < n; ++i) {
-    w.bytes(checkpoint.keys[i]);
-    if (!checkpoint.discovery_perms.empty()) {
-      w.bytes(checkpoint.discovery_perms[i]);
-    }
-    w.u64(checkpoint.edges[i].size());
-    for (const Edge& e : checkpoint.edges[i]) {
-      w.u32(e.to);
-      w.i64(e.pid);
-      w.i64(static_cast<std::int64_t>(e.kind));
-      w.u32(e.to_pid);
-    }
-  }
-  w.u64(checkpoint.frontier.size());
-  for (std::uint32_t id : checkpoint.frontier) w.u32(id);
-  return w.write(kExploreMagic, kExploreCheckpointSchemaVersion, path);
+        w.u64(n);
+        w.boolean(!checkpoint.discovery_perms.empty());
+        for (std::size_t i = 0; i < n; ++i) {
+          w.bytes(checkpoint.keys[i]);
+          if (!checkpoint.discovery_perms.empty()) {
+            w.bytes(checkpoint.discovery_perms[i]);
+          }
+          w.u64(checkpoint.edges[i].size());
+          for (const Edge& e : checkpoint.edges[i]) {
+            w.u32(e.to);
+            w.i64(e.pid);
+            w.i64(static_cast<std::int64_t>(e.kind));
+            w.u32(e.to_pid);
+          }
+        }
+        w.u64(checkpoint.frontier.size());
+        for (std::uint32_t id : checkpoint.frontier) w.u32(id);
+      });
 }
 
 StatusOr<ExploreCheckpoint> read_explore_checkpoint(const std::string& path) {
   auto payload =
-      read_words(kExploreMagic, kExploreCheckpointSchemaVersion,
-                 kExploreCheckpointSchemaVersion, path);
+      read_words(kExploreMagic, kExploreCheckpointSchemaVersion, path);
   if (!payload.is_ok()) return payload.status();
   WordReader r(payload.value());
 
@@ -424,32 +456,32 @@ StatusOr<ExploreCheckpoint> read_explore_checkpoint(const std::string& path) {
 
 Status write_fuzz_checkpoint(const FuzzCheckpoint& checkpoint,
                              const std::string& path) {
-  WordWriter w;
-  w.u64(checkpoint.fingerprint);
-  w.str(checkpoint.task_label);
-  w.u64(checkpoint.runs_completed);
-  for (std::uint64_t word : checkpoint.rng_state) w.u64(word);
-  w.u64(checkpoint.global_fingerprints.size());
-  for (std::uint64_t fp : checkpoint.global_fingerprints) w.u64(fp);
-  w.u64(checkpoint.pool.size());
-  for (const std::string& s : checkpoint.pool) w.str(s);
-  w.u64(checkpoint.runs_terminated);
-  w.u64(checkpoint.interesting_runs);
-  w.u64(checkpoint.mutated_runs);
-  w.u64(checkpoint.violations.size());
-  for (const auto& v : checkpoint.violations) {
-    w.str(v.property);
-    w.str(v.detail);
-    w.u64(v.run_seed);
-    w.str(v.schedule);
-    w.u64(v.raw_steps);
-  }
-  return w.write(kFuzzMagic, kFuzzCheckpointSchemaVersion, path);
+  return write_checkpoint_file(
+      kFuzzMagic, kFuzzCheckpointSchemaVersion, path, [&](auto& w) {
+        w.u64(checkpoint.fingerprint);
+        w.str(checkpoint.task_label);
+        w.u64(checkpoint.runs_completed);
+        for (std::uint64_t word : checkpoint.rng_state) w.u64(word);
+        w.u64(checkpoint.global_fingerprints.size());
+        for (std::uint64_t fp : checkpoint.global_fingerprints) w.u64(fp);
+        w.u64(checkpoint.pool.size());
+        for (const std::string& s : checkpoint.pool) w.str(s);
+        w.u64(checkpoint.runs_terminated);
+        w.u64(checkpoint.interesting_runs);
+        w.u64(checkpoint.mutated_runs);
+        w.u64(checkpoint.violations.size());
+        for (const auto& v : checkpoint.violations) {
+          w.str(v.property);
+          w.str(v.detail);
+          w.u64(v.run_seed);
+          w.str(v.schedule);
+          w.u64(v.raw_steps);
+        }
+      });
 }
 
 StatusOr<FuzzCheckpoint> read_fuzz_checkpoint(const std::string& path) {
-  auto payload = read_words(kFuzzMagic, kOldestFuzzCheckpointSchemaVersion,
-                            kFuzzCheckpointSchemaVersion, path);
+  auto payload = read_words(kFuzzMagic, kFuzzCheckpointSchemaVersion, path);
   if (!payload.is_ok()) return payload.status();
   WordReader r(payload.value());
 

@@ -52,10 +52,11 @@ namespace lbsa::modelcheck {
 // as words, with the node's flag, depth, parent and parent step, and
 // schema 1 also lacked to_pid.
 inline constexpr std::uint32_t kExploreCheckpointSchemaVersion = 3;
-// The fuzz layout has never changed. Its files say 1 or 2, from when both
-// kinds shared one number, and the reader accepts either.
-inline constexpr std::uint32_t kFuzzCheckpointSchemaVersion = 2;
-inline constexpr std::uint32_t kOldestFuzzCheckpointSchemaVersion = 1;
+// Fuzz schema 3 keeps the layout of schemas 1 and 2 but stores the
+// coverage set as Config::hash() values, a sum of per-component hashes;
+// schemas 1 and 2 stored hash_words of the whole encoding, which a resumed
+// campaign cannot compare with, so they are rejected.
+inline constexpr std::uint32_t kFuzzCheckpointSchemaVersion = 3;
 
 // One run of T per node, stored flat: run i is
 // items[offsets[i], offsets[i + 1]).
@@ -129,8 +130,8 @@ struct FuzzCheckpoint {
   std::uint64_t runs_completed = 0;
   std::array<std::uint64_t, 4> rng_state{};
 
-  // Global coverage set, sorted ascending (only membership matters; sorting
-  // makes the file deterministic).
+  // Global coverage set of Config::hash() values, sorted ascending (only
+  // membership matters; sorting makes the file deterministic).
   std::vector<std::uint64_t> global_fingerprints;
   // Interesting-schedule pool in eviction order (oldest first).
   std::vector<std::string> pool;

@@ -5,12 +5,12 @@
 #include <deque>
 #include <optional>
 #include <set>
+#include <span>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "base/check.h"
-#include "base/hashing.h"
+#include "base/fingerprint_set.h"
 #include "base/rng.h"
 #include "modelcheck/checkpoint.h"
 #include "obs/obs.h"
@@ -68,26 +68,83 @@ struct RunOutput {
   std::vector<std::uint64_t> fingerprints;  // first-K distinct, in order
 };
 
+// Config::hash() of the configuration a run steps, kept current by
+// rehashing only the components an event changed.
+class RunningHash {
+ public:
+  RunningHash() = default;
+  explicit RunningHash(const sim::Config& config)
+      : procs_(config.procs.size()), objects_(config.objects.size()) {
+    for (std::size_t pid = 0; pid < procs_.size(); ++pid) {
+      rehash_process(config, static_cast<int>(pid));
+    }
+    for (std::size_t index = 0; index < objects_.size(); ++index) {
+      rehash_object(config, static_cast<int>(index));
+    }
+  }
+
+  void rehash_process(const sim::Config& config, int pid) {
+    set(&procs_[static_cast<std::size_t>(pid)], config.process_hash(pid));
+  }
+  void rehash_object(const sim::Config& config, int index) {
+    set(&objects_[static_cast<std::size_t>(index)], config.object_hash(index));
+  }
+  std::uint64_t value() const { return sum_; }
+
+ private:
+  void set(std::uint64_t* component, std::uint64_t h) {
+    sum_ += h - *component;
+    *component = h;
+  }
+
+  std::vector<std::uint64_t> procs_;
+  std::vector<std::uint64_t> objects_;
+  std::uint64_t sum_ = 0;
+};
+
+// Where every run of a campaign starts: the initial configuration and its
+// component hashes.
+struct RunStart {
+  explicit RunStart(const sim::Protocol& protocol)
+      : config(sim::initial_config(protocol)), hash(config) {}
+  sim::Config config;
+  RunningHash hash;
+};
+
 // What one thread reuses from run to run: the configuration being stepped,
-// its prepared step, and the run's fingerprint set and encode buffer.
+// its prepared step and fingerprint, and the run's fingerprint set.
 struct RunScratch {
   sim::Config config;
   sim::PreparedStep prepared;
-  std::unordered_set<std::uint64_t> seen;
-  std::vector<std::int64_t> encoded;
+  RunningHash hash;
+  FingerprintSet seen;
 };
 
-// One run from `initial`: a lenient replay of `prefix` (empty for a fresh
+// A judge that never fires, for runs traced only for their fingerprints.
+std::pair<std::string, std::string> judge_nothing(const sim::Config&) {
+  return {"", ""};
+}
+
+// One run from `start`: a lenient replay of `prefix` (empty for a fresh
 // run; a mutated schedule for a mutated one), then a random or burst
 // continuation to termination or budget — so a mutated run explores just as
 // deep as a fresh one, but starts from an interesting region. Records the
 // effective schedule (always strict-valid), the per-step configuration
-// fingerprints, and the first violation, if any.
+// fingerprints, and the first violation, if any. With `trace`, also
+// appends the running fingerprint after every event, crashes included.
+//
+// A step rehashes its process and the object it invoked, and a crash its
+// process; nothing encodes the whole configuration. The judge reads only
+// statuses and decisions (SafetyPredicate), and an event changes those only
+// when it leaves its process no longer running, since only running
+// processes act. So the judge runs at the first step and then only at
+// steps that follow such an event.
 RunOutput execute_run(const sim::Protocol& protocol,
-                      const SafetyPredicate& judge, const sim::Config& initial,
+                      const SafetyPredicate& judge, const RunStart& start,
                       const std::vector<ScriptedAdversary::Choice>& prefix,
                       std::uint64_t seed, bool burst,
-                      const FuzzOptions& options, RunScratch* scratch) {
+                      const FuzzOptions& options, RunScratch* scratch,
+                      std::vector<std::uint64_t>* trace = nullptr) {
   RunOutput out;
   // Live execution tallies are volatile: the blind engine keeps executing
   // already-claimed runs past the deterministic early-stop cutoff, so the
@@ -95,18 +152,31 @@ RunOutput execute_run(const sim::Protocol& protocol,
   // schedule-dependent.
   LBSA_OBS_COUNTER_ADD_V("fuzz.exec.runs", 1);
   sim::Config& config = scratch->config;
-  config = initial;
+  config = start.config;
+  scratch->hash = start.hash;
   scratch->seen.clear();
+  bool judge_due = true;
 
-  // Records one executed step, its fingerprint, and the first violation;
+  // Logs one executed event and brings the fingerprint up to date.
+  auto log_event = [&](const ScriptedAdversary::Choice& taken) {
+    out.schedule.push_back(taken);
+    scratch->hash.rehash_process(config, taken.pid);
+    const sim::Action& action = scratch->prepared.action;
+    if (!taken.crash && action.kind == sim::Action::Kind::kInvoke) {
+      scratch->hash.rehash_object(config, action.object_index);
+    }
+    if (!config.enabled(taken.pid)) judge_due = true;
+    if (trace != nullptr) trace->push_back(scratch->hash.value());
+  };
+  // Logs one executed step, records its fingerprint and judges it if due;
   // true means the run is over.
   auto record_step = [&](const ScriptedAdversary::Choice& taken) -> bool {
-    out.schedule.push_back(taken);
+    log_event(taken);
     if (scratch->seen.size() < options.max_fingerprints_per_run) {
-      config.encode_into(&scratch->encoded);
-      const std::uint64_t h = hash_words(scratch->encoded);
-      if (scratch->seen.insert(h).second) out.fingerprints.push_back(h);
+      scratch->seen.insert(scratch->hash.value());
     }
+    if (!judge_due) return false;
+    judge_due = false;
     auto [property, detail] = judge(config);
     if (!property.empty()) {
       out.property = std::move(property);
@@ -116,17 +186,25 @@ RunOutput execute_run(const sim::Protocol& protocol,
     }
     return false;
   };
+  auto finish = [&](bool terminated) {
+    out.terminated = terminated;
+    const std::span<const std::uint64_t> seen = scratch->seen.values();
+    out.fingerprints.assign(seen.begin(), seen.end());
+    return std::move(out);
+  };
 
   for (const ScriptedAdversary::Choice& event : prefix) {
     const auto taken =
         lenient_step(protocol, event, &config, &scratch->prepared);
     if (!taken) continue;
     if (taken->crash) {
-      out.schedule.push_back(*taken);
+      log_event(*taken);
       continue;
     }
-    if (record_step(*taken)) return out;
-    if (out.schedule.size() >= options.max_steps_per_run) return out;
+    if (record_step(*taken)) return finish(false);
+    if (out.schedule.size() >= options.max_steps_per_run) {
+      return finish(false);
+    }
   }
 
   sim::RandomAdversary uniform(seed);
@@ -145,10 +223,9 @@ RunOutput execute_run(const sim::Protocol& protocol,
     // thread timing.
     LBSA_OBS_COUNTER_ADD_V("sim.steps", 1);
     sim::commit_step(protocol, &config, outcome, &scratch->prepared);
-    if (record_step({pid, outcome, false})) return out;
+    if (record_step({pid, outcome, false})) return finish(false);
   }
-  out.terminated = config.halted();
-  return out;
+  return finish(config.halted());
 }
 
 // Mutation kinds, in the order rng.next_below(3) selects them: splice,
@@ -233,13 +310,13 @@ void aggregate_in_order(const std::vector<RunOutput>& outputs,
                         FuzzReport* report,
                         std::vector<std::vector<ScriptedAdversary::Choice>>*
                             violation_schedules) {
-  std::unordered_set<std::uint64_t> global;
+  FingerprintSet global;
   for (std::uint64_t i = 0; i < count; ++i) {
     const RunOutput& out = outputs[i];
     ++report->runs_executed;
     bool fresh = false;
     for (std::uint64_t h : out.fingerprints) {
-      if (global.insert(h).second) fresh = true;
+      if (global.insert(h)) fresh = true;
     }
     if (fresh) ++report->interesting_runs;
     if (out.terminated) ++report->runs_terminated;
@@ -305,7 +382,7 @@ FuzzReport fuzz_blind(const std::shared_ptr<const sim::Protocol>& protocol,
     run_burst[i] = meta.next_bool(options.burst_fraction);
   }
 
-  const sim::Config initial = sim::initial_config(*protocol);
+  const RunStart start(*protocol);
   std::vector<RunOutput> outputs(budget);
   std::atomic<std::uint64_t> next{0};
   std::atomic<int> violations_found{0};
@@ -326,7 +403,7 @@ FuzzReport fuzz_blind(const std::shared_ptr<const sim::Protocol>& protocol,
       }
       const std::uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= budget) break;
-      outputs[i] = execute_run(*protocol, judge, initial, {}, run_seeds[i],
+      outputs[i] = execute_run(*protocol, judge, start, {}, run_seeds[i],
                                run_burst[i], options, &scratch);
       if (!outputs[i].violated) {
         outputs[i].schedule = {};  // only a violation's schedule is kept
@@ -374,10 +451,10 @@ FuzzReport fuzz_coverage(const std::shared_ptr<const sim::Protocol>& protocol,
   report.engine = "coverage";
   report.threads = 1;
   Xoshiro256 meta(options.seed);
-  std::unordered_set<std::uint64_t> global;
+  FingerprintSet global;
   std::deque<std::vector<ScriptedAdversary::Choice>> pool;
   std::vector<std::vector<ScriptedAdversary::Choice>> schedules;
-  const sim::Config initial = sim::initial_config(*protocol);
+  const RunStart start(*protocol);
   RunScratch scratch;
 
   std::uint64_t start_run = 0;
@@ -385,8 +462,7 @@ FuzzReport fuzz_coverage(const std::shared_ptr<const sim::Protocol>& protocol,
     const FuzzCheckpoint& cp = *options.resume;
     start_run = cp.runs_completed;
     meta.set_state(cp.rng_state);
-    global.insert(cp.global_fingerprints.begin(),
-                  cp.global_fingerprints.end());
+    for (std::uint64_t h : cp.global_fingerprints) global.insert(h);
     for (const std::string& s : cp.pool) {
       auto schedule = sim::parse_schedule(s);
       LBSA_CHECK_MSG(schedule.is_ok(),
@@ -416,7 +492,8 @@ FuzzReport fuzz_coverage(const std::shared_ptr<const sim::Protocol>& protocol,
     cp.task_label = options.checkpoint_label;
     cp.runs_completed = runs_completed;
     cp.rng_state = meta.state();
-    cp.global_fingerprints.assign(global.begin(), global.end());
+    cp.global_fingerprints.assign(global.values().begin(),
+                                  global.values().end());
     // Only membership matters in-memory; sorting makes the file (and so
     // any checkpoint-level comparison) deterministic.
     std::sort(cp.global_fingerprints.begin(), cp.global_fingerprints.end());
@@ -478,10 +555,10 @@ FuzzReport fuzz_coverage(const std::shared_ptr<const sim::Protocol>& protocol,
       const auto mutated = mutate_schedule(pool, protocol->process_count(),
                                            rng, &mutation_kind);
       count_mutation(mutation_kind, /*interesting=*/false);
-      out = execute_run(*protocol, judge, initial, mutated, rng.next(), burst,
+      out = execute_run(*protocol, judge, start, mutated, rng.next(), burst,
                         options, &scratch);
     } else {
-      out = execute_run(*protocol, judge, initial, {}, run_seed, burst,
+      out = execute_run(*protocol, judge, start, {}, run_seed, burst,
                         options, &scratch);
     }
 
@@ -489,7 +566,7 @@ FuzzReport fuzz_coverage(const std::shared_ptr<const sim::Protocol>& protocol,
     if (out.terminated) ++report.runs_terminated;
     bool fresh = false;
     for (std::uint64_t h : out.fingerprints) {
-      if (global.insert(h).second) fresh = true;
+      if (global.insert(h)) fresh = true;
     }
     if (fresh) {
       ++report.interesting_runs;
@@ -680,6 +757,21 @@ FuzzReport fuzz_safety(std::shared_ptr<const sim::Protocol> protocol,
   LBSA_OBS_GAUGE_MAX("fuzz.distinct_fingerprints",
                      report.distinct_fingerprints);
   return report;
+}
+
+FuzzRunTrace trace_fuzz_run(
+    const sim::Protocol& protocol,
+    const std::vector<ScriptedAdversary::Choice>& prefix, std::uint64_t seed,
+    bool burst, std::uint64_t max_steps) {
+  FuzzOptions options;
+  options.max_steps_per_run = max_steps;
+  RunScratch scratch;
+  FuzzRunTrace trace;
+  RunOutput out = execute_run(protocol, judge_nothing, RunStart(protocol),
+                              prefix, seed, burst, options, &scratch,
+                              &trace.fingerprints);
+  trace.schedule = std::move(out.schedule);
+  return trace;
 }
 
 FuzzReport fuzz_k_agreement(std::shared_ptr<const sim::Protocol> protocol,

@@ -11,13 +11,22 @@
 //     thread count (runs are pre-seeded, results merged in run order, and
 //     the early-stop cutoff is computed deterministically).
 //   * coverage-guided (FuzzOptions::coverage_guided) — per-step
-//     configuration fingerprints (base/hashing.h) feed a pool of
-//     "interesting" schedules (runs that reached a never-seen
-//     configuration); most runs then mutate a pool entry — splice two
-//     schedules, insert a solo burst, inject a crash — replay the mutated
-//     prefix, and continue randomly to termination, instead of starting
-//     from scratch. Single-threaded by design (the pool evolves run to
-//     run); still fully determined by FuzzOptions::seed.
+//     configuration fingerprints feed a pool of "interesting" schedules
+//     (runs that reached a never-seen configuration); most runs then mutate
+//     a pool entry — splice two schedules, insert a solo burst, inject a
+//     crash — replay the mutated prefix, and continue randomly to
+//     termination, instead of starting from scratch. Single-threaded by
+//     design (the pool evolves run to run); still fully determined by
+//     FuzzOptions::seed.
+//
+// A step pays only for what it changed. Each run keeps a running
+// Config::hash() (a sum of per-process and per-object hashes) and rehashes
+// just the stepping process and the object it invoked, or a crashed
+// process. The judge runs only after an event that changed some process's
+// status or decision (the SafetyPredicate contract), and the first step of
+// every run is always judged. The per-run and campaign coverage sets are
+// FingerprintSets (base/fingerprint_set.h), which allocate nothing per
+// member.
 //
 // Complements the exhaustive checker: violations found are real; a clean
 // fuzz report is evidence, not proof (use check_*_task for proofs at small
@@ -175,6 +184,21 @@ FuzzReport fuzz_dac(std::shared_ptr<const sim::Protocol> protocol,
 FuzzReport fuzz_safety(std::shared_ptr<const sim::Protocol> protocol,
                        const SafetyPredicate& judge,
                        const FuzzOptions& options = {});
+
+// One unjudged run exactly as both engines execute it: a lenient replay of
+// `prefix`, then a burst-biased (`burst`) or uniform continuation drawn from
+// `seed`, until every process halts or the run holds max_steps events.
+// `schedule` lists the events that executed, crashes included, and
+// `fingerprints[i]` is the run's running fingerprint after schedule[i]. A
+// seam for checking the incremental fingerprint against Config::hash().
+struct FuzzRunTrace {
+  std::vector<sim::ScriptedAdversary::Choice> schedule;
+  std::vector<std::uint64_t> fingerprints;
+};
+FuzzRunTrace trace_fuzz_run(
+    const sim::Protocol& protocol,
+    const std::vector<sim::ScriptedAdversary::Choice>& prefix,
+    std::uint64_t seed, bool burst, std::uint64_t max_steps);
 
 }  // namespace lbsa::modelcheck
 

@@ -39,6 +39,12 @@ namespace lbsa::modelcheck {
 // human-readable detail, or ("", "") if every property holds. Factories for
 // the paper's tasks live in modelcheck/fuzz.h (k_agreement_safety,
 // dac_safety).
+//
+// Contract: a judge reads only process statuses and decisions. A decision
+// task's safety is a property of its output vector, so two configurations
+// that agree on every status and decision get the same verdict. The fuzzer
+// relies on this: it judges a run again only after an event that changed
+// some status or decision since the last judgement.
 using SafetyPredicate =
     std::function<std::pair<std::string, std::string>(const sim::Config&)>;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <set>
 #include <span>
 #include <thread>
@@ -492,19 +493,23 @@ struct Finding {
 // The safety pass: decodes every node once, records its statuses, and has
 // judge(id, config, &decided, add) call add(property, detail) for each
 // property the node violates; `decided` is scratch the judge reuses. On
-// `threads` threads, [0, N) splits into contiguous id ranges, each stopping
-// once it holds max_violations findings. Their findings join the report
+// `threads` threads, [0, N) splits into contiguous id ranges, each judging
+// until it holds max_violations findings. Their findings join the report
 // range by range, in id order, so it holds the violations a one-thread
-// pass finds, and only kept ones get a trace. Returns true iff the report
-// is full, as it is whenever some range stopped early; the statuses are
-// then incomplete.
+// pass finds, and only kept ones get a trace. The pass also sets
+// report->full_node_estimate: under symmetry reduction each range sums its
+// nodes' orbit sizes, decoding the rest of its range without judging once
+// it stops early. Returns true iff the report is full, as it is whenever
+// some range stopped early; the statuses are then incomplete.
 template <typename Judge>
 bool node_pass(const sim::Protocol& protocol, const ConfigGraph& graph,
                const TaskCheckOptions& options, int threads,
                StatusTable* statuses, TaskReport* report, const Judge& judge) {
   const std::uint64_t node_count = graph.node_count();
   const std::size_t limit = static_cast<std::size_t>(options.max_violations);
+  const sim::Canonicalizer* canon = graph.canonicalizer().get();
   std::vector<std::vector<Finding>> ranges(static_cast<std::size_t>(threads));
+  std::vector<std::uint64_t> orbit_sums(ranges.size(), 0);
   run_tasks(threads, ranges.size(), [&](std::size_t r) {
     const auto begin =
         static_cast<std::uint32_t>(node_count * r / ranges.size());
@@ -512,16 +517,28 @@ bool node_pass(const sim::Protocol& protocol, const ConfigGraph& graph,
         static_cast<std::uint32_t>(node_count * (r + 1) / ranges.size());
     std::vector<Finding>& found = ranges[r];
     sim::Config config;
+    sim::CanonScratch scratch;
     std::vector<Value> decided;
-    for (std::uint32_t id = begin; id < end && found.size() < limit; ++id) {
+    std::uint64_t orbit_sum = 0;
+    for (std::uint32_t id = begin; id < end; ++id) {
+      const bool judging = found.size() < limit;
+      if (!judging && canon == nullptr) break;
       graph.config_into(id, &config);
+      if (canon != nullptr) orbit_sum += canon->orbit_size(config, &scratch);
+      if (!judging) continue;
       statuses->record(id, config);
       judge(id, config, &decided,
             [&found, id](std::string property, std::string detail) {
               found.push_back({id, std::move(property), std::move(detail)});
             });
     }
+    orbit_sums[r] = orbit_sum;
   });
+  report->full_node_estimate =
+      canon == nullptr
+          ? node_count
+          : std::accumulate(orbit_sums.begin(), orbit_sums.end(),
+                            std::uint64_t{0});
   for (std::vector<Finding>& found : ranges) {
     for (Finding& f : found) {
       if (report_full(*report, options)) return true;
@@ -573,7 +590,6 @@ StatusOr<TaskReport> check_k_agreement_task(
   TaskReport report;
   report.node_count = graph.node_count();
   report.transition_count = graph.transition_count();
-  report.full_node_estimate = graph.full_node_estimate();
   report.partial = graph.truncated();
   report.interrupted = graph.interrupted();
 
@@ -667,7 +683,6 @@ StatusOr<TaskReport> check_dac_task(
   TaskReport report;
   report.node_count = graph.node_count();
   report.transition_count = graph.transition_count();
-  report.full_node_estimate = graph.full_node_estimate();
   report.partial = graph.truncated();
   report.interrupted = graph.interrupted();
 

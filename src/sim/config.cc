@@ -44,9 +44,43 @@ std::vector<std::int64_t> Config::encode() const {
   return out;
 }
 
+namespace {
+
+// Process pid's seed is component_seed(2 * pid), object i's is
+// component_seed(2 * i + 1).
+std::uint64_t component_seed(std::size_t slot) {
+  return mix64(0x243f6a8885a308d3ULL + slot);
+}
+
+}  // namespace
+
 std::uint64_t Config::hash() const {
-  const auto words = encode();
-  return hash_words(words);
+  std::uint64_t sum = 0;
+  for (int pid = 0; pid < static_cast<int>(procs.size()); ++pid) {
+    sum += process_hash(pid);
+  }
+  for (int index = 0; index < static_cast<int>(objects.size()); ++index) {
+    sum += object_hash(index);
+  }
+  return sum;
+}
+
+std::uint64_t Config::process_hash(int pid) const {
+  const auto p = static_cast<std::size_t>(pid);
+  const ProcessState& ps = procs[p];
+  // The words encode() writes, folded in two pieces: the fixed head, then
+  // the locals.
+  const std::int64_t head[] = {static_cast<std::int64_t>(ps.status),
+                               ps.decision, ps.pc,
+                               static_cast<std::int64_t>(ps.locals.size())};
+  const std::uint64_t h =
+      hash_combine(component_seed(2 * p), ps.encoded_size());
+  return fold_words(fold_words(h, head), ps.locals);
+}
+
+std::uint64_t Config::object_hash(int index) const {
+  const auto i = static_cast<std::size_t>(index);
+  return hash_words(objects[i], component_seed(2 * i + 1));
 }
 
 int Config::enabled_count() const {

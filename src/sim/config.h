@@ -42,7 +42,20 @@ struct Config {
   // arena fast path: the caller bump-allocates exactly encoded_size() words
   // and encodes straight into them, no intermediate vector.
   std::int64_t* encode_to(std::int64_t* out) const;
+
+  // The configuration's fingerprint: the sum, mod 2^64, of process_hash
+  // over every process and object_hash over every object. A step changes
+  // one process and at most one object, so a running fingerprint follows a
+  // run by rehashing just those (the fuzzer keeps one per run) instead of
+  // encoding the whole configuration.
   std::uint64_t hash() const;
+  // hash_words of process pid's encoding (ProcessState::encode), seeded
+  // from pid.
+  std::uint64_t process_hash(int pid) const;
+  // hash_words of object `index`'s state, seeded from index. No object seed
+  // equals a process seed, so two components that trade states change the
+  // sum.
+  std::uint64_t object_hash(int index) const;
 
   // True iff pid can take a step (running, not crashed/terminated).
   bool enabled(int pid) const {

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "base/fingerprint_set.h"
+#include "base/rng.h"
 #include "modelcheck/checkpoint.h"
+#include "modelcheck/corpus.h"
 #include "protocols/ben_or.h"
 #include "protocols/dac_from_pac.h"
 #include "protocols/group_ksa.h"
@@ -272,6 +275,132 @@ TEST(Fuzz, ShrinkingCanBeDisabled) {
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.violations[0].schedule, report.violations[0].shrunk_schedule);
   EXPECT_EQ(report.shrink_replays, 0u);
+}
+
+// The fuzzer rehashes only what an event changed; after every event of
+// fresh and mutated runs of every registry task, its running fingerprint
+// must equal Config::hash() of the configuration replayed from scratch.
+TEST(FuzzFingerprint, RunningFingerprintMatchesHashFromScratch) {
+  using Choice = sim::ScriptedAdversary::Choice;
+  constexpr std::uint64_t kMaxSteps = 400;
+  std::uint64_t crashes = 0;
+  Xoshiro256 rng(2027);
+  for (const std::string& name : named_task_names()) {
+    const NamedTask task = make_named_task(name).value();
+    const sim::Protocol& protocol = *task.protocol;
+    const int n = protocol.process_count();
+    std::vector<std::vector<Choice>> schedules;
+    for (int run = 0; run < 8; ++run) {
+      // Runs 0-3 are fresh; later ones replay a mutated earlier schedule:
+      // a spliced tail, a solo burst and two injected crashes.
+      std::vector<Choice> prefix;
+      if (run >= 4) {
+        prefix = schedules[rng.next_below(schedules.size())];
+        const auto& other = schedules[rng.next_below(schedules.size())];
+        prefix.resize(rng.next_below(prefix.size() + 1));
+        prefix.insert(prefix.end(), other.begin(), other.end());
+        const auto pid = static_cast<int>(
+            rng.next_below(static_cast<std::uint64_t>(n)));
+        prefix.insert(prefix.begin() + static_cast<std::ptrdiff_t>(
+                                           rng.next_below(prefix.size() + 1)),
+                      1 + rng.next_below(8), Choice{pid, 1, false});
+        for (int c = 0; c < 2; ++c) {
+          const auto victim = static_cast<int>(
+              rng.next_below(static_cast<std::uint64_t>(n)));
+          prefix.insert(prefix.begin() + static_cast<std::ptrdiff_t>(
+                                             rng.next_below(
+                                                 prefix.size() / 2 + 1)),
+                        Choice{victim, 0, true});
+        }
+      }
+      const FuzzRunTrace trace = trace_fuzz_run(
+          protocol, prefix, rng.next(), /*burst=*/run % 2 == 1, kMaxSteps);
+      ASSERT_EQ(trace.fingerprints.size(), trace.schedule.size()) << name;
+      ASSERT_FALSE(trace.schedule.empty()) << name;
+      sim::Config config = sim::initial_config(protocol);
+      sim::PreparedStep prepared;
+      for (std::size_t i = 0; i < trace.schedule.size(); ++i) {
+        const Choice& event = trace.schedule[i];
+        ASSERT_EQ(lenient_step(protocol, event, &config, &prepared), event)
+            << name << " run " << run << " event " << i;
+        ASSERT_EQ(trace.fingerprints[i], config.hash())
+            << name << " run " << run << " event " << i
+            << (event.crash ? " (crash)" : "");
+        if (event.crash) ++crashes;
+      }
+      schedules.push_back(trace.schedule);
+    }
+  }
+  EXPECT_GT(crashes, 0u);
+}
+
+TEST(FingerprintSet, DuplicateInsertIsNoNewMember) {
+  FingerprintSet set;
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_FALSE(set.contains(42));
+  EXPECT_TRUE(set.insert(42));
+  EXPECT_FALSE(set.insert(42));
+  EXPECT_TRUE(set.contains(42));
+  EXPECT_EQ(set.size(), 1u);
+}
+
+TEST(FingerprintSet, ZeroIsALegalMember) {
+  FingerprintSet set;
+  EXPECT_FALSE(set.contains(0));
+  EXPECT_TRUE(set.insert(7));
+  EXPECT_FALSE(set.contains(0));  // an empty slot holds 0 but is no member
+  EXPECT_TRUE(set.insert(0));
+  EXPECT_FALSE(set.insert(0));
+  EXPECT_TRUE(set.contains(0));
+  EXPECT_EQ(set.size(), 2u);
+  EXPECT_EQ(std::vector<std::uint64_t>(set.values().begin(),
+                                       set.values().end()),
+            (std::vector<std::uint64_t>{7, 0}));
+  set.clear();
+  EXPECT_FALSE(set.contains(0));
+  EXPECT_TRUE(set.insert(0));
+}
+
+TEST(FingerprintSet, GrowsPastItsLoadLimitAndKeepsEveryMember) {
+  // Random values, small integers and multiples of 2^40 (equal low bits),
+  // far past the first table's 32-member load limit.
+  std::vector<std::uint64_t> members;
+  Xoshiro256 rng(11);
+  for (std::uint64_t i = 1; i <= 3000; ++i) {
+    members.push_back(rng.next());
+    members.push_back(i);
+    members.push_back(i << 40);
+  }
+  FingerprintSet set;
+  for (std::uint64_t v : members) ASSERT_TRUE(set.insert(v)) << v;
+  for (std::uint64_t v : members) EXPECT_FALSE(set.insert(v)) << v;
+  ASSERT_EQ(set.size(), members.size());
+  EXPECT_TRUE(std::equal(members.begin(), members.end(),
+                         set.values().begin(), set.values().end()));
+  for (std::uint64_t v : members) EXPECT_TRUE(set.contains(v)) << v;
+  EXPECT_FALSE(set.contains(3001));
+  EXPECT_FALSE(set.contains(std::uint64_t{3001} << 40));
+}
+
+TEST(FingerprintSet, ClearAfterALargeRunLeavesNoMember) {
+  FingerprintSet set;
+  Xoshiro256 rng(5);
+  std::vector<std::uint64_t> large;
+  for (int i = 0; i < 20'000; ++i) large.push_back(rng.next() >> (i % 64));
+  large.push_back(0);
+  for (std::uint64_t v : large) set.insert(v);
+  const std::size_t members = set.size();
+  set.clear();
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_TRUE(set.values().empty());
+  for (std::uint64_t v : large) ASSERT_FALSE(set.contains(v)) << v;
+  // The emptied set is reused, as a run's set is by the next run.
+  std::size_t fresh = 0;
+  for (std::uint64_t v : large) fresh += set.insert(v) ? 1 : 0;
+  EXPECT_EQ(fresh, members);
+  set.clear();
+  EXPECT_TRUE(set.insert(large.front()));
+  EXPECT_EQ(set.size(), 1u);
 }
 
 }  // namespace

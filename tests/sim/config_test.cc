@@ -53,6 +53,14 @@ TEST(Config, EncodeDistinguishesConfigs) {
   apply_step(*protocol, &b, 0, 0);
   EXPECT_NE(a.encode(), b.encode());
   EXPECT_NE(a, b);
+  EXPECT_NE(a.hash(), b.hash());
+  // Two processes that swap states keep the same multiset of encodings, so
+  // only the seeds taken from each component's index tell them apart.
+  // (b's p0 has stepped, p1 has not.)
+  Config swapped = b;
+  std::swap(swapped.procs[0], swapped.procs[1]);
+  ASSERT_NE(swapped, b);
+  EXPECT_NE(swapped.hash(), b.hash());
 }
 
 TEST(Config, EncodeIntoMatchesEncodeAndReservesExactly) {

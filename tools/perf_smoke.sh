@@ -32,6 +32,15 @@
 # 141-145 MB, and one to per-node decoded configurations at 354 MB. One run
 # suffices, and it also runs on single-core hosts.
 #
+# A fourth gate bounds the checkpoint writer: explorer_cli on dac6 at 4
+# threads, stopped after 16 levels (--max-levels 16, exit 4) with
+# --checkpoint F, must peak at no more than CKPT_RSS_BOUND_MB. F is a
+# 56.2 MB file, written under mktemp -d and removed on exit. The writer
+# counts the file's words first and allocates its image once; the same run
+# peaked at 143 MB in 5 runs on a 4-vCPU VM (GCC 12). Growing the image by
+# doubling, as the writer did before, peaks at 163-164 MB, so the bound of
+# 155 MB lies between the two.
+#
 # Usage: tools/perf_smoke.sh [build-dir]
 #   MIN_RATIO             parallel gate threshold (default 1.0)
 #   PERF_TASK             task to run (default dac5)
@@ -133,3 +142,28 @@ if (( RSS_MB > RSS_BOUND_MB )); then
   exit 1
 fi
 echo "ok: peak RSS within ${RSS_BOUND_MB} MB"
+
+# --- checkpoint-writer memory gate --------------------------------------------
+CKPT_RSS_BOUND_MB=155
+CKPT_DIR="$(mktemp -d)"
+trap 'rm -rf "$CKPT_DIR"' EXIT
+rc=0
+"$EXPLORER" dac6 --threads 4 --max-levels 16 \
+    --checkpoint "$CKPT_DIR/dac6.ckpt" > "$CKPT_DIR/out.txt" || rc=$?
+if (( rc != 4 )); then
+  echo "error: checkpointing dac6 run exited $rc, expected 4 (interrupted)" >&2
+  exit 1
+fi
+CKPT_RSS_MB="$(sed -nE 's/^ *peak RSS ([0-9]+) MB$/\1/p' "$CKPT_DIR/out.txt")"
+if [[ -z "$CKPT_RSS_MB" ]]; then
+  echo "error: checkpointing dac6 run printed no peak RSS line" >&2
+  exit 1
+fi
+echo "memory (dac6, t4, 16 levels, --checkpoint): peak RSS ${CKPT_RSS_MB} MB" \
+     "(bound ${CKPT_RSS_BOUND_MB} MB)"
+if (( CKPT_RSS_MB > CKPT_RSS_BOUND_MB )); then
+  echo "error: peak RSS ${CKPT_RSS_MB} MB exceeds ${CKPT_RSS_BOUND_MB} MB" \
+       "while writing a checkpoint" >&2
+  exit 1
+fi
+echo "ok: checkpoint-writing peak RSS within ${CKPT_RSS_BOUND_MB} MB"
